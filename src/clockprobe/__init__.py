@@ -25,7 +25,6 @@ from .atom import (
     zeeman_hamiltonian,
 )
 from .birefringence import (
-    PhaseSpectrum,
     PseudoSpin,
     StokesVector,
     apply_birefringence,
@@ -79,6 +78,7 @@ from .lightshift import (
     differential_clock_shift,
     dressed_clock_shift,
     find_magic_detunings,
+    light_shift_matrix,
     tensor_fz2_check,
     two_color_balance,
 )

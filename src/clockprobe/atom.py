@@ -8,7 +8,7 @@ through detuning denominators and branching ratios.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "CsD1Constants",
     "CloudConfig",
     "state_registry",
-    "excited_registry",
     "state_index",
     "zeeman_hamiltonian",
     "N_GROUND",
@@ -47,11 +46,6 @@ def state_registry() -> tuple[GroundState, ...]:
     return tuple(
         GroundState(F, m) for F in (3, 4) for m in range(-F, F + 1)
     )
-
-
-def excited_registry() -> tuple[GroundState, ...]:
-    """The 16 6P1/2 sublevels in the same F-then-mF ordering."""
-    return state_registry()
 
 
 def state_index(F: int, mF: int) -> int:

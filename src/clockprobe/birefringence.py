@@ -25,7 +25,6 @@ from .lightshift import (
 __all__ = [
     "StokesVector",
     "PseudoSpin",
-    "PhaseSpectrum",
     "per_state_phase",
     "state_phase_table",
     "collective_phase_eq1",
@@ -71,15 +70,6 @@ class PseudoSpin:
             raise ValueError("|S3| must not exceed S")
 
 
-@dataclass(frozen=True)
-class PhaseSpectrum:
-    """Per-unit-OD clock-state phase spectra over a detuning grid."""
-
-    detunings_MHz: np.ndarray
-    phi_up_rad: np.ndarray
-    phi_down_rad: np.ndarray
-
-
 def per_state_phase(state: GroundState, probe: ProbeConfig,
                     atom: CsD1Constants | None = None, od: float = 1.0) -> float:
     """Birefringent phase (rad) if all atoms occupy ``state``.
@@ -89,23 +79,20 @@ def per_state_phase(state: GroundState, probe: ProbeConfig,
     oscillator strengths; works for any ground sublevel, not just the
     clock states.
     """
-    atom = atom or CsD1Constants()
-    check_off_resonance(probe.detuning_MHz, atom)
-    gi = state_index(state.F, state.mF)
-    a = amplitude_tensor()
-    exc_x = a[gi] @ spherical_polarization(90.0)  # pure x
-    exc_z = a[gi] @ spherical_polarization(0.0)  # pure z (pi)
-    dets = excited_detunings_MHz(probe.detuning_MHz, atom)[gi]
-    diff = (np.abs(exc_x) ** 2 - np.abs(exc_z) ** 2) / dets
-    return float(od / 2.0 * (atom.gamma_MHz / 2.0) * diff.sum())
+    return float(state_phase_table(probe, atom, od)[state_index(state.F, state.mF)])
 
 
 def state_phase_table(probe: ProbeConfig, atom: CsD1Constants | None = None,
                       od: float = 1.0) -> np.ndarray:
     """per_state_phase for all 16 registry states, as one array."""
-    return np.array([
-        per_state_phase(st, probe, atom, od) for st in state_registry()
-    ])
+    atom = atom or CsD1Constants()
+    check_off_resonance(probe.detuning_MHz, atom)
+    a = amplitude_tensor()
+    exc_x = a @ spherical_polarization(90.0)  # pure x
+    exc_z = a @ spherical_polarization(0.0)  # pure z (pi)
+    dets = excited_detunings_MHz(probe.detuning_MHz, atom)
+    diff = (np.abs(exc_x) ** 2 - np.abs(exc_z) ** 2) / dets
+    return od / 2.0 * (atom.gamma_MHz / 2.0) * diff.sum(axis=1)
 
 
 def collective_phase_eq1(spin: PseudoSpin, od: float,
@@ -200,13 +187,7 @@ def snr_eta(probe: ProbeConfig, atom: CsD1Constants | None, cloud: CloudConfig,
 
 def projection_noise_snr(cloud: CloudConfig, probe: ProbeConfig,
                          atom: CsD1Constants | None, tau_d_s: float,
-                         n_eff: float | None = None,
                          detection_efficiency: float = 1.0) -> float:
-    """SNR for resolving the coherent-state fluctuation sqrt(N) of S3 near 0.
-
-    ``n_eff`` is the effective interrogated atom number; defaults to the
-    total atom number.
-    """
-    n = cloud.atom_number if n_eff is None else n_eff
+    """SNR for resolving the coherent-state fluctuation sqrt(N) of S3 near 0."""
     eta = snr_eta(probe, atom, cloud, tau_d_s, detection_efficiency)
-    return eta / (2.0 * math.sqrt(n))
+    return eta / (2.0 * math.sqrt(cloud.atom_number))

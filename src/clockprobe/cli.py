@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atom import IDX_DOWN, IDX_UP
 from .birefringence import projection_noise_snr, state_phase_table
 from .config import RunConfig, load_config
 from .dynamics import RunSetup, rabi_frequency, run_simulation
@@ -44,11 +45,10 @@ from .errors import (
     ResonanceProximityError,
 )
 from .lightshift import (
-    ProbeConfig,
     differential_clock_shift,
     dressed_clock_shift,
     find_magic_detunings,
-    resonance_positions_MHz,
+    nearest_resonance,
 )
 
 __all__ = ["main"]
@@ -78,22 +78,33 @@ def _pmap(func, items):
         return list(pool.map(func, items))
 
 
-def write_csv(path: Path, columns: list[str], rows) -> None:
-    """Atomic CSV write with the schema header line."""
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temp file, then rename it to ``path``.
+
+    On any failure the temp file is removed, so no partial output remains.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(SCHEMA_LINE + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: Path, columns: list[str], rows) -> None:
+    """Atomic CSV write with the schema header line."""
+    def write(fh):
+        fh.write(SCHEMA_LINE + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+    _write_atomic(path, write)
 
 
 def _fmt(v):
@@ -102,15 +113,14 @@ def _fmt(v):
     return v
 
 
+_PLOT_HEADER = ("#!/usr/bin/env python3\n"
+                '"""Standalone plot script; reads the CSVs next to it."""\n'
+                "import numpy as np\n"
+                "import matplotlib.pyplot as plt\n\n")
+
+
 def _write_plot_script(path: Path, body: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write("#!/usr/bin/env python3\n"
-                 '"""Standalone plot script; reads the CSVs next to it."""\n'
-                 "import numpy as np\n"
-                 "import matplotlib.pyplot as plt\n\n" + body)
-    os.replace(tmp, path)
+    _write_atomic(path, lambda fh: fh.write(_PLOT_HEADER + body))
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
@@ -148,9 +158,7 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     lo, hi = sweep.window_MHz
     grid = np.linspace(lo, hi, sweep.n_points)
     margin = 0.2 * atom.gamma_MHz
-    positions = resonance_positions_MHz(atom).values()
-    grid = np.array([d for d in grid
-                     if min(abs(d - p) for p in positions) > margin])
+    grid = np.array([d for d in grid if nearest_resonance(d, atom)[0] > margin])
 
     od = cfg.cloud.od_resonant
     theta = cfg.probe.polarization_angle_deg
@@ -159,8 +167,6 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     for d in grid:
         probe = replace(cfg.probe, detuning_MHz=float(d))
         phases = state_phase_table(probe, atom, od=od)
-        from .atom import IDX_DOWN, IDX_UP
-
         phase_rows.append((float(d), float(phases[IDX_UP]), float(phases[IDX_DOWN])))
         du_rows.append((float(d), differential_clock_shift(probe, atom)))
 
@@ -248,13 +254,11 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
     setup = build_setup(cfg)
     lo, hi = sweep.window_MHz
     grid = np.linspace(lo, hi, sweep.n_points)
-    positions = resonance_positions_MHz(atom).values()
 
     tasks, rows = [], {}
     for d in grid:
         d = float(d)
-        near = min(abs(d - p) for p in positions)
-        if near <= sweep.mask_gamma * atom.gamma_MHz:
+        if nearest_resonance(d, atom)[0] <= sweep.mask_gamma * atom.gamma_MHz:
             rows[d] = (d, math.nan, math.nan, math.nan, 1, "")
         else:
             tasks.append((setup, cfg.inhomogeneity, d))

@@ -14,7 +14,7 @@ inside the lower inter-resonance window.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -56,14 +56,15 @@ class SimulationConfig:
             raise ValueError("extra_loss_per_ms must be >= 0")
         if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:
             raise ValueError("scattering_rate_per_ms must be > 0")
+        self.initial_density_matrix()  # rejects a malformed initial_state on load
 
     def initial_density_matrix(self) -> DensityMatrix:
         if self.initial_state == "mixture":
             return clock_mixture(0.5)
         try:
-            f_str, m_str = self.initial_state.split(",")
+            f_str, m_str = str(self.initial_state).split(",")
             return pure_state(int(f_str), int(m_str))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValueError(
                 f"initial_state must be 'F,mF' or 'mixture', got {self.initial_state!r}"
             ) from exc
@@ -94,13 +95,10 @@ class SweepConfig:
 class OutputConfig:
     plot_scripts: bool = True
     detection_efficiency: float = 1.0
-    effective_atom_number: float | None = None  # defaults to total atom number
 
     def __post_init__(self):
         if not 0 < self.detection_efficiency <= 1:
             raise ValueError("detection_efficiency must be in (0, 1]")
-        if self.effective_atom_number is not None and self.effective_atom_number <= 0:
-            raise ValueError("effective_atom_number must be > 0")
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ PRESETS: dict[str, dict[str, Any]] = {
         "probe": {"detuning_MHz": "magic", "irradiance_rel": 16.0,
                   "polarization_angle_deg": 45.0},
         "cloud": {"od_resonant": 2.2},
-        "microwave": {"rabi_kHz": 2.0, "inhomogeneity_frac": 0.015},
+        "microwave": {"rabi_kHz": 2.0},
         "inhomogeneity": {"probe_irradiance_rms_frac": 0.0,
                           "mw_irradiance_rms_frac": 0.015, "n_samples": 16},
         "simulation": {"t_span_ms": 3.0, "extra_loss_per_ms": 0.4},
@@ -151,7 +149,7 @@ PRESETS: dict[str, dict[str, Any]] = {
     "measurement": {
         "probe": {"detuning_MHz": "magic"},
         "cloud": {"od_resonant": 2.5},
-        "microwave": {"rabi_kHz": 2.0, "inhomogeneity_frac": 0.015},
+        "microwave": {"rabi_kHz": 2.0},
         "inhomogeneity": {"probe_irradiance_rms_frac": 0.15,
                           "mw_irradiance_rms_frac": 0.015, "n_samples": 16},
         "simulation": {"scattering_rate_per_ms": 1.25, "extra_loss_per_ms": 0.4,
@@ -268,8 +266,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     microwave: MicrowaveConfig = _build_block(
         "microwave", tree.get("microwave", {}), source)
     inhomog_values = dict(tree.get("inhomogeneity", {}))
-    # the microwave block's rms spread is the default for the ensemble layer
-    inhomog_values.setdefault("mw_irradiance_rms_frac", microwave.inhomogeneity_frac)
     sim_values = dict(tree.get("simulation", {}))
     if seed is not None:
         sim_values["seed"] = int(seed)

@@ -12,7 +12,7 @@ Internal units: time in ms, Hamiltonian entries in MHz, rates in 1/ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,16 +24,14 @@ from .atom import (
     IDX_UP,
     N_GROUND,
     state_index,
-    state_registry,
     zeeman_hamiltonian,
 )
-from .errors import FitFailureError
 from .lightshift import (
     ProbeConfig,
     amplitude_tensor,
-    build_light_shift,
     check_off_resonance,
     excited_detunings_MHz,
+    light_shift_matrix,
     spherical_polarization,
 )
 
@@ -51,9 +49,6 @@ __all__ = [
     "pure_state",
     "clock_mixture",
 ]
-
-_QS = (-1, 0, 1)
-
 
 @dataclass
 class DensityMatrix:
@@ -94,11 +89,10 @@ class MicrowaveConfig:
 
     rabi_kHz: float = 2.0  # clock-pair Rabi frequency chi
     detuning_kHz: float = 0.0  # drive minus unshifted clock frequency
-    inhomogeneity_frac: float = 0.0  # rms fractional irradiance spread
 
     def __post_init__(self):
-        if self.rabi_kHz < 0 or self.inhomogeneity_frac < 0:
-            raise ValueError("rabi_kHz and inhomogeneity_frac must be >= 0")
+        if self.rabi_kHz < 0:
+            raise ValueError("rabi_kHz must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,7 @@ def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
     atom = atom or CsD1Constants()
     h = zeeman_hamiltonian(bias_field_G, atom).astype(complex)
     if probe is not None:
-        h += build_light_shift(probe, atom).total
+        h += light_shift_matrix(probe, atom)
     if mw is not None:
         chi_MHz = mw.rabi_kHz * mw_scale * 1e-3
         det_MHz = mw.detuning_kHz * 1e-3

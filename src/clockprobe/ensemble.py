@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import norm
 
-from .atom import CloudConfig, CsD1Constants
+from .atom import CsD1Constants
 from .birefringence import projection_noise_snr, snr_eta
 from .dynamics import (
-    MicrowaveConfig,
     RunSetup,
     SimRecord,
     pumping_jump_operators,
@@ -28,7 +27,7 @@ from .dynamics import (
 )
 from .errors import ClockProbeError, FitFailureError, ResonanceProximityError
 from .fitting import fit_decaying_sinusoid
-from .lightshift import ProbeConfig, dressed_clock_shift, resonance_positions_MHz
+from .lightshift import ProbeConfig, dressed_clock_shift, nearest_resonance
 
 __all__ = [
     "InhomogeneityConfig",
@@ -164,8 +163,7 @@ def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
     results: list[MeasurementFigure] = []
     for det in detunings_MHz:
         det = float(det)
-        near = min(abs(det - p) for p in resonance_positions_MHz(atom).values())
-        if near <= mask_gamma * atom.gamma_MHz:
+        if nearest_resonance(det, atom)[0] <= mask_gamma * atom.gamma_MHz:
             results.append(MeasurementFigure(det, math.nan, math.nan, math.nan,
                                              math.nan, math.nan, masked=True))
             continue

@@ -14,7 +14,7 @@ zero crossings of the result are compared against published numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,8 +31,11 @@ __all__ = [
     "amplitude_tensor",
     "spherical_polarization",
     "circular_polarization",
+    "resonance_positions_MHz",
+    "nearest_resonance",
     "excited_detunings_MHz",
     "check_off_resonance",
+    "light_shift_matrix",
     "build_light_shift",
     "differential_clock_shift",
     "dressed_clock_shift",
@@ -42,6 +45,8 @@ __all__ = [
 ]
 
 _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
+_BLOCKS = (slice(0, 7), slice(7, 16))  # F = 3 and F = 4 ground manifolds
+_F_INDEX = np.array([st.F - 3 for st in state_registry()])  # 0 for F=3, 1 for F=4
 
 
 @dataclass(frozen=True)
@@ -140,26 +145,28 @@ def resonance_positions_MHz(atom: CsD1Constants) -> dict[str, float]:
     }
 
 
+def _resonance_table(atom: CsD1Constants) -> np.ndarray:
+    """Resonance r[F, F'] (MHz), both indexed 0 for F=3 and 1 for F=4."""
+    res = resonance_positions_MHz(atom)
+    return np.array([[res[f"F={F} -> F'={Fe}"] for Fe in (3, 4)] for F in (3, 4)])
+
+
+def nearest_resonance(detuning_MHz: float,
+                      atom: CsD1Constants) -> tuple[float, str, float]:
+    """(distance, label, position) of the D1 resonance nearest the detuning (MHz)."""
+    return min((abs(detuning_MHz - pos), label, pos)
+               for label, pos in resonance_positions_MHz(atom).items())
+
+
 def check_off_resonance(detuning_MHz: float, atom: CsD1Constants) -> None:
-    for label, pos in resonance_positions_MHz(atom).items():
-        if abs(detuning_MHz - pos) <= 0.1 * atom.gamma_MHz:
-            raise ResonanceProximityError(detuning_MHz, pos, label)
+    distance, label, pos = nearest_resonance(detuning_MHz, atom)
+    if distance <= 0.1 * atom.gamma_MHz:
+        raise ResonanceProximityError(detuning_MHz, pos, label)
 
 
 def excited_detunings_MHz(detuning_MHz: float, atom: CsD1Constants) -> np.ndarray:
     """Detuning denominator d[g, e] (MHz) for each ground/excited pair."""
-    ground = state_registry()
-    excited = state_registry()
-    res = resonance_positions_MHz(atom)
-    d = np.empty((N_GROUND, N_GROUND))
-    for gi, g in enumerate(ground):
-        for ei, e in enumerate(excited):
-            d[gi, ei] = detuning_MHz - res[f"F={g.F} -> F'={e.F}"]
-    return d
-
-
-def _block_slices():
-    return (slice(0, 7), slice(7, 16))
+    return detuning_MHz - _resonance_table(atom)[_F_INDEX[:, None], _F_INDEX]
 
 
 @lru_cache(maxsize=8)
@@ -188,23 +195,9 @@ def _decompose_block(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return scalar, vector, tensor
 
 
-def _raw_operator(detuning_MHz: float, irradiance_rel: float,
-                  polarization: np.ndarray, atom: CsD1Constants) -> np.ndarray:
-    check_off_resonance(detuning_MHz, atom)
-    a = amplitude_tensor()
-    exc = a @ polarization  # exc[g, e] = sum_q eps_q a[g, e, q]
-    dets = excited_detunings_MHz(detuning_MHz, atom)
-    pref = atom.gamma_MHz**2 / 8.0 * irradiance_rel
-    v = np.zeros((N_GROUND, N_GROUND), dtype=complex)
-    for blk in _block_slices():
-        e_weighted = exc[blk] / dets[blk]  # same denominator within a ground-F block
-        v[blk, blk] = pref * (np.conj(exc[blk]) @ e_weighted.T)
-    return 0.5 * (v + v.conj().T)  # symmetrize away float round-off
-
-
-def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
-                      polarization: np.ndarray | None = None) -> LightShiftOperator:
-    """Light-shift operator for the probe, with scalar/vector/tensor parts.
+def light_shift_matrix(probe: ProbeConfig, atom: CsD1Constants | None = None,
+                       polarization: np.ndarray | None = None) -> np.ndarray:
+    """Hermitian 16x16 light-shift operator (MHz) of the probe.
 
     ``polarization`` overrides the linear-theta polarization with an
     arbitrary spherical-component vector (used for circular probes).
@@ -214,18 +207,37 @@ def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
     atom = atom or CsD1Constants()
     if polarization is None:
         polarization = spherical_polarization(probe.polarization_angle_deg)
-    v = _raw_operator(probe.detuning_MHz, probe.irradiance_rel, polarization, atom)
+    check_off_resonance(probe.detuning_MHz, atom)
+    exc = amplitude_tensor() @ polarization  # exc[g, e] = sum_q eps_q a[g, e, q]
+    dets = excited_detunings_MHz(probe.detuning_MHz, atom)
+    pref = atom.gamma_MHz**2 / 8.0 * probe.irradiance_rel
+    v = np.zeros((N_GROUND, N_GROUND), dtype=complex)
+    for blk in _BLOCKS:
+        e_weighted = exc[blk] / dets[blk]  # same denominator within a ground-F block
+        v[blk, blk] = pref * (np.conj(exc[blk]) @ e_weighted.T)
+    return 0.5 * (v + v.conj().T)  # symmetrize away float round-off
+
+
+def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
+                      polarization: np.ndarray | None = None) -> LightShiftOperator:
+    """:func:`light_shift_matrix` with its scalar/vector/tensor parts and xi's.
+
+    The analysis counterpart of :func:`light_shift_matrix`; it also builds
+    the circular-polarization operator to fix the vector coupling xi1.
+    """
+    atom = atom or CsD1Constants()
+    v = light_shift_matrix(probe, atom, polarization)
 
     scalar = np.zeros_like(v)
     vector = np.zeros_like(v)
     tensor = np.zeros_like(v)
-    for blk in _block_slices():
+    for blk in _BLOCKS:
         s, vec, t = _decompose_block(v[blk, blk])
         scalar[blk, blk] = s
         vector[blk, blk] = vec
         tensor[blk, blk] = t
 
-    blk4 = _block_slices()[1]
+    blk4 = _BLOCKS[1]
     dim4 = 9
     xi0 = scalar[blk4, blk4][0, 0].real
     fx, fy, fz = _spin_matrices(dim4)
@@ -235,8 +247,7 @@ def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
 
     # vector coupling strength from the full-circular response at the same
     # irradiance: V^(1) = xi1 * J3 * Fy with J3 = J for sigma+ light
-    v_circ = _raw_operator(probe.detuning_MHz, probe.irradiance_rel,
-                           circular_polarization(+1), atom)
+    v_circ = light_shift_matrix(probe, atom, circular_polarization(+1))
     xi1 = (np.trace(v_circ[blk4, blk4] @ fy.conj().T).real
            / np.trace(fy @ fy.conj().T).real)
 
@@ -246,12 +257,27 @@ def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
     )
 
 
+def _clock_shift_poles(theta_deg: float, irradiance_rel: float,
+                       atom: CsD1Constants) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w (kHz MHz) and poles r (MHz) of dU(Delta) = sum w / (Delta - r).
+
+    A clock state's detuning denominators depend only on (F, F'), so the
+    differential shift is exactly this rational function with one pole
+    per D1 resonance.
+    """
+    exc = amplitude_tensor()[[IDX_DOWN, IDX_UP]] @ spherical_polarization(theta_deg)
+    strength = np.abs(exc) ** 2 @ np.eye(2)[_F_INDEX]  # [F, F'] summed over e
+    pref = atom.gamma_MHz**2 / 8.0 * irradiance_rel * 1e3
+    sign = np.array([[-1.0], [1.0]])  # <4,0|V|4,0> - <3,0|V|3,0>
+    return (pref * sign * strength).ravel(), _resonance_table(atom).ravel()
+
+
 def differential_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None) -> float:
     """Differential light shift <4,0|V|4,0> - <3,0|V|3,0> in kHz."""
     atom = atom or CsD1Constants()
-    v = _raw_operator(probe.detuning_MHz, probe.irradiance_rel,
-                      spherical_polarization(probe.polarization_angle_deg), atom)
-    return (v[IDX_UP, IDX_UP] - v[IDX_DOWN, IDX_DOWN]).real * 1e3
+    check_off_resonance(probe.detuning_MHz, atom)
+    w, r = _clock_shift_poles(probe.polarization_angle_deg, probe.irradiance_rel, atom)
+    return float(np.sum(w / (probe.detuning_MHz - r)))
 
 
 def dressed_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
@@ -268,8 +294,7 @@ def dressed_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
 
     atom = atom or CsD1Constants()
     h = zeeman_hamiltonian(bias_field_G, atom).astype(complex)
-    h += _raw_operator(probe.detuning_MHz, probe.irradiance_rel,
-                       spherical_polarization(probe.polarization_angle_deg), atom)
+    h += light_shift_matrix(probe, atom)
     w, v = np.linalg.eigh(h)
     i_up = int(np.argmax(np.abs(v[IDX_UP, :]) ** 2))
     i_down = int(np.argmax(np.abs(v[IDX_DOWN, :]) ** 2))
@@ -278,12 +303,15 @@ def dressed_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
 
 def find_magic_detunings(theta_deg: float, window: tuple[float, float],
                          atom: CsD1Constants | None = None,
-                         irradiance_rel: float = 1.0,
-                         grid_MHz: float = 1.0) -> list[MagicPoint]:
+                         irradiance_rel: float = 1.0) -> list[MagicPoint]:
     """All zero crossings of the differential light shift inside ``window``.
 
-    Sign changes are bracketed on a ``grid_MHz`` scan and refined by
-    bisection to a residual below 1 Hz.  An empty list is a valid return.
+    The zeros of dU = sum w / (Delta - r) are the real roots of its
+    numerator, a polynomial of degree at most 3.  Zero-weight poles are
+    dropped first: they are removable (at theta = 0 the pi amplitude
+    |4,0> -> |4',0> vanishes) and would add a spurious root.  Roots within
+    0.2 Gamma of a resonance are discarded.  An empty list is a valid
+    return.
     """
     atom = atom or CsD1Constants()
     lo, hi = sorted(window)
@@ -293,38 +321,13 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
             raise ValueError(
                 f"window ({lo}, {hi}) MHz contains the resonance at {pos} MHz"
             )
-    grid = np.arange(lo, hi + grid_MHz, grid_MHz)
-    grid = np.clip(grid, lo, hi)
-    # keep strictly off-resonance evaluation points
-    keep = np.ones(len(grid), dtype=bool)
-    for pos in resonance_positions_MHz(atom).values():
-        keep &= np.abs(grid - pos) > margin
-    grid = grid[keep]
-
-    def du(d: float) -> float:
-        return differential_clock_shift(
-            ProbeConfig(d, irradiance_rel, theta_deg), atom)
-
-    vals = np.array([du(d) for d in grid])
-    points: list[MagicPoint] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            points.append(MagicPoint(float(grid[i]), theta_deg, 0.0))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = vals[i]
-            while (b - a) > 1e-7:
-                mid = 0.5 * (a + b)
-                fm = du(mid)
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            mid = 0.5 * (a + b)
-            points.append(MagicPoint(float(mid), theta_deg, float(du(mid))))
-    points.sort(key=lambda p: p.detuning_MHz)
-    return points
+    w, r = _clock_shift_poles(theta_deg, irradiance_rel, atom)
+    w, r = w[w != 0.0], r[w != 0.0]
+    numerator = sum(wk * np.poly(np.delete(r, k)) for k, wk in enumerate(w))
+    roots = np.roots(numerator)
+    return [MagicPoint(float(d), theta_deg, float(np.sum(w / (d - r))))
+            for d in np.sort(roots[roots.imag == 0].real)
+            if lo <= d <= hi and nearest_resonance(d, atom)[0] > margin]
 
 
 def tensor_fz2_check(probe: ProbeConfig, atom: CsD1Constants | None = None,
@@ -340,12 +343,10 @@ def tensor_fz2_check(probe: ProbeConfig, atom: CsD1Constants | None = None,
     from .atom import zeeman_hamiltonian
 
     atom = atom or CsD1Constants()
-    v = _raw_operator(probe.detuning_MHz, probe.irradiance_rel,
-                      spherical_polarization(probe.polarization_angle_deg), atom)
+    v = light_shift_matrix(probe, atom)
     hz = np.diag(zeeman_hamiltonian(bias_field_G, atom))
     worst = 0.0
-    for f0 in (IDX_DOWN, IDX_UP):
-        blk = _block_slices()[0] if f0 == IDX_DOWN else _block_slices()[1]
+    for f0, blk in zip((IDX_DOWN, IDX_UP), _BLOCKS):
         for j in range(blk.start, blk.stop):
             if j == f0:
                 continue

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from clockprobe import cli
 from clockprobe.cli import SCHEMA_LINE, main
 from clockprobe.config import PRESETS, load_config
 from clockprobe.errors import ConfigError
@@ -76,10 +77,14 @@ class TestConfigLoading:
             load_config(p)
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
-        p = write(tmp_path, "c.yaml",
-                  FAST_RABI + "cloud:\n  odd_key: 1.0\n")
-        with pytest.raises(ConfigError, match="odd_key"):
-            load_config(p)
+        # the removed knobs are unknown keys now, not silently ignored
+        for block, key in (("cloud", "odd_key"),
+                           ("output", "effective_atom_number"),
+                           ("microwave", "inhomogeneity_frac")):
+            p = write(tmp_path, "c.yaml",
+                      FAST_RABI + f"{block}:\n  {key}: 1.0\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(p)
 
     def test_invalid_value_reported_with_block(self, tmp_path):
         p = write(tmp_path, "c.yaml",
@@ -176,3 +181,34 @@ class TestExitCodes:
                                       "detuning_MHz: -0.3"))
         assert main(["rabi", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("state", ["bogus", "5,0"])
+    def test_bad_initial_state_exits_2(self, tmp_path, state):
+        cfg = write(tmp_path, "c.yaml",
+                    FAST_RABI.replace("simulation:\n",
+                                      f"simulation:\n  initial_state: '{state}'\n"))
+        assert main(["rabi", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_removed_key_exits_2(self, tmp_path):
+        cfg = write(tmp_path, "c.yaml",
+                    FAST_RABI.replace("output:\n",
+                                      "output:\n  effective_atom_number: 1.0\n"))
+        assert main(["rabi", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("write_file", [
+        lambda path: cli.write_csv(path, ["a"], [(1.0,)]),
+        lambda path: cli._write_plot_script(path, "pass\n"),
+    ], ids=["csv", "plot_script"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                              write_file):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_file(tmp_path / "out.txt")
+        assert list(tmp_path.iterdir()) == []

@@ -126,10 +126,21 @@ class TestMagicDetunings:
         assert abs(p.residual_dU_kHz) < 1e-3  # below 1 Hz
 
     def test_sign_change_across_root(self):
-        p = find_magic_detunings(45.0, (-1100.0, -50.0), ATOM)[0]
-        lo = differential_clock_shift(ProbeConfig(p.detuning_MHz - 0.1, 1.0, 45.0), ATOM)
-        hi = differential_clock_shift(ProbeConfig(p.detuning_MHz + 0.1, 1.0, 45.0), ATOM)
-        assert lo * hi < 0
+        # each root brackets a sign change, and the closed-form shift there
+        # equals the diagonal difference of the full operator
+        for theta in (30.0, 45.0, 60.0, 75.0, 90.0):
+            points = (find_magic_detunings(theta, (-1100.0, -50.0), ATOM)
+                      + find_magic_detunings(theta, (8100.0, 9100.0), ATOM))
+            assert len(points) == 2
+            for p in points:
+                du = []
+                for step in (-0.1, 0.1):
+                    probe = ProbeConfig(p.detuning_MHz + step, 1.0, theta)
+                    v = build_light_shift(probe, ATOM).total
+                    diag = (v[IDX_UP, IDX_UP] - v[IDX_DOWN, IDX_DOWN]).real * 1e3
+                    du.append(differential_clock_shift(probe, ATOM))
+                    assert du[-1] == pytest.approx(diag, rel=1e-12, abs=0.0)
+                assert du[0] * du[1] < 0
 
     def test_root_independent_of_irradiance(self):
         p1 = find_magic_detunings(45.0, (-1100.0, -50.0), ATOM, irradiance_rel=1.0)[0]

@@ -150,18 +150,32 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     )
 
 
+def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
+                            atom, **kwargs) -> list:
+    """Magic detunings in the sweep window, searched before any sweep runs.
+
+    A window that spans a resonance is a config error, so it fails before
+    any point is computed or any CSV is written.
+    """
+    try:
+        return find_magic_detunings(theta_deg, window, atom, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.window_MHz: {exc}") from exc
+
+
 # ---------------------------------------------------------------- spectra
 
 
 def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     atom, sweep = cfg.atom, cfg.sweep
     lo, hi = sweep.window_MHz
+    points = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi),
+                                     atom, irradiance_rel=cfg.probe.irradiance_rel)
     grid = np.linspace(lo, hi, sweep.n_points)
     margin = 0.2 * atom.gamma_MHz
     grid = np.array([d for d in grid if nearest_resonance(d, atom)[0] > margin])
 
     od = cfg.cloud.od_resonant
-    theta = cfg.probe.polarization_angle_deg
     phase_rows = []
     du_rows = []
     for d in grid:
@@ -169,9 +183,6 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> None:
         phases = state_phase_table(probe, atom, od=od)
         phase_rows.append((float(d), float(phases[IDX_UP]), float(phases[IDX_DOWN])))
         du_rows.append((float(d), differential_clock_shift(probe, atom)))
-
-    points = find_magic_detunings(theta, (lo, hi), atom,
-                                  irradiance_rel=cfg.probe.irradiance_rel)
     write_csv(out / "phase_spectrum.csv",
               ["detuning_MHz", "phi_up_rad", "phi_down_rad"], phase_rows)
     write_csv(out / "differential_shift.csv",
@@ -253,8 +264,17 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
     atom, sweep = cfg.atom, cfg.sweep
     setup = build_setup(cfg)
     lo, hi = sweep.window_MHz
-    grid = np.linspace(lo, hi, sweep.n_points)
+    thetas = np.linspace(sweep.theta_min_deg, sweep.theta_max_deg, sweep.n_theta)
+    theta_rows = []
+    for th in thetas:
+        pts = _window_magic_detunings(float(th), (lo, hi), atom,
+                                      irradiance_rel=cfg.probe.irradiance_rel)
+        if pts:
+            theta_rows.append((float(th), pts[0].detuning_MHz, 1))
+        else:
+            theta_rows.append((float(th), math.nan, 0))
 
+    grid = np.linspace(lo, hi, sweep.n_points)
     tasks, rows = [], {}
     for d in grid:
         d = float(d)
@@ -268,16 +288,6 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
               ["detuning_MHz", "omega_kHz", "omega_analytic_kHz",
                "rel_residual", "masked", "error"],
               [rows[float(d)] for d in grid])
-
-    thetas = np.linspace(sweep.theta_min_deg, sweep.theta_max_deg, sweep.n_theta)
-    theta_rows = []
-    for th in thetas:
-        pts = find_magic_detunings(float(th), (lo, hi), atom,
-                                   irradiance_rel=cfg.probe.irradiance_rel)
-        if pts:
-            theta_rows.append((float(th), pts[0].detuning_MHz, 1))
-        else:
-            theta_rows.append((float(th), math.nan, 0))
     write_csv(out / "magic_vs_theta.csv",
               ["polarization_angle_deg", "magic_detuning_MHz", "found"],
               theta_rows)
@@ -329,6 +339,8 @@ _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     setup = build_setup(cfg)
     lo, hi = cfg.sweep.window_MHz
+    magic = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi),
+                                    cfg.atom)
     grid = np.linspace(lo, hi, cfg.sweep.n_points)
 
     figures = _run_measurement_sweep(cfg, setup, grid)
@@ -342,8 +354,6 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
 
     ok = [f for f in figures if not f.masked and not f.error]
     summary_rows = []
-    theta = cfg.probe.polarization_angle_deg
-    magic = find_magic_detunings(theta, (lo, hi), cfg.atom)
     if magic:
         summary_rows.append(("magic_detuning_MHz", magic[0].detuning_MHz))
     if ok:

@@ -21,7 +21,13 @@ from typing import Any
 import yaml
 
 from .atom import CloudConfig, CsD1Constants
-from .dynamics import DensityMatrix, MicrowaveConfig, clock_mixture, pure_state
+from .dynamics import (
+    DensityMatrix,
+    MicrowaveConfig,
+    clock_mixture,
+    pure_state,
+    step_count,
+)
 from .ensemble import InhomogeneityConfig
 from .errors import ConfigError
 from .lightshift import ProbeConfig, find_magic_detunings
@@ -50,8 +56,7 @@ class SimulationConfig:
     initial_state: str = "3,0"  # "F,mF" or "mixture"
 
     def __post_init__(self):
-        if self.t_span_ms <= 0 or self.dt_ms <= 0:
-            raise ValueError("t_span_ms and dt_ms must be > 0")
+        step_count(self.t_span_ms, self.dt_ms)  # span must be a whole number of steps
         if self.extra_loss_per_ms < 0:
             raise ValueError("extra_loss_per_ms must be >= 0")
         if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:

@@ -26,6 +26,7 @@ from .atom import (
     state_index,
     zeeman_hamiltonian,
 )
+from .errors import InvariantViolationError
 from .lightshift import (
     ProbeConfig,
     amplitude_tensor,
@@ -43,6 +44,7 @@ __all__ = [
     "pumping_jump_operators",
     "scattering_rate_per_ms",
     "build_hamiltonian",
+    "step_count",
     "evolve",
     "run_simulation",
     "rabi_frequency",
@@ -225,47 +227,82 @@ def _liouvillian(h: np.ndarray, jumps, extra_loss_per_ms: float) -> np.ndarray:
     return lv
 
 
+def step_count(t_span_ms: float, dt_ms: float) -> int:
+    """Number of output steps; the span must be a whole multiple of the step."""
+    if dt_ms <= 0 or t_span_ms <= 0:
+        raise ValueError("t_span_ms and dt_ms must be > 0")
+    ratio = t_span_ms / dt_ms
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ValueError(
+            f"t_span_ms = {t_span_ms:g} is not a multiple of dt_ms = {dt_ms:g}"
+        )
+    return n_steps
+
+
+def _check_invariants(states: np.ndarray, times: np.ndarray) -> None:
+    """Raise at the earliest non-Hermitian or non-positive state.
+
+    Hermiticity is the max |rho - rho^dagger| per state (NaN counts as a
+    violation).  Positivity holds when the Cholesky factorization of the
+    Hermitian part shifted by 1e-9 exists, that is when its smallest
+    eigenvalue is above -1e-9; only on failure is ``eigvalsh`` run to
+    locate and report the violation.  At equal times Hermiticity is
+    reported first.
+    """
+    adjoint = states.conj().transpose(0, 2, 1)
+    herm = np.abs(states - adjoint).max(axis=(1, 2))
+    bad = np.nonzero(~(herm <= 1e-10))[0]
+    first_herm = int(bad[0]) if len(bad) else len(states)
+    hermitian = adjoint[:first_herm]  # reused in place for 0.5 (rho + rho^dagger)
+    hermitian += states[:first_herm]
+    hermitian *= 0.5
+    try:
+        np.linalg.cholesky(hermitian + 1e-9 * np.eye(N_GROUND))
+    except np.linalg.LinAlgError:
+        w_min = np.linalg.eigvalsh(hermitian).min(axis=1)
+        neg = np.nonzero(w_min < -1e-9)[0]
+        if len(neg):
+            i = int(neg[0])
+            raise InvariantViolationError(
+                f"positivity violated at t = {times[i]:g} ms: min eig {w_min[i]:g}"
+            ) from None
+    if first_herm < len(states):
+        raise InvariantViolationError(
+            f"hermiticity violated at t = {times[first_herm]:g} ms: "
+            f"{herm[first_herm]:g}"
+        )
+
+
 def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
            extra_loss_per_ms: float, t_span_ms: float, dt_ms: float,
-           state_phases: np.ndarray | None = None,
-           check_invariants: bool = True) -> SimRecord:
+           state_phases: np.ndarray | None = None) -> SimRecord:
     """Propagate the master equation and synthesize the polarimeter record.
 
     The Liouvillian is constant, so each output step applies the exact
     matrix exponential exp(L dt) once computed.  ``state_phases`` gives
     the per-state birefringent phase used for the signal; extrinsic loss
     drains the clock states uniformly into the lost-population reservoir.
+    Hermiticity and positivity are checked once on the whole trajectory;
+    a violation raises :class:`InvariantViolationError`.
     """
-    if dt_ms <= 0 or t_span_ms <= 0:
-        raise ValueError("t_span_ms and dt_ms must be > 0")
+    n_steps = step_count(t_span_ms, dt_ms)
     lv = _liouvillian(hamiltonian, jumps, extra_loss_per_ms)
     prop = expm(lv * dt_ms)
-    n_steps = int(round(t_span_ms / dt_ms))
     times = np.arange(n_steps + 1) * dt_ms
     if state_phases is None:
         state_phases = np.zeros(N_GROUND)
 
-    vec = rho0.rho.reshape(-1).copy()
-    initial_total = float(np.trace(rho0.rho).real) + rho0.lost_population
-    pops = np.empty((n_steps + 1, N_GROUND))
-    lost = np.empty(n_steps + 1)
-    for i in range(n_steps + 1):
-        rho = vec.reshape(N_GROUND, N_GROUND)
-        p = np.real(np.diag(rho))
-        pops[i] = p
-        lost[i] = initial_total - float(np.trace(rho).real)
-        if check_invariants:
-            herm = np.abs(rho - rho.conj().T).max()
-            if herm > 1e-10:
-                raise RuntimeError(f"hermiticity violated at t = {times[i]:g} ms: {herm:g}")
-            w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-            if w.min() < -1e-9:
-                raise RuntimeError(
-                    f"positivity violated at t = {times[i]:g} ms: min eig {w.min():g}"
-                )
-        if i < n_steps:
-            vec = prop @ vec
+    traj = np.empty((n_steps + 1, N_GROUND * N_GROUND), dtype=complex)
+    traj[0] = rho0.rho.reshape(-1)
+    for i in range(n_steps):
+        traj[i + 1] = prop @ traj[i]
+    states = traj.reshape(-1, N_GROUND, N_GROUND)
+    _check_invariants(states, times)
 
+    initial_total = float(np.trace(rho0.rho).real) + rho0.lost_population
+    pops = np.real(np.diagonal(states, axis1=1, axis2=2)).copy()
+    lost = initial_total - np.trace(states, axis1=1, axis2=2).real
     signal = pops @ state_phases
     s3 = pops[:, IDX_UP] - pops[:, IDX_DOWN]
     return SimRecord(times_ms=times, signal_rad=signal, s3=s3,

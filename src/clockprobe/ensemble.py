@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .atom import CsD1Constants
 from .birefringence import projection_noise_snr, snr_eta
@@ -77,7 +77,7 @@ def _stratified_factors(rms_frac: float, n: int) -> np.ndarray:
     if rms_frac == 0.0 or n == 1:
         return np.ones(n)
     q = (np.arange(n) + 0.5) / n
-    factors = 1.0 + rms_frac * norm.ppf(q)
+    factors = 1.0 + rms_frac * ndtri(q)
     return np.clip(factors, 1e-3, None)
 
 

@@ -6,6 +6,7 @@ __all__ = [
     "FitFailureError",
     "NoBalanceError",
     "ConfigError",
+    "InvariantViolationError",
 ]
 
 
@@ -36,3 +37,7 @@ class NoBalanceError(ClockProbeError):
 
 class ConfigError(ClockProbeError):
     """Invalid or unknown configuration content."""
+
+
+class InvariantViolationError(ClockProbeError):
+    """An evolved density matrix lost Hermiticity or positivity."""

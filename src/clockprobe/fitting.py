@@ -15,9 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft
 from scipy.ndimage import uniform_filter1d
 from scipy.optimize import OptimizeWarning, curve_fit
-from scipy.signal import hilbert
 
 from .errors import FitFailureError
 
@@ -54,6 +54,15 @@ def _fit_background(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.asarray(popt, dtype=float)
     except RuntimeError:
         return np.array(p0)
+
+
+def _analytic_signal(y: np.ndarray) -> np.ndarray:
+    """y + i H[y], with the same one-sided spectral weights as scipy.signal.hilbert."""
+    n = len(y)
+    spec = fft(y)
+    spec[1:(n + 1) // 2] *= 2.0  # positive frequencies; an even-n Nyquist bin stays
+    spec[n // 2 + 1:] = 0.0  # negative frequencies
+    return ifft(spec)
 
 
 def _spectral_guess(t: np.ndarray, y: np.ndarray) -> float:
@@ -95,7 +104,7 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
     bg = _fit_background(t, uniform_filter1d(y, window, mode="nearest"))
     yd = y - _background(t, *bg)
 
-    env = np.abs(hilbert(yd))
+    env = np.abs(_analytic_signal(yd))
     amp0 = float(np.percentile(env, 90))
     # crude envelope time from the first drop below amp0/e, else span
     below = np.nonzero(env < amp0 / np.e)[0]

@@ -1,12 +1,17 @@
 """Config loading/validation and CLI behaviour (exit codes, CSV contract)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from clockprobe import cli
 from clockprobe.cli import SCHEMA_LINE, main
-from clockprobe.config import PRESETS, load_config
-from clockprobe.errors import ConfigError
+from clockprobe.config import PRESETS, SimulationConfig, load_config
+from clockprobe.errors import ConfigError, InvariantViolationError
 
 FAST_RABI = """\
 probe:
@@ -190,6 +195,38 @@ class TestExitCodes:
         assert main(["rabi", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_span_not_a_multiple_of_step_exits_2(self, tmp_path):
+        with pytest.raises(ValueError, match="not a multiple"):
+            SimulationConfig(t_span_ms=1.0, dt_ms=0.7)
+        cfg = write(tmp_path, "c.yaml",
+                    FAST_RABI.replace("dt_ms: 0.01", "dt_ms: 0.7"))
+        out = tmp_path / "o"
+        assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,preset",
+                             [("spectra", "spectra"), ("chevron", "chevron"),
+                              ("measurement", "measurement")])
+    def test_window_spanning_resonance_exits_2_before_sweep(
+            self, tmp_path, capsys, command, preset):
+        cfg = write(tmp_path, "c.yaml", "sweep:\n  window_MHz: [-300, 100]\n")
+        out = tmp_path / "o"
+        assert main([command, "--preset", preset, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "sweep.window_MHz" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
+        from clockprobe import dynamics
+
+        def violate(*args, **kwargs):
+            raise InvariantViolationError("positivity violated at t = 0.01 ms")
+
+        monkeypatch.setattr(dynamics, "evolve", violate)
+        cfg = write(tmp_path, "c.yaml", FAST_RABI)
+        assert main(["rabi", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+
     def test_removed_key_exits_2(self, tmp_path):
         cfg = write(tmp_path, "c.yaml",
                     FAST_RABI.replace("output:\n",
@@ -212,3 +249,15 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="rename failed"):
             write_file(tmp_path / "out.txt")
         assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    code = ("import sys, clockprobe.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
+            "if m in sys.modules))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert res.stdout.strip() == "[]"

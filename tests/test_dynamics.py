@@ -1,15 +1,19 @@
 """Master-equation dynamics: oracles, conservation laws, pumping, leakage."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from clockprobe.atom import CsD1Constants, IDX_DOWN, IDX_UP, state_index
 from clockprobe.dynamics import (
     DensityMatrix,
     MicrowaveConfig,
     RunSetup,
+    _liouvillian,
     build_hamiltonian,
     clock_mixture,
     evolve,
@@ -19,6 +23,7 @@ from clockprobe.dynamics import (
     run_simulation,
     scattering_rate_per_ms,
 )
+from clockprobe.errors import InvariantViolationError
 from clockprobe.lightshift import ProbeConfig
 
 ATOM = CsD1Constants()
@@ -187,3 +192,77 @@ class TestRecord:
         assert t == 0.0
         assert p3 == pytest.approx(1.0)
         assert p3 + p4 + lost == pytest.approx(1.0, abs=1e-12)
+
+
+def plain_step_loop(rho0, h, jumps, loss, t_span_ms, dt_ms):
+    """Reference trajectory: one matvec per step, states kept as 16x16."""
+    prop = expm(_liouvillian(h, jumps, loss) * dt_ms)
+    vec = rho0.rho.reshape(-1).copy()
+    states = [vec.reshape(16, 16)]
+    for _ in range(int(round(t_span_ms / dt_ms))):
+        vec = prop @ vec
+        states.append(vec.reshape(16, 16))
+    return np.array(states)
+
+
+class TestStackedTrajectory:
+    def test_bitwise_equal_to_plain_step_loop(self):
+        probe = ProbeConfig(-335.0, 16.0, 45.0)
+        h = build_hamiltonian(probe, MicrowaveConfig(rabi_kHz=2.0), 0.0, ATOM)
+        jumps = pumping_jump_operators(probe, ATOM, total_rate_per_ms=1.25)
+        phases = np.linspace(-1.0, 1.0, 16)
+        rho0 = clock_mixture(0.3)
+        rec = evolve(rho0, h, jumps, 0.4, 1.0, 0.005, state_phases=phases)
+        states = plain_step_loop(rho0, h, jumps, 0.4, 1.0, 0.005)
+        pops = np.array([np.real(np.diag(rho)) for rho in states])
+        lost = np.array([1.0 - float(np.trace(rho).real) for rho in states])
+        assert np.array_equal(rec.populations, pops)
+        assert np.array_equal(rec.lost, lost)
+        assert np.array_equal(rec.signal_rad, pops @ phases)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(rabi_kHz=st.floats(0.0, 5.0), drive_det_kHz=st.floats(-3.0, 3.0),
+           probe_det_MHz=st.floats(-1000.0, -100.0),
+           irradiance=st.floats(0.1, 32.0), loss=st.floats(0.0, 2.0),
+           rank=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_invariants_hold_for_random_runs(self, rabi_kHz, drive_det_kHz,
+                                             probe_det_MHz, irradiance, loss,
+                                             rank, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
+        rho = a @ a.conj().T
+        rho0 = DensityMatrix(rho / np.trace(rho).real)
+        probe = ProbeConfig(probe_det_MHz, irradiance, 45.0)
+        mw = MicrowaveConfig(rabi_kHz=rabi_kHz, detuning_kHz=drive_det_kHz)
+        h = build_hamiltonian(probe, mw, 0.5, ATOM)
+        jumps = pumping_jump_operators(probe, ATOM)
+        rec = evolve(rho0, h, jumps, loss, 0.5, 0.01)
+        total = rec.populations.sum(axis=1) + rec.lost
+        assert np.abs(total - 1.0).max() < 1e-9
+        states = plain_step_loop(rho0, h, jumps, loss, 0.5, 0.01)
+        assert np.linalg.eigvalsh(states).min() >= -1e-9
+
+
+class TestInvariantChecks:
+    def test_non_hermitian_initial_state_fails_at_t0(self):
+        rho = pure_state(3, 0).rho.copy()
+        rho[IDX_DOWN, IDX_UP] = 1e-3  # no matching conjugate element
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0, ATOM)
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape("hermiticity violated at t = 0 ms")):
+            evolve(DensityMatrix(rho), h, [], 0.0, 0.1, 0.01)
+
+    def test_negative_rate_jump_fails_positivity_at_first_step(self):
+        # a negative-rate transfer |3,0> -> |4,0> drives the |4,0>
+        # population below zero from the first step on
+        op = np.zeros((16, 16))
+        op[IDX_UP, IDX_DOWN] = 1.0
+        h = build_hamiltonian(None, None, 0.0, ATOM)
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape("positivity violated at t = 0.01 ms")):
+            evolve(pure_state(3, 0), h, [(op, -1.0)], 0.0, 0.1, 0.01)
+
+    def test_span_not_a_multiple_of_step_rejected(self):
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0, ATOM)
+        with pytest.raises(ValueError, match="not a multiple"):
+            evolve(pure_state(3, 0), h, [], 0.0, 1.0, 0.7)

@@ -18,6 +18,7 @@ from clockprobe.ensemble import (
     sweep_measurement_strength,
 )
 from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scattering_rate_per_ms
+from clockprobe.errors import InvariantViolationError
 from clockprobe.lightshift import ProbeConfig, find_magic_detunings
 
 ATOM = CsD1Constants()
@@ -49,6 +50,14 @@ class TestStratifiedFactors:
 
     def test_factors_positive(self):
         assert np.all(_stratified_factors(0.5, 32) > 0)
+
+    def test_ndtri_bitwise_equal_to_norm_ppf(self):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        for n in range(1, 101):
+            q = (np.arange(n) + 0.5) / n
+            assert np.array_equal(ndtri(q), norm.ppf(q)), n
 
 
 class TestEnsembleAverage:
@@ -128,3 +137,15 @@ class TestSweep:
         assert good.pn_snr > 0
         # off the magic point the light shift detunes the drive strongly
         assert figures[2].omega_kHz > 5 * good.omega_kHz
+
+    def test_invariant_violation_recorded_per_point(self, monkeypatch):
+        from clockprobe import ensemble
+
+        def violate(*args, **kwargs):
+            raise InvariantViolationError("positivity violated at t = 0.01 ms")
+
+        monkeypatch.setattr(ensemble, "run_simulation", violate)
+        figures = sweep_measurement_strength(
+            [MAGIC, -500.0], make_setup(), InhomogeneityConfig(0.0, 0.0, 1, 0),
+            target_rate_per_ms=1.25)
+        assert [f.error for f in figures] == ["positivity violated at t = 0.01 ms"] * 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clockprobe.errors import FitFailureError
-from clockprobe.fitting import fit_decaying_sinusoid
+from clockprobe.fitting import _analytic_signal, fit_decaying_sinusoid
 
 T = np.arange(0, 3.0, 0.005)
 RNG = np.random.default_rng(42)
@@ -69,3 +69,12 @@ class TestFailures:
         y = synth(5.0, 1.0, amp=0.01, noise=1.0)
         with pytest.raises(FitFailureError):
             fit_decaying_sinusoid(T, y, freq_hint_kHz=5.0)
+
+
+class TestAnalyticSignal:
+    @pytest.mark.parametrize("n", [16, 17, 600, 601])
+    def test_bitwise_equal_to_scipy_hilbert(self, n):
+        from scipy.signal import hilbert
+
+        y = np.random.default_rng(n).normal(size=n)
+        assert np.array_equal(_analytic_signal(y), hilbert(y))

@@ -8,7 +8,7 @@ Library layout:
 - :mod:`clockprobe.birefringence` — phase spectra, polarimetry, shot noise, SNR
 - :mod:`clockprobe.dynamics` — 16-level Lindblad evolution with microwave drive
 - :mod:`clockprobe.fitting` — decaying-sinusoid extraction of frequency and decay
-- :mod:`clockprobe.ensemble` — inhomogeneity averaging and measurement sweeps
+- :mod:`clockprobe.ensemble` — inhomogeneity averaging and the detuning sweep driver
 - :mod:`clockprobe.config` / :mod:`clockprobe.cli` — YAML configs and the CLI
 """
 

@@ -7,11 +7,14 @@ Subcommands::
     clockprobe chevron     Rabi frequency vs detuning + magic detuning vs angle
     clockprobe measurement tau_d / eta^2 / SNR sweep at constant scattering rate
 
-All take ``--config FILE --out DIR [--seed N] [--preset NAME]``.  Every
-output CSV starts with the schema line ``# clockprobe v1`` and is written
-atomically (temp file + rename), so a failed run leaves no partial files.
-Exit codes: 0 success, 2 config error, 3 physics-domain error, 4 fit
-failure.  ``CLOCKPROBE_WORKERS`` sets the process count for sweeps.
+All take ``--config FILE --out DIR [--seed N] [--preset NAME]``; ``--seed``
+sets ``inhomogeneity.seed``.  Every output CSV starts with the schema line
+``# clockprobe v1`` and is written atomically (temp file + rename), so a
+failed run leaves no partial files.  Exit codes: 0 success, 2 config
+error, 3 physics-domain error, 4 fit failure.  The chevron and measurement
+sweeps run through :func:`clockprobe.ensemble.sweep`: a point that fails
+is an error row, not a failed run, and ``CLOCKPROBE_WORKERS`` (a positive
+integer, default 1) sets their process count.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +34,15 @@ import numpy as np
 from .atom import IDX_DOWN, IDX_UP
 from .birefringence import projection_noise_snr, state_phase_table
 from .config import RunConfig, load_config
-from .dynamics import RunSetup, rabi_frequency, run_simulation
+from .dynamics import RunSetup, rabi_frequency
 from .ensemble import (
     calibrated_irradiance,
     ensemble_average,
+    operating_point,
+    sweep,
     sweep_measurement_strength,
 )
-from .errors import (
-    ClockProbeError,
-    ConfigError,
-    FitFailureError,
-    NoBalanceError,
-    ResonanceProximityError,
-)
+from .errors import ClockProbeError, ConfigError, FitFailureError
 from .lightshift import (
     differential_clock_shift,
     dressed_clock_shift,
@@ -59,23 +58,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_FIT = 4
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CLOCKPROBE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(func, items):
-    """Order-preserving map, parallel when CLOCKPROBE_WORKERS > 1."""
-    items = list(items)
-    n = _workers()
-    if n == 1 or len(items) < 2:
-        return [func(x) for x in items]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, items))
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -213,13 +195,7 @@ fig.savefig("spectra.png", dpi=150)
 
 
 def cmd_rabi(cfg: RunConfig, out: Path) -> None:
-    setup = build_setup(cfg)
-    inhomog = cfg.inhomogeneity
-    spreads = inhomog.probe_irradiance_rms_frac or inhomog.mw_irradiance_rms_frac
-    if spreads:
-        record = ensemble_average(setup, inhomog)
-    else:
-        record = run_simulation(setup)
+    record = ensemble_average(build_setup(cfg), cfg.inhomogeneity)
     write_csv(out / "rabi_record.csv",
               ["time_s", "signal_rad", "s3", "pop_F3", "pop_F4", "lost"],
               record.csv_rows())
@@ -242,29 +218,21 @@ fig.savefig("rabi.png", dpi=150)
 # ---------------------------------------------------------------- chevron
 
 
-def _chevron_point(args):
-    setup, inhomog, det = args
-    probe = replace(setup.probe, detuning_MHz=det)
-    point = replace(setup, probe=probe)
-    du_kHz = dressed_clock_shift(probe, setup.atom,
-                                 bias_field_G=setup.cloud.bias_field_G)
-    analytic = math.hypot(setup.microwave.rabi_kHz, du_kHz)
-    try:
-        if inhomog.probe_irradiance_rms_frac or inhomog.mw_irradiance_rms_frac:
-            record = ensemble_average(point, inhomog)
-        else:
-            record = run_simulation(point)
-        omega = rabi_frequency(record, freq_hint_kHz=analytic)
-        return (det, omega, analytic, abs(omega - analytic) / analytic, 0, "")
-    except (FitFailureError, ClockProbeError) as exc:
-        return (det, math.nan, analytic, math.nan, 0, str(exc))
+def _chevron_point(setup: RunSetup, inhomog, det: float) -> tuple[float, float]:
+    """Simulated and analytic Rabi frequency (kHz) at one detuning."""
+    point = operating_point(setup, det)
+    analytic = math.hypot(setup.microwave.rabi_kHz,
+                          dressed_clock_shift(point.probe, setup.atom,
+                                              bias_field_G=setup.cloud.bias_field_G))
+    record = ensemble_average(point, inhomog)
+    return rabi_frequency(record, freq_hint_kHz=analytic), analytic
 
 
 def cmd_chevron(cfg: RunConfig, out: Path) -> None:
-    atom, sweep = cfg.atom, cfg.sweep
+    atom, sw = cfg.atom, cfg.sweep
     setup = build_setup(cfg)
-    lo, hi = sweep.window_MHz
-    thetas = np.linspace(sweep.theta_min_deg, sweep.theta_max_deg, sweep.n_theta)
+    lo, hi = sw.window_MHz
+    thetas = np.linspace(sw.theta_min_deg, sw.theta_max_deg, sw.n_theta)
     theta_rows = []
     for th in thetas:
         pts = _window_magic_detunings(float(th), (lo, hi), atom,
@@ -274,20 +242,17 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
         else:
             theta_rows.append((float(th), math.nan, 0))
 
-    grid = np.linspace(lo, hi, sweep.n_points)
-    tasks, rows = [], {}
-    for d in grid:
-        d = float(d)
-        if nearest_resonance(d, atom)[0] <= sweep.mask_gamma * atom.gamma_MHz:
-            rows[d] = (d, math.nan, math.nan, math.nan, 1, "")
-        else:
-            tasks.append((setup, cfg.inhomogeneity, d))
-    for res in _pmap(_chevron_point, tasks):
-        rows[res[0]] = res
+    grid = [float(d) for d in np.linspace(lo, hi, sw.n_points)]
+    point = partial(_chevron_point, setup, cfg.inhomogeneity)
+    rows = []
+    for d, (res, masked, error) in zip(grid, sweep(point, grid, atom,
+                                                   sw.mask_gamma)):
+        omega, analytic = res or (math.nan, math.nan)
+        rows.append((d, omega, analytic, abs(omega - analytic) / analytic,
+                     int(masked), error))
     write_csv(out / "chevron.csv",
               ["detuning_MHz", "omega_kHz", "omega_analytic_kHz",
-               "rel_residual", "masked", "error"],
-              [rows[float(d)] for d in grid])
+               "rel_residual", "masked", "error"], rows)
     write_csv(out / "magic_vs_theta.csv",
               ["polarization_angle_deg", "magic_detuning_MHz", "found"],
               theta_rows)
@@ -312,18 +277,12 @@ fig.tight_layout(); fig.savefig("chevron.png", dpi=150)
 # ------------------------------------------------------------ measurement
 
 
-def _measurement_point(args):
-    setup, inhomog, rate, mask_gamma, eff, det = args
-    return sweep_measurement_strength(
-        [det], setup, inhomog, target_rate_per_ms=rate,
-        mask_gamma=mask_gamma, detection_efficiency=eff)[0]
-
-
 def _run_measurement_sweep(cfg: RunConfig, setup: RunSetup, grid) -> list:
-    rate = cfg.simulation.scattering_rate_per_ms
-    args = [(setup, cfg.inhomogeneity, rate, cfg.sweep.mask_gamma,
-             cfg.output.detection_efficiency, float(d)) for d in grid]
-    return _pmap(_measurement_point, args)
+    return sweep_measurement_strength(
+        grid, setup, cfg.inhomogeneity,
+        target_rate_per_ms=cfg.simulation.scattering_rate_per_ms,
+        mask_gamma=cfg.sweep.mask_gamma,
+        detection_efficiency=cfg.output.detection_efficiency)
 
 
 def _figure_rows(figures):
@@ -371,12 +330,8 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
         cloud = cfg.cloud
         scale = 1e3 / cloud.od_resonant
         big = replace(cloud, od_resonant=1e3, atom_number=cloud.atom_number * scale)
-        probe = replace(setup.probe, detuning_MHz=peak_eta.detuning_MHz)
-        rate = cfg.simulation.scattering_rate_per_ms
-        if rate is not None:
-            # same per-point calibrated irradiance the sweep used
-            probe = replace(probe, irradiance_rel=calibrated_irradiance(
-                probe.detuning_MHz, probe.polarization_angle_deg, rate, cfg.atom))
+        probe = operating_point(setup, peak_eta.detuning_MHz,
+                                cfg.simulation.scattering_rate_per_ms).probe
         pn_big = projection_noise_snr(
             big, probe, cfg.atom, peak_eta.tau_d_ms * 1e-3,
             detection_efficiency=cfg.output.detection_efficiency)
@@ -431,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True,
                        help="output directory for CSVs and plot scripts")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the simulation seed")
+                       help="override inhomogeneity.seed")
         p.add_argument("--preset", default=None,
                        help="named preset providing a complete operating point")
     return parser
@@ -448,8 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except FitFailureError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (ResonanceProximityError, NoBalanceError, ClockProbeError,
-            ValueError) as exc:
+    except (ClockProbeError, ValueError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     return EXIT_OK

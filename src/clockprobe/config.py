@@ -49,7 +49,6 @@ MAGIC_SEARCH_WINDOW_MHZ = (-1100.0, -50.0)
 class SimulationConfig:
     t_span_ms: float = 3.0
     dt_ms: float = 0.005
-    seed: int = 0
     extra_loss_per_ms: float = 0.0
     scattering_rate_per_ms: float | None = None  # calibrate probe power when set
     pumping: bool = True
@@ -236,7 +235,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
                 seed: int | None = None) -> RunConfig:
     """Load, merge (defaults <- preset <- file) and validate a RunConfig.
 
-    ``seed`` overrides the simulation seed (CLI --seed flag).
+    ``seed`` overrides ``inhomogeneity.seed`` (CLI --seed flag).
     """
     tree: dict[str, dict] = {}
     if preset is not None:
@@ -271,11 +270,8 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     microwave: MicrowaveConfig = _build_block(
         "microwave", tree.get("microwave", {}), source)
     inhomog_values = dict(tree.get("inhomogeneity", {}))
-    sim_values = dict(tree.get("simulation", {}))
     if seed is not None:
-        sim_values["seed"] = int(seed)
-    simulation: SimulationConfig = _build_block("simulation", sim_values, source)
-    inhomog_values.setdefault("seed", simulation.seed)
+        inhomog_values["seed"] = int(seed)
 
     return RunConfig(
         atom=atom,
@@ -283,7 +279,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         probe=probe,
         microwave=microwave,
         inhomogeneity=_build_block("inhomogeneity", inhomog_values, source),
-        simulation=simulation,
+        simulation=_build_block("simulation", tree.get("simulation", {}), source),
         sweep=_build_block("sweep", tree.get("sweep", {}), source),
         output=_build_block("output", tree.get("output", {}), source),
     )

@@ -1,15 +1,19 @@
-"""Inhomogeneity averaging and measurement-strength sweeps.
+"""Inhomogeneity averaging and detuning sweeps.
 
 Probe and microwave irradiance spreads are sampled as one scalar per
 ensemble member (each member is an atom subgroup at fixed local
 irradiance), using deterministic stratified Gaussian quantiles so that
-figures are reproducible and converge quickly.
+figures are reproducible and converge quickly.  :func:`sweep` drives every
+evolution sweep over the probe detuning.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -25,7 +29,7 @@ from .dynamics import (
     scattering_rate_per_ms,
     clock_mixture,
 )
-from .errors import ClockProbeError, FitFailureError, ResonanceProximityError
+from .errors import ClockProbeError, ConfigError
 from .fitting import fit_decaying_sinusoid
 from .lightshift import ProbeConfig, dressed_clock_shift, nearest_resonance
 
@@ -35,6 +39,8 @@ __all__ = [
     "ensemble_average",
     "decay_time",
     "calibrated_irradiance",
+    "operating_point",
+    "sweep",
     "sweep_measurement_strength",
 ]
 
@@ -90,6 +96,8 @@ def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord
     deterministic per seed, and with zero spreads (or n_samples = 1) it
     reduces exactly to a single evolution.
     """
+    if not (inhomog.probe_irradiance_rms_frac or inhomog.mw_irradiance_rms_frac):
+        return run_simulation(setup)
     probe_f = _stratified_factors(inhomog.probe_irradiance_rms_frac, inhomog.n_samples)
     mw_f = _stratified_factors(inhomog.mw_irradiance_rms_frac, inhomog.n_samples)
     rng = np.random.default_rng(inhomog.seed)
@@ -142,6 +150,75 @@ def calibrated_irradiance(detuning_MHz: float, theta_deg: float,
     return target_rate_per_ms / r_unit
 
 
+def operating_point(setup: RunSetup, detuning_MHz: float,
+                    target_rate_per_ms: float | None = None) -> RunSetup:
+    """``setup`` at ``detuning_MHz``, recalibrated to a target rate if given."""
+    probe = replace(setup.probe, detuning_MHz=detuning_MHz)
+    if target_rate_per_ms is None:
+        return replace(setup, probe=probe)
+    s_cal = calibrated_irradiance(detuning_MHz, probe.polarization_angle_deg,
+                                  target_rate_per_ms, setup.atom)
+    return replace(setup, probe=replace(probe, irradiance_rel=s_cal),
+                   scattering_rate_per_ms=target_rate_per_ms)
+
+
+def _workers() -> int:
+    text = os.environ.get("CLOCKPROBE_WORKERS", "1")
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise ConfigError(
+            f"CLOCKPROBE_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _attempt(point, det: float) -> tuple:
+    try:
+        return point(det), False, ""
+    except ClockProbeError as exc:
+        return None, False, str(exc)
+
+
+def sweep(point, detunings_MHz, atom: CsD1Constants,
+          mask_gamma: float) -> list[tuple]:
+    """``(point(det), masked, error)`` for each detuning, in grid order.
+
+    Detunings within ``mask_gamma`` linewidths of a resonance are masked,
+    not computed; a ``ClockProbeError`` at a point becomes its error.  The
+    rest run over ``CLOCKPROBE_WORKERS`` processes (in-process for one).
+    """
+    workers = _workers()
+    grid = [float(d) for d in detunings_MHz]
+    masked = [nearest_resonance(d, atom)[0] <= mask_gamma * atom.gamma_MHz
+              for d in grid]
+    live = [d for d, m in zip(grid, masked) if not m]
+    attempt = partial(_attempt, point)
+    if workers == 1 or len(live) < 2:
+        done = [attempt(d) for d in live]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(attempt, live))
+    done = iter(done)
+    return [(None, True, "") if m else next(done) for m in masked]
+
+
+def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
+                        target_rate_per_ms: float | None,
+                        detection_efficiency: float,
+                        det: float) -> MeasurementFigure:
+    point = operating_point(setup, det, target_rate_per_ms)
+    hint = math.hypot(setup.microwave.rabi_kHz,
+                      dressed_clock_shift(point.probe, point.atom,
+                                          bias_field_G=setup.cloud.bias_field_G))
+    rec = ensemble_average(point, inhomog)
+    tau_ms = decay_time(rec, freq_hint_kHz=hint)
+    omega = rabi_frequency(rec, freq_hint_kHz=hint)
+    eta = snr_eta(point.probe, point.atom, setup.cloud, tau_ms * 1e-3,
+                  detection_efficiency)
+    pn = projection_noise_snr(setup.cloud, point.probe, point.atom,
+                              tau_ms * 1e-3,
+                              detection_efficiency=detection_efficiency)
+    return MeasurementFigure(det, tau_ms, omega, eta, eta**2, pn)
+
+
 def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
                                inhomog: InhomogeneityConfig,
                                target_rate_per_ms: float | None = None,
@@ -153,43 +230,15 @@ def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
     At each point the probe irradiance is rescaled to hold the reference
     scattering rate constant (default: the calibrated rate already in
     ``setup``), the ensemble average is run, and the oscillation fit
-    yields tau_d and Omega.  Points within ``mask_gamma`` linewidths of a
-    resonance are flagged as masked; per-point failures are recorded and
-    the sweep continues.
+    yields tau_d and Omega.  Masking, per-point failures and worker
+    processes are those of :func:`sweep`.
     """
-    atom = setup.atom
     if target_rate_per_ms is None:
         target_rate_per_ms = setup.scattering_rate_per_ms
-    results: list[MeasurementFigure] = []
-    for det in detunings_MHz:
-        det = float(det)
-        if nearest_resonance(det, atom)[0] <= mask_gamma * atom.gamma_MHz:
-            results.append(MeasurementFigure(det, math.nan, math.nan, math.nan,
-                                             math.nan, math.nan, masked=True))
-            continue
-        try:
-            probe = replace(setup.probe, detuning_MHz=det)
-            if target_rate_per_ms is not None:
-                s_cal = calibrated_irradiance(
-                    det, probe.polarization_angle_deg, target_rate_per_ms, atom)
-                probe = replace(probe, irradiance_rel=s_cal)
-                point = replace(setup, probe=probe,
-                                scattering_rate_per_ms=target_rate_per_ms)
-            else:
-                point = replace(setup, probe=probe)
-            hint = math.hypot(
-                setup.microwave.rabi_kHz,
-                dressed_clock_shift(probe, atom,
-                                    bias_field_G=setup.cloud.bias_field_G))
-            rec = ensemble_average(point, inhomog)
-            tau_ms = decay_time(rec, freq_hint_kHz=hint)
-            omega = rabi_frequency(rec, freq_hint_kHz=hint)
-            eta = snr_eta(point.probe, atom, setup.cloud, tau_ms * 1e-3,
-                          detection_efficiency)
-            pn = projection_noise_snr(setup.cloud, point.probe, atom, tau_ms * 1e-3,
-                                      detection_efficiency=detection_efficiency)
-            results.append(MeasurementFigure(det, tau_ms, omega, eta, eta**2, pn))
-        except (FitFailureError, ResonanceProximityError, ClockProbeError) as exc:
-            results.append(MeasurementFigure(det, math.nan, math.nan, math.nan,
-                                             math.nan, math.nan, error=str(exc)))
-    return results
+    grid = [float(d) for d in detunings_MHz]
+    figure = partial(_measurement_figure, setup, inhomog, target_rate_per_ms,
+                     detection_efficiency)
+    return [fig or MeasurementFigure(det, *[math.nan] * 5, masked=masked,
+                                     error=error)
+            for det, (fig, masked, error)
+            in zip(grid, sweep(figure, grid, setup.atom, mask_gamma))]

@@ -72,9 +72,13 @@ class TestConfigLoading:
 
     def test_seed_override(self, tmp_path):
         p = write(tmp_path, "c.yaml", FAST_RABI)
-        cfg = load_config(p, seed=99)
-        assert cfg.simulation.seed == 99
-        assert cfg.inhomogeneity.seed == 99
+        assert load_config(p, seed=99).inhomogeneity.seed == 99
+        # --seed wins over a seed set in the file
+        p = write(tmp_path, "c.yaml",
+                  FAST_RABI.replace("  n_samples: 1\n",
+                                    "  n_samples: 1\n  seed: 5\n"))
+        assert load_config(p).inhomogeneity.seed == 5
+        assert load_config(p, seed=99).inhomogeneity.seed == 99
 
     def test_unknown_block_rejected(self, tmp_path):
         p = write(tmp_path, "c.yaml", "laser:\n  power: 3\n")
@@ -85,7 +89,8 @@ class TestConfigLoading:
         # the removed knobs are unknown keys now, not silently ignored
         for block, key in (("cloud", "odd_key"),
                            ("output", "effective_atom_number"),
-                           ("microwave", "inhomogeneity_frac")):
+                           ("microwave", "inhomogeneity_frac"),
+                           ("simulation", "seed")):
             p = write(tmp_path, "c.yaml",
                       FAST_RABI + f"{block}:\n  {key}: 1.0\n")
             with pytest.raises(ConfigError, match=key):
@@ -150,7 +155,8 @@ class TestCliRuns:
         assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "plot_spectra.py").exists()
 
-    def test_chevron_small_grid(self, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_chevron_small_grid(self, tmp_path, monkeypatch, workers):
         cfg = write(tmp_path, "c.yaml", FAST_RABI + """\
 sweep:
   window_MHz: [-700.0, -200.0]
@@ -159,6 +165,7 @@ sweep:
   theta_min_deg: 40.0
 """)
         out = tmp_path / "out"
+        monkeypatch.setenv("CLOCKPROBE_WORKERS", workers)
         assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 0
         c = np.genfromtxt(out / "chevron.csv", delimiter=",", names=True,
                           skip_header=1)
@@ -167,6 +174,32 @@ sweep:
         m = np.genfromtxt(out / "magic_vs_theta.csv", delimiter=",",
                           names=True, skip_header=1)
         assert np.all(m["found"] == 1)
+        # the process pool gives the bytes of the in-process loop
+        monkeypatch.setenv("CLOCKPROBE_WORKERS", "1")
+        ref = tmp_path / "ref"
+        assert main(["chevron", "--config", str(cfg), "--out", str(ref)]) == 0
+        assert ((out / "chevron.csv").read_bytes()
+                == (ref / "chevron.csv").read_bytes())
+
+    def test_chevron_error_row_near_resonance(self, tmp_path):
+        # unmasked, the -0.1 MHz point fails alone; the sweep carries on
+        cfg = write(tmp_path, "c.yaml", FAST_RABI + """\
+sweep:
+  window_MHz: [-1000.0, -0.1]
+  n_points: 2
+  n_theta: 2
+  mask_gamma: 0.0
+""")
+        out = tmp_path / "out"
+        assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 0
+        c = np.genfromtxt(out / "chevron.csv", delimiter=",", names=True,
+                          skip_header=1, dtype=None, encoding="utf-8")
+        assert list(c["detuning_MHz"]) == [-1000.0, -0.1]
+        assert list(c["masked"]) == [0, 0]
+        assert c["error"][0] == "" and c["rel_residual"][0] < 0.05
+        assert "within 0.1 Gamma" in c["error"][1]
+        assert np.isnan(c["omega_kHz"][1])
+        assert np.isnan(c["omega_analytic_kHz"][1])
 
 
 class TestExitCodes:
@@ -228,11 +261,38 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
 
     def test_removed_key_exits_2(self, tmp_path):
-        cfg = write(tmp_path, "c.yaml",
-                    FAST_RABI.replace("output:\n",
-                                      "output:\n  effective_atom_number: 1.0\n"))
-        assert main(["rabi", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
+        for block, key in (("output", "effective_atom_number"),
+                           ("simulation", "seed")):
+            cfg = write(tmp_path, "c.yaml",
+                        FAST_RABI.replace(f"{block}:\n",
+                                          f"{block}:\n  {key}: 1\n"))
+            assert main(["rabi", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_workers_exits_2_before_sweep(self, tmp_path, capsys,
+                                              monkeypatch, workers):
+        from clockprobe import ensemble
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_chevron_point", no_point)
+        monkeypatch.setenv("CLOCKPROBE_WORKERS", workers)
+        cfg = write(tmp_path, "c.yaml", FAST_RABI + """\
+sweep:
+  window_MHz: [-700.0, -200.0]
+  n_points: 3
+  n_theta: 2
+""")
+        out = tmp_path / "o"
+        assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "CLOCKPROBE_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAtomicWrite:

@@ -61,12 +61,14 @@ class TestStratifiedFactors:
 
 
 class TestEnsembleAverage:
-    def test_reduces_to_single_run_without_spread(self):
+    @pytest.mark.parametrize("n_samples", [3, 4])
+    def test_reduces_to_single_run_without_spread(self, n_samples):
         setup = make_setup()
-        inh = InhomogeneityConfig(0.0, 0.0, n_samples=4, seed=0)
+        inh = InhomogeneityConfig(0.0, 0.0, n_samples=n_samples, seed=0)
         avg = ensemble_average(setup, inh)
         single = run_simulation(setup)
-        assert np.abs(avg.s3 - single.s3).max() < 1e-12
+        for field in ("signal_rad", "s3", "populations", "lost"):
+            assert np.array_equal(getattr(avg, field), getattr(single, field))
 
     def test_deterministic_per_seed(self):
         setup = make_setup(t_span=1.0)

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import CloudConfig, CsD1Constants, GroundState, state_index, state_registry
+from .atom import IDX_UP, CloudConfig, CsD1Constants, GroundState, state_index
 from .lightshift import (
     ProbeConfig,
-    amplitude_tensor,
     check_off_resonance,
-    excited_detunings_MHz,
+    line_strengths,
     spherical_polarization,
 )
 
@@ -87,12 +86,15 @@ def state_phase_table(probe: ProbeConfig, atom: CsD1Constants | None = None,
     """per_state_phase for all 16 registry states, as one array."""
     atom = atom or CsD1Constants()
     check_off_resonance(probe.detuning_MHz, atom)
-    a = amplitude_tensor()
-    exc_x = a @ spherical_polarization(90.0)  # pure x
-    exc_z = a @ spherical_polarization(0.0)  # pure z (pi)
-    dets = excited_detunings_MHz(probe.detuning_MHz, atom)
-    diff = (np.abs(exc_x) ** 2 - np.abs(exc_z) ** 2) / dets
-    return od / 2.0 * (atom.gamma_MHz / 2.0) * diff.sum(axis=1)
+    w, r = _phase_poles(atom, od)
+    return np.sum(w / (probe.detuning_MHz - r), axis=1)
+
+
+def _phase_poles(atom: CsD1Constants, od: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w (rad MHz, x minus z line strengths) and poles r (MHz) of phi[g]."""
+    s_x, r = line_strengths(spherical_polarization(90.0), atom)
+    s_z, _ = line_strengths(spherical_polarization(0.0), atom)
+    return od / 2.0 * (atom.gamma_MHz / 2.0) * (s_x - s_z), r
 
 
 def collective_phase_eq1(spin: PseudoSpin, od: float,
@@ -178,8 +180,7 @@ def snr_eta(probe: ProbeConfig, atom: CsD1Constants | None, cloud: CloudConfig,
     atom = atom or CsD1Constants()
     if tau_d_s <= 0:
         raise ValueError("tau_d_s must be > 0")
-    up = state_registry()[state_index(4, 0)]
-    phi = per_state_phase(up, probe, atom, od=cloud.od_resonant)
+    phi = float(state_phase_table(probe, atom, od=cloud.od_resonant)[IDX_UP])
     phase_factor, _ = aperture_factors(cloud)
     flux = photon_flux_per_s(probe, atom, cloud, detection_efficiency)
     return abs(phi) * phase_factor * math.sqrt(2.0 * flux * tau_d_s)

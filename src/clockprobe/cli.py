@@ -10,11 +10,12 @@ Subcommands::
 All take ``--config FILE --out DIR [--seed N] [--preset NAME]``; ``--seed``
 sets ``inhomogeneity.seed``.  Every output CSV starts with the schema line
 ``# clockprobe v1`` and is written atomically (temp file + rename), so a
-failed run leaves no partial files.  Exit codes: 0 success, 2 config
-error, 3 physics-domain error, 4 fit failure.  The chevron and measurement
-sweeps run through :func:`clockprobe.ensemble.sweep`: a point that fails
-is an error row, not a failed run, and ``CLOCKPROBE_WORKERS`` (a positive
-integer, default 1) sets their process count.
+failed run leaves no partial files.  Exit codes: 0 success; only a
+ClockProbeError gets another, 2 config error, 3 physics-domain error or
+4 fit failure.  The chevron and measurement sweeps run through
+:func:`clockprobe.ensemble.sweep`: a point that fails is an error row,
+not a failed run, and ``CLOCKPROBE_WORKERS`` (a positive integer,
+default 1) sets their process count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .atom import IDX_DOWN, IDX_UP
-from .birefringence import projection_noise_snr, state_phase_table
+from .birefringence import _phase_poles, projection_noise_snr
 from .config import RunConfig, load_config
 from .dynamics import RunSetup, rabi_frequency
 from .ensemble import (
@@ -43,12 +44,7 @@ from .ensemble import (
     sweep_measurement_strength,
 )
 from .errors import ClockProbeError, ConfigError, FitFailureError
-from .lightshift import (
-    differential_clock_shift,
-    dressed_clock_shift,
-    find_magic_detunings,
-    nearest_resonance,
-)
+from .lightshift import _clock_shift_poles, dressed_clock_shift, find_magic_detunings
 
 __all__ = ["main"]
 
@@ -149,26 +145,23 @@ def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
 
 
 def cmd_spectra(cfg: RunConfig, out: Path) -> None:
-    atom, sweep = cfg.atom, cfg.sweep
+    atom, sweep, probe = cfg.atom, cfg.sweep, cfg.probe
     lo, hi = sweep.window_MHz
-    points = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi),
-                                     atom, irradiance_rel=cfg.probe.irradiance_rel)
+    points = _window_magic_detunings(probe.polarization_angle_deg, (lo, hi),
+                                     atom, irradiance_rel=probe.irradiance_rel)
+    # the dispersive sums of state_phase_table and differential_clock_shift,
+    # broadcast over the grid less the points within 0.2 Gamma of a resonance
     grid = np.linspace(lo, hi, sweep.n_points)
-    margin = 0.2 * atom.gamma_MHz
-    grid = np.array([d for d in grid if nearest_resonance(d, atom)[0] > margin])
-
-    od = cfg.cloud.od_resonant
-    phase_rows = []
-    du_rows = []
-    for d in grid:
-        probe = replace(cfg.probe, detuning_MHz=float(d))
-        phases = state_phase_table(probe, atom, od=od)
-        phase_rows.append((float(d), float(phases[IDX_UP]), float(phases[IDX_DOWN])))
-        du_rows.append((float(d), differential_clock_shift(probe, atom)))
-    write_csv(out / "phase_spectrum.csv",
-              ["detuning_MHz", "phi_up_rad", "phi_down_rad"], phase_rows)
-    write_csv(out / "differential_shift.csv",
-              ["detuning_MHz", "delta_shift_kHz"], du_rows)
+    w_phi, r_phi = _phase_poles(atom, cfg.cloud.od_resonant)
+    w_du, r_du = _clock_shift_poles(probe.polarization_angle_deg,
+                                    probe.irradiance_rel, atom)
+    grid = grid[np.abs(grid[:, None] - r_du).min(axis=1) > 0.2 * atom.gamma_MHz]
+    phases = np.sum(w_phi / (grid[:, None, None] - r_phi), axis=2)
+    du = np.sum(w_du / (grid[:, None] - r_du), axis=1)
+    write_csv(out / "phase_spectrum.csv", ["detuning_MHz", "phi_up_rad", "phi_down_rad"],
+              np.column_stack([grid, phases[:, [IDX_UP, IDX_DOWN]]]).tolist())
+    write_csv(out / "differential_shift.csv", ["detuning_MHz", "delta_shift_kHz"],
+              np.column_stack([grid, du]).tolist())
     write_csv(out / "magic_points.csv",
               ["polarization_angle_deg", "detuning_MHz", "residual_kHz"],
               [(p.polarization_angle_deg, p.detuning_MHz, p.residual_dU_kHz)
@@ -403,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except FitFailureError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (ClockProbeError, ValueError) as exc:
+    except ClockProbeError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     return EXIT_OK

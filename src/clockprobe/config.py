@@ -14,7 +14,8 @@ inside the lower inter-resonance window.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -200,21 +201,36 @@ def _validate_tree(tree: Any, source: str) -> dict:
     return tree
 
 
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether a YAML value fits a field type; a bool is no number, a float no int."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_fits(v, h) for v, h in zip(value, args)))
+    if args:  # a union such as float | None
+        return any(_fits(value, h) for h in args)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 def _build_block(name: str, values: dict, source: str):
     cls = _BLOCK_TYPES[name]
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - allowed
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(fields)
     if unknown:
         raise ConfigError(
             f"{source}: unknown key(s) {sorted(unknown)} in block '{name}' "
-            f"(expected subset of {sorted(allowed)})"
+            f"(expected subset of {sorted(fields)})"
         )
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{source}: {name}.{key} = {value!r} is not "
+                              f"of type {fields[key].type}")
     kwargs = dict(values)
-    if name == "sweep" and "window_MHz" in kwargs:
-        w = kwargs["window_MHz"]
-        if not (isinstance(w, (list, tuple)) and len(w) == 2):
-            raise ConfigError(f"{source}: sweep.window_MHz must be a 2-element list")
-        kwargs["window_MHz"] = (float(w[0]), float(w[1]))
+    if "window_MHz" in kwargs:
+        kwargs["window_MHz"] = tuple(float(w) for w in kwargs["window_MHz"])
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -259,13 +275,15 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     atom: CsD1Constants = _build_block("atom", tree.get("atom", {}), source)
 
     probe_values = dict(tree.get("probe", {}))
-    theta = float(probe_values.get("polarization_angle_deg", 45.0))
     if "detuning_MHz" not in probe_values:
         raise ConfigError(f"{source}: probe.detuning_MHz is required "
                           "(a number in MHz, or 'magic')")
-    if probe_values["detuning_MHz"] == "magic":
-        probe_values["detuning_MHz"] = resolve_magic_detuning(theta, atom)
-    probe: ProbeConfig = _build_block("probe", probe_values, source)
+    magic = probe_values["detuning_MHz"] == "magic"  # resolved once theta is checked
+    probe: ProbeConfig = _build_block(
+        "probe", {**probe_values, "detuning_MHz": 0.0} if magic else probe_values, source)
+    if magic:
+        probe = replace(probe, detuning_MHz=resolve_magic_detuning(
+            probe.polarization_angle_deg, atom))
 
     microwave: MicrowaveConfig = _build_block(
         "microwave", tree.get("microwave", {}), source)

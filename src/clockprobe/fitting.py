@@ -81,9 +81,9 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
 
     ``freq_hint_kHz`` seeds the frequency instead of the FFT peak, which
     is needed when a small oscillation rides on a large pumping drift.
-    Raises :class:`FitFailureError` when no oscillation is resolvable or
-    the fitted amplitude is below ``min_amp_over_residual`` times the fit
-    residual.
+    Raises :class:`FitFailureError`, never falls back to the initial guess,
+    when no oscillation is resolvable, the fit does not converge or leaves
+    (0, Nyquist), or the amplitude is below ``min_amp_over_residual`` x residual.
     """
     t = np.asarray(t_ms, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -115,26 +115,15 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
             # undamped records leave the envelope parameters unconstrained
             warnings.simplefilter("ignore", OptimizeWarning)
             popt, _ = curve_fit(_model, t, y, p0=p0, maxfev=20000)
-        if not 0.0 < abs(popt[6]) < nyquist:
-            raise RuntimeError(
-                f"fitted frequency {popt[6]:g} kHz outside (0, Nyquist)"
-            )
-        resid = y - _model(t, *popt)
-        fit = SinusoidFit(
-            freq_kHz=abs(popt[6]),
-            tau_ms=abs(popt[4]),
-            beta=abs(popt[5]),
-            amplitude=abs(popt[3]),
-            phase_rad=popt[7],
-            residual_rms=float(np.sqrt(np.mean(resid**2))),
-        )
     except RuntimeError as exc:
-        # fallback: spectral peak with a coarse envelope time
-        resid_rms = float(np.std(yd)) * 0.5
-        fit = SinusoidFit(freq_kHz=f0, tau_ms=tau0, beta=1.0, amplitude=amp0,
-                          phase_rad=0.0, residual_rms=resid_rms)
-        if amp0 < min_amp_over_residual * resid_rms:
-            raise FitFailureError(f"decaying-sinusoid fit failed: {exc}") from exc
+        raise FitFailureError(f"decaying-sinusoid fit failed: {exc}") from exc
+    if not 0.0 < abs(popt[6]) < nyquist:
+        raise FitFailureError(
+            f"fitted frequency {popt[6]:g} kHz outside (0, Nyquist)")
+    resid = y - _model(t, *popt)
+    fit = SinusoidFit(freq_kHz=abs(popt[6]), tau_ms=abs(popt[4]), beta=abs(popt[5]),
+                      amplitude=abs(popt[3]), phase_rad=popt[7],
+                      residual_rms=float(np.sqrt(np.mean(resid**2))))
     if fit.amplitude < min_amp_over_residual * fit.residual_rms:
         raise FitFailureError(
             f"oscillation amplitude {fit.amplitude:g} below "

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import dipole_element
+from .angular import dipole_element, wigner6j
 from .atom import CsD1Constants, N_GROUND, IDX_DOWN, IDX_UP, state_registry
 from .errors import NoBalanceError, ResonanceProximityError
 
@@ -29,6 +29,7 @@ __all__ = [
     "MagicPoint",
     "TwoColorSolution",
     "amplitude_tensor",
+    "line_strengths",
     "spherical_polarization",
     "circular_polarization",
     "resonance_positions_MHz",
@@ -47,6 +48,11 @@ __all__ = [
 _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
 _BLOCKS = (slice(0, 7), slice(7, 16))  # F = 3 and F = 4 ground manifolds
 _F_INDEX = np.array([st.F - 3 for st in state_registry()])  # 0 for F=3, 1 for F=4
+# N_K (-1)^F' {1 K 1; 4 F' 4} S_4F' of the xi_K (rows K, columns F' = 3, 4)
+_XI_WEIGHTS = np.array([[n_k * (-1) ** fe * wigner6j(1, k, 1, 4, fe, 4) * s_fe
+                         for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
+                        for k, n_k in enumerate((-math.sqrt(3.0), math.sqrt(27.0 / 40.0),
+                                                 math.sqrt(27.0 / 154.0)))])
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,18 @@ def amplitude_tensor() -> np.ndarray:
                 a[gi, ei, qi] = dipole_element(g.F, g.mF, e.F, e.mF, q).amplitude
     a.setflags(write=False)
     return a
+
+
+def line_strengths(polarization: np.ndarray,
+                   atom: CsD1Constants) -> tuple[np.ndarray, np.ndarray]:
+    """Line strengths s[g, F'] and their resonances r[g, F'] (MHz), each 16 x 2.
+
+    s[g, F'] = sum over e in F' of |sum_q eps_q a[g, e, q]|^2.  Every
+    dispersive sum over the four D1 poles reads from this table as
+    sum_F' w s[g, F'] / (Delta - r[g, F']).
+    """
+    s = np.abs(amplitude_tensor() @ polarization) ** 2 @ np.eye(2)[_F_INDEX]
+    return s, _resonance_table(atom)[_F_INDEX]
 
 
 def resonance_positions_MHz(atom: CsD1Constants) -> dict[str, float]:
@@ -222,54 +240,37 @@ def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
                       polarization: np.ndarray | None = None) -> LightShiftOperator:
     """:func:`light_shift_matrix` with its scalar/vector/tensor parts and xi's.
 
-    The analysis counterpart of :func:`light_shift_matrix`; it also builds
-    the circular-polarization operator to fix the vector coupling xi1.
+    The xi's are closed F = 4 forms (Deutsch & Jessen, Opt. Commun. 283, 681
+    (2010)): xi_K = (Gamma^2/8)(I/I_sat) N_K f_K sum_F' (-1)^F' {1 K 1; 4 F' 4}
+    S_4F' / (Delta - r_4F') with f_0 = f_1 = 1 (xi1 is the sigma+ vector
+    coupling) and f_2 = (3|eps_0|^2 - 1)/2 (the Fz^2 part of the tensor).
     """
     atom = atom or CsD1Constants()
+    if polarization is None:
+        polarization = spherical_polarization(probe.polarization_angle_deg)
     v = light_shift_matrix(probe, atom, polarization)
 
-    scalar = np.zeros_like(v)
-    vector = np.zeros_like(v)
-    tensor = np.zeros_like(v)
+    scalar, vector, tensor = (np.zeros_like(v) for _ in range(3))
     for blk in _BLOCKS:
-        s, vec, t = _decompose_block(v[blk, blk])
-        scalar[blk, blk] = s
-        vector[blk, blk] = vec
-        tensor[blk, blk] = t
+        scalar[blk, blk], vector[blk, blk], tensor[blk, blk] = _decompose_block(v[blk, blk])
 
-    blk4 = _BLOCKS[1]
-    dim4 = 9
-    xi0 = scalar[blk4, blk4][0, 0].real
-    fx, fy, fz = _spin_matrices(dim4)
-    q_op = fz @ fz - (np.trace(fz @ fz) / dim4) * np.eye(dim4)
-    t4 = tensor[blk4, blk4]
-    xi2 = (np.trace(t4 @ q_op).real / np.trace(q_op @ q_op).real)
-
-    # vector coupling strength from the full-circular response at the same
-    # irradiance: V^(1) = xi1 * J3 * Fy with J3 = J for sigma+ light
-    v_circ = light_shift_matrix(probe, atom, circular_polarization(+1))
-    xi1 = (np.trace(v_circ[blk4, blk4] @ fy.conj().T).real
-           / np.trace(fy @ fy.conj().T).real)
-
-    return LightShiftOperator(
-        total=v, scalar_part=scalar, vector_part=vector, tensor_part=tensor,
-        xi0_MHz=xi0, xi1_MHz=xi1, xi2_MHz=xi2,
-    )
+    f_k = np.array([1.0, 1.0, (3.0 * abs(polarization[1]) ** 2 - 1.0) / 2.0])
+    xi = (atom.gamma_MHz**2 / 8.0 * probe.irradiance_rel * f_k
+          * (_XI_WEIGHTS @ (1.0 / (probe.detuning_MHz - _resonance_table(atom)[1]))))
+    return LightShiftOperator(v, scalar, vector, tensor, *xi.tolist())
 
 
 def _clock_shift_poles(theta_deg: float, irradiance_rel: float,
                        atom: CsD1Constants) -> tuple[np.ndarray, np.ndarray]:
     """Weights w (kHz MHz) and poles r (MHz) of dU(Delta) = sum w / (Delta - r).
 
-    A clock state's detuning denominators depend only on (F, F'), so the
-    differential shift is exactly this rational function with one pole
-    per D1 resonance.
+    The clock rows of :func:`line_strengths`: one pole per D1 resonance.
     """
-    exc = amplitude_tensor()[[IDX_DOWN, IDX_UP]] @ spherical_polarization(theta_deg)
-    strength = np.abs(exc) ** 2 @ np.eye(2)[_F_INDEX]  # [F, F'] summed over e
+    s, r = line_strengths(spherical_polarization(theta_deg), atom)
+    clock = [IDX_DOWN, IDX_UP]
     pref = atom.gamma_MHz**2 / 8.0 * irradiance_rel * 1e3
     sign = np.array([[-1.0], [1.0]])  # <4,0|V|4,0> - <3,0|V|3,0>
-    return (pref * sign * strength).ravel(), _resonance_table(atom).ravel()
+    return (pref * sign * s[clock]).ravel(), r[clock].ravel()
 
 
 def differential_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None) -> float:
@@ -369,22 +370,16 @@ class TwoColorSolution:
 
     def total_phase(self, p_up: float, p_down: float, od: float = 1.0) -> float:
         """Power-weighted two-color phase for clock populations (p_up, p_down)."""
-        from .birefringence import per_state_phase
-        from .atom import state_registry
+        from .birefringence import state_phase_table
 
-        up = state_registry()[IDX_UP]
-        down = state_registry()[IDX_DOWN]
         total = 0.0
         for det, weight in (
             (self.detuning_44_MHz, 1.0),
             (self.detuning_34_MHz, self.power_ratio_34_over_44),
         ):
-            probe = ProbeConfig(det, 1.0, 45.0)
-            total += weight * (
-                p_up * per_state_phase(up, probe, od=od)
-                + p_down * per_state_phase(down, probe, od=od)
-            )
-        return total / (1.0 + self.power_ratio_34_over_44)
+            phases = state_phase_table(ProbeConfig(det, 1.0, 45.0), od=od)
+            total += weight * (p_up * phases[IDX_UP] + p_down * phases[IDX_DOWN])
+        return float(total / (1.0 + self.power_ratio_34_over_44))
 
 
 def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, float],
@@ -396,11 +391,9 @@ def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, fl
     midpoint when no root exists there); raises :class:`NoBalanceError`
     when the equal-mixture phases share a sign in both windows.
     """
-    from .birefringence import per_state_phase
+    from .birefringence import state_phase_table
 
     atom = atom or CsD1Constants()
-    registry = state_registry()
-    up, down = registry[IDX_UP], registry[IDX_DOWN]
 
     def pick(window: tuple[float, float]) -> float:
         roots = find_magic_detunings(theta_deg, window, atom)
@@ -413,9 +406,8 @@ def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, fl
     d44 = pick(window_44)
 
     def mixture_phase(det: float) -> float:
-        probe = ProbeConfig(det, 1.0, theta_deg)
-        return 0.5 * (per_state_phase(up, probe, atom, od=1.0)
-                      + per_state_phase(down, probe, atom, od=1.0))
+        phases = state_phase_table(ProbeConfig(det, 1.0, theta_deg), atom, od=1.0)
+        return float(0.5 * (phases[IDX_UP] + phases[IDX_DOWN]))
 
     phi34 = mixture_phase(d34)
     phi44 = mixture_phase(d44)

@@ -22,7 +22,12 @@ from clockprobe.birefringence import (
     state_phase_table,
 )
 from clockprobe.errors import ResonanceProximityError
-from clockprobe.lightshift import ProbeConfig
+from clockprobe.lightshift import (
+    ProbeConfig,
+    amplitude_tensor,
+    resonance_positions_MHz,
+    spherical_polarization,
+)
 
 ATOM = CsD1Constants()
 UP = state_registry()[state_index(4, 0)]
@@ -67,6 +72,26 @@ class TestPerStatePhase:
         assert len(table) == 16
         assert table[state_index(4, 0)] == pytest.approx(
             per_state_phase(UP, probe, ATOM, od=2.0))
+
+    def test_table_matches_amplitude_sum(self):
+        # oracle: sum over all 16 x 16 ground/excited pairs of the x- minus
+        # z-polarization dispersive shifts, each with its own detuning
+        a = amplitude_tensor()
+        exc_x = a @ spherical_polarization(90.0)
+        exc_z = a @ spherical_polarization(0.0)
+        res = resonance_positions_MHz(ATOM)
+        reg = state_registry()
+        for det in (-1100.0, -584.0, -335.0, -60.0, 40.0, 8300.0, 9500.0):
+            probe = ProbeConfig(det, 16.0, 45.0)
+            oracle = np.array([sum(
+                (abs(exc_x[g, e]) ** 2 - abs(exc_z[g, e]) ** 2)
+                / (det - res[f"F={gs.F} -> F'={es.F}"])
+                for e, es in enumerate(reg)) for g, gs in enumerate(reg)])
+            oracle *= 2.5 / 2.0 * ATOM.gamma_MHz / 2.0
+            # states whose x and z shifts cancel are zero up to round-off
+            np.testing.assert_allclose(state_phase_table(probe, ATOM, od=2.5),
+                                       oracle, rtol=1e-12,
+                                       atol=1e-15 * np.abs(oracle).max())
 
     def test_faraday_benchmark_ratio(self):
         # birefringent signal is ~30% of the matched Faraday benchmark

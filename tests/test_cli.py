@@ -1,5 +1,7 @@
 """Config loading/validation and CLI behaviour (exit codes, CSV contract)."""
 
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +11,18 @@ import numpy as np
 import pytest
 
 from clockprobe import cli
+from clockprobe.atom import IDX_DOWN, IDX_UP
+from clockprobe.birefringence import state_phase_table
 from clockprobe.cli import SCHEMA_LINE, main
 from clockprobe.config import PRESETS, SimulationConfig, load_config
-from clockprobe.errors import ConfigError, InvariantViolationError
+from clockprobe.errors import (
+    ConfigError,
+    FitFailureError,
+    InvariantViolationError,
+    NoBalanceError,
+    ResonanceProximityError,
+)
+from clockprobe.lightshift import ProbeConfig, differential_clock_shift
 
 FAST_RABI = """\
 probe:
@@ -147,6 +158,32 @@ class TestCliRuns:
                               names=True, skip_header=1)
         assert float(magic["detuning_MHz"]) == pytest.approx(-335.0, abs=5.0)
 
+    def test_spectra_rows_match_per_point_calls(self, tmp_path, monkeypatch):
+        # the grid starts within 0.2 Gamma of F=4 -> F'=3, so its first
+        # point is dropped; every other row is one state_phase_table and
+        # one differential_clock_shift call
+        rows = {}
+        monkeypatch.setattr(cli, "write_csv", lambda path, columns, data:
+                            rows.__setitem__(path.name, list(data)))
+        cfg = write(tmp_path, "c.yaml", FAST_SPECTRA.replace(
+            "[-1100.0, -60.0]", "[-1168.5, -60.0]").replace("n_points: 21",
+                                                            "n_points: 201"))
+        assert main(["spectra", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        c = load_config(cfg)
+        grid = np.linspace(-1168.5, -60.0, 201)[1:]
+        assert [r[0] for r in rows["phase_spectrum.csv"]] == grid.tolist()
+        assert [r[0] for r in rows["differential_shift.csv"]] == grid.tolist()
+        for d, (_, up, down), (_, du) in zip(grid, rows["phase_spectrum.csv"],
+                                             rows["differential_shift.csv"]):
+            probe = ProbeConfig(float(d), c.probe.irradiance_rel,
+                                c.probe.polarization_angle_deg)
+            phases = state_phase_table(probe, c.atom, od=c.cloud.od_resonant)
+            assert up == pytest.approx(phases[IDX_UP], rel=1e-12)
+            assert down == pytest.approx(phases[IDX_DOWN], rel=1e-12)
+            assert du == pytest.approx(differential_clock_shift(probe, c.atom),
+                                       rel=1e-12)
+
     def test_plot_scripts_emitted_when_enabled(self, tmp_path):
         cfg = write(tmp_path, "c.yaml",
                     FAST_SPECTRA.replace("plot_scripts: false",
@@ -181,25 +218,41 @@ sweep:
         assert ((out / "chevron.csv").read_bytes()
                 == (ref / "chevron.csv").read_bytes())
 
-    def test_chevron_error_row_near_resonance(self, tmp_path):
-        # unmasked, the -0.1 MHz point fails alone; the sweep carries on
-        cfg = write(tmp_path, "c.yaml", FAST_RABI + """\
+    @staticmethod
+    def _unmasked_chevron(tmp_path, window):
+        cfg = write(tmp_path, "c.yaml", FAST_RABI + f"""\
 sweep:
-  window_MHz: [-1000.0, -0.1]
+  window_MHz: {window}
   n_points: 2
   n_theta: 2
   mask_gamma: 0.0
 """)
         out = tmp_path / "out"
         assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 0
-        c = np.genfromtxt(out / "chevron.csv", delimiter=",", names=True,
-                          skip_header=1, dtype=None, encoding="utf-8")
-        assert list(c["detuning_MHz"]) == [-1000.0, -0.1]
-        assert list(c["masked"]) == [0, 0]
-        assert c["error"][0] == "" and c["rel_residual"][0] < 0.05
-        assert "within 0.1 Gamma" in c["error"][1]
-        assert np.isnan(c["omega_kHz"][1])
-        assert np.isnan(c["omega_analytic_kHz"][1])
+        # csv, not np.genfromtxt: an error text may hold a quoted comma
+        with open(out / "chevron.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        assert [r["masked"] for r in rows] == ["0", "0"]
+        return rows
+
+    def test_chevron_error_row_near_resonance(self, tmp_path):
+        # unmasked, the -0.1 MHz point fails alone; the sweep carries on
+        rows = self._unmasked_chevron(tmp_path, [-700.0, -0.1])
+        assert [float(r["detuning_MHz"]) for r in rows] == [-700.0, -0.1]
+        assert rows[0]["error"] == "" and float(rows[0]["rel_residual"]) < 0.05
+        assert "within 0.1 Gamma" in rows[1]["error"]
+        assert math.isnan(float(rows[1]["omega_kHz"]))
+        assert math.isnan(float(rows[1]["omega_analytic_kHz"]))
+
+    def test_chevron_fit_above_nyquist_is_an_error_row(self, tmp_path):
+        # at -1000 MHz the record oscillates at 53.8 kHz, above the 50 kHz
+        # Nyquist limit of dt_ms = 0.01: an error row, not the FFT guess
+        rows = self._unmasked_chevron(tmp_path, [-1000.0, -0.1])
+        assert rows[0]["error"] == \
+            "fitted frequency 53.8079 kHz outside (0, Nyquist)"
+        assert math.isnan(float(rows[0]["omega_kHz"]))
+        assert "within 0.1 Gamma" in rows[1]["error"]
 
 
 class TestExitCodes:
@@ -293,6 +346,58 @@ sweep:
         assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 2
         assert "CLOCKPROBE_WORKERS" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestIllTypedConfig:
+    @pytest.mark.parametrize("command,preset,key,value", [
+        ("rabi", "rabi-ideal", "probe.polarization_angle_deg", "abc"),
+        ("rabi", "rabi-ideal", "probe.polarization_angle_deg", "[1]"),
+        ("spectra", "spectra", "sweep.window_MHz", "[a, 1]"),
+        ("spectra", "spectra", "probe.detuning_MHz", "abc"),
+        ("rabi", "rabi-ideal", "probe.detuning_MHz", "abc"),
+        ("spectra", "spectra", "sweep.n_points", "2.5"),
+        ("rabi", "rabi-ideal", "probe.irradiance_rel", "true"),
+    ])
+    def test_ill_typed_value_exits_2(self, tmp_path, capsys, command, preset,
+                                     key, value):
+        block, field = key.split(".")
+        cfg = write(tmp_path, "c.yaml", f"{block}:\n  {field}: {value}\n")
+        out = tmp_path / "o"
+        assert main([command, "--preset", preset, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_for_a_float_field_loads_as_given(self, tmp_path):
+        p = write(tmp_path, "c.yaml", FAST_RABI.replace("rabi_kHz: 4.0",
+                                                        "rabi_kHz: 4"))
+        assert load_config(p).microwave.rabi_kHz == 4
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigError("bad key"), 2),
+    (ResonanceProximityError(-0.1, 0.0, "F=4 -> F'=4"), 3),
+    (InvariantViolationError("positivity violated"), 3),
+    (NoBalanceError("phases share a sign"), 3),
+    (FitFailureError("fit failed"), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_of_each_error_class(tmp_path, monkeypatch, error, code):
+    def fail(cfg, out):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "rabi", fail)
+    cfg = write(tmp_path, "c.yaml", FAST_RABI)
+    assert main(["rabi", "--config", str(cfg), "--out", str(tmp_path)]) == code
+
+
+def test_plain_value_error_gets_no_exit_code(tmp_path, monkeypatch):
+    def fail(cfg, out):
+        raise ValueError("a bug, not a physics-domain error")
+
+    monkeypatch.setitem(cli._COMMANDS, "rabi", fail)
+    cfg = write(tmp_path, "c.yaml", FAST_RABI)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["rabi", "--config", str(cfg), "--out", str(tmp_path)])
 
 
 class TestAtomicWrite:

@@ -1,0 +1,130 @@
+"""Properties of load_config: valid configs round-trip, ill-typed values raise."""
+
+import dataclasses
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from clockprobe.config import _BLOCK_TYPES, load_config
+from clockprobe.errors import ConfigError
+
+SETTINGS = settings(max_examples=50, derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def reals(lo=-1e6, hi=1e6, exclude_min=False):
+    return st.floats(lo, hi, exclude_min=exclude_min, allow_nan=False,
+                     allow_infinity=False)
+
+
+positive = reals(0.0, 1e6, exclude_min=True)
+non_negative = reals(0.0, 1e6)
+
+
+@st.composite
+def atoms(draw):
+    gamma = draw(reals(0.1, 100.0))
+    return {"gamma_MHz": gamma, "excited_hf_splitting_MHz": 256.0 * gamma,
+            "ground_hf_splitting_MHz": draw(positive),
+            "i_sat_W_m2": draw(positive), "gF_upper": draw(reals(-1.0, 1.0)),
+            "gF_lower": draw(reals(-1.0, 1.0)),
+            "zeeman_MHz_per_G": draw(positive), "wavelength_nm": draw(positive)}
+
+
+@st.composite
+def clouds(draw):
+    radius = draw(reals(0.01, 10.0))
+    return {"atom_number": draw(positive), "cloud_radius_mm": radius,
+            "od_resonant": draw(positive),
+            "probe_radius_mm": radius + draw(reals(0.01, 10.0)),
+            "bias_field_G": draw(non_negative)}
+
+
+@st.composite
+def simulations(draw):
+    dt = draw(reals(1e-4, 1.0))
+    return {"t_span_ms": dt * draw(st.integers(1, 1000)), "dt_ms": dt,
+            "extra_loss_per_ms": draw(non_negative),
+            "scattering_rate_per_ms": draw(st.none() | positive),
+            "pumping": draw(st.booleans()),
+            "initial_state": draw(st.just("mixture") | st.sampled_from(
+                [f"{f},{m}" for f in (3, 4) for m in range(-f, f + 1)]))}
+
+
+@st.composite
+def sweeps(draw):
+    lo = draw(reals())
+    return {"window_MHz": [lo, lo + draw(reals(1e-3, 1e4))],
+            "n_points": draw(st.integers(2, 10_000)),
+            "theta_min_deg": draw(reals(0.0, 180.0)),
+            "theta_max_deg": draw(reals(0.0, 180.0)),
+            "n_theta": draw(st.integers(2, 1000)),
+            "mask_gamma": draw(non_negative)}
+
+
+VALID_BLOCKS = {
+    "atom": atoms(),
+    "cloud": clouds(),
+    "probe": st.fixed_dictionaries({
+        "detuning_MHz": reals(), "irradiance_rel": positive,
+        "polarization_angle_deg": reals(0.0, 180.0).filter(lambda t: t < 180.0)}),
+    "microwave": st.fixed_dictionaries({"rabi_kHz": non_negative,
+                                        "detuning_kHz": reals()}),
+    "inhomogeneity": st.fixed_dictionaries({
+        "probe_irradiance_rms_frac": non_negative,
+        "mw_irradiance_rms_frac": non_negative,
+        "n_samples": st.integers(1, 10_000), "seed": st.integers(0, 2**31 - 1)}),
+    "simulation": simulations(),
+    "sweep": sweeps(),
+    "output": st.fixed_dictionaries({
+        "plot_scripts": st.booleans(),
+        "detection_efficiency": reals(0.0, 1.0, exclude_min=True)}),
+}
+
+# values of the wrong type for each declared field type
+_text = st.text(max_size=5).filter(lambda s: s != "magic")
+ILL_TYPED = {
+    "float": st.booleans() | _text | st.lists(reals(), max_size=2) | st.none(),
+    "float | None": st.booleans() | _text | st.lists(reals(), max_size=2),
+    "int": reals() | st.booleans() | _text,
+    "bool": st.integers() | reals() | _text,
+    "str": st.integers() | reals() | st.booleans(),
+    "tuple[float, float]": _text | reals() | st.lists(reals(), min_size=3,
+                                                      max_size=3)
+    | st.tuples(_text, reals()).map(list),
+}
+FIELDS = [(block, f.name, f.type) for block, cls in _BLOCK_TYPES.items()
+          for f in dataclasses.fields(cls)]
+
+
+def test_ill_typed_strategies_cover_every_field_type():
+    assert {kind for _, _, kind in FIELDS} == set(ILL_TYPED)
+
+
+def write_tree(tmp_path, tree):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    return path
+
+
+@SETTINGS
+@given(st.fixed_dictionaries(VALID_BLOCKS))
+def test_valid_config_round_trips(tmp_path, tree):
+    cfg = load_config(write_tree(tmp_path, tree))
+    for block, values in tree.items():
+        loaded = dataclasses.asdict(getattr(cfg, block))
+        if block == "sweep":
+            loaded["window_MHz"] = list(loaded["window_MHz"])
+        assert loaded == values
+
+
+@SETTINGS
+@given(st.data())
+def test_ill_typed_value_is_a_config_error(tmp_path, data):
+    block, key, kind = data.draw(st.sampled_from(FIELDS))
+    tree = {"probe": {"detuning_MHz": -335.0}}
+    tree.setdefault(block, {})[key] = data.draw(ILL_TYPED[kind])
+    with pytest.raises(ConfigError, match=f"{block}.{key}"):
+        load_config(write_tree(tmp_path, tree))

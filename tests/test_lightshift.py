@@ -1,5 +1,6 @@
 """Light-shift operator, decomposition, magic frequencies, two-color balance."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from clockprobe.lightshift import (
     differential_clock_shift,
     dressed_clock_shift,
     find_magic_detunings,
+    light_shift_matrix,
     resonance_positions_MHz,
     spherical_polarization,
     tensor_fz2_check,
@@ -115,6 +117,59 @@ class TestDecomposition:
         for blk in (slice(0, 7), slice(7, 16)):
             s = op.scalar_part[blk, blk]
             assert np.allclose(s, s[0, 0] * np.eye(s.shape[0]))
+
+
+def trace_projection_xis(probe, polarization=None):
+    """xi0, xi1, xi2 by trace projection of the numeric F = 4 block.
+
+    xi0 is the scalar trace, xi2 the Fz^2 - <Fz^2> coefficient and xi1 the
+    Fy coefficient of the sigma+ operator at the same detuning and power.
+    """
+    f4 = [i for i, st in enumerate(state_registry()) if st.F == 4]
+    m = np.array([state_registry()[i].mF for i in f4], dtype=float)
+    fz = np.diag(m)
+    fplus = np.zeros((9, 9))
+    for i, j in itertools.product(range(9), repeat=2):
+        if m[i] == m[j] + 1:
+            fplus[i, j] = math.sqrt(20.0 - m[j] * (m[j] + 1.0))
+    fy = (fplus - fplus.T) / 2j
+    q = fz @ fz - np.trace(fz @ fz) / 9.0 * np.eye(9)
+    v = light_shift_matrix(probe, ATOM, polarization)[np.ix_(f4, f4)]
+    v_circ = light_shift_matrix(probe, ATOM, circular_polarization(+1))[np.ix_(f4, f4)]
+    return (np.trace(v).real / 9.0,
+            np.trace(v_circ @ fy.conj().T).real / np.trace(fy @ fy.conj().T).real,
+            np.trace(v @ q).real / np.trace(q @ q).real)
+
+
+class TestClosedFormXi:
+    DETUNINGS = (-1100.0, -800.0, -335.0, -60.0, 8250.0, 8600.0, 9000.0)
+
+    @pytest.mark.parametrize("pol", [
+        *(f"theta={t}" for t in (0, 20, 45, 54.7, 80, 90, 135, 179)),
+        "sigma+", "sigma-"])
+    def test_matches_trace_projections(self, pol):
+        # both D1 windows, linear probes and either circular handedness
+        for det in self.DETUNINGS:
+            if pol.startswith("theta="):
+                probe = ProbeConfig(det, 7.0, float(pol[6:]))
+                eps = None
+            else:
+                probe = ProbeConfig(det, 7.0, 45.0)
+                eps = circular_polarization(+1 if pol == "sigma+" else -1)
+            op = build_light_shift(probe, ATOM, polarization=eps)
+            oracle = trace_projection_xis(probe, eps)
+            got = (op.xi0_MHz, op.xi1_MHz, op.xi2_MHz)
+            assert np.abs(np.subtract(got, oracle)).max() <= 1e-12 * abs(oracle[0])
+
+    def test_one_operator_build(self, monkeypatch):
+        from clockprobe import lightshift
+
+        calls = []
+        build = lightshift.light_shift_matrix
+        monkeypatch.setattr(lightshift, "light_shift_matrix",
+                            lambda *a, **k: calls.append(a) or build(*a, **k))
+        build_light_shift(ProbeConfig(-400.0, 16.0, 45.0), ATOM)
+        assert len(calls) == 1
 
 
 class TestMagicDetunings:

@@ -48,8 +48,7 @@ grid = [-635.0, -485.0, -385.0, -345.0, magic, -325.0, -285.0, -185.0]
 print(f"constant scattering rate ({1 / rate:.1f} ms)^-1, "
       f"magic detuning {magic:.1f} MHz\n")
 print(f"{'detuning (MHz)':>15} {'tau_d (ms)':>11} {'eta^2':>10} {'pn_snr':>8}")
-for fig in sweep_measurement_strength(grid, setup, inhomog,
-                                      target_rate_per_ms=rate):
+for fig in sweep_measurement_strength(grid, setup, inhomog):
     if fig.masked or fig.error:
         continue
     print(f"{fig.detuning_MHz:15.1f} {fig.tau_d_ms:11.3f} "

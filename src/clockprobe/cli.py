@@ -37,14 +37,14 @@ from .birefringence import _phase_poles, projection_noise_snr
 from .config import RunConfig, load_config
 from .dynamics import RunSetup, rabi_frequency
 from .ensemble import (
-    calibrated_irradiance,
     ensemble_average,
+    generalized_rabi_kHz,
     operating_point,
     sweep,
     sweep_measurement_strength,
 )
 from .errors import ClockProbeError, ConfigError, FitFailureError
-from .lightshift import _clock_shift_poles, dressed_clock_shift, find_magic_detunings
+from .lightshift import _clock_shift_poles, find_magic_detunings
 
 __all__ = ["main"]
 
@@ -102,30 +102,24 @@ def _write_plot_script(path: Path, body: str) -> None:
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
-    """Translate a validated RunConfig into a master-equation RunSetup.
+    """The configured run: :func:`operating_point` at the probe detuning.
 
-    When a constant scattering rate is configured, the probe irradiance is
-    recalibrated so the Hamiltonian and pumping rates stay consistent.
+    When ``simulation.scattering_rate_per_ms`` is set, the probe irradiance
+    is recalibrated to that rate, whether or not pumping is on.
     """
-    probe = cfg.probe
     sim = cfg.simulation
-    if sim.scattering_rate_per_ms is not None and sim.pumping:
-        s_cal = calibrated_irradiance(
-            probe.detuning_MHz, probe.polarization_angle_deg,
-            sim.scattering_rate_per_ms, cfg.atom)
-        probe = replace(probe, irradiance_rel=s_cal)
-    return RunSetup(
-        probe=probe,
+    return operating_point(RunSetup(
+        probe=cfg.probe,
         microwave=cfg.microwave,
         cloud=cfg.cloud,
         atom=cfg.atom,
         extra_loss_per_ms=sim.extra_loss_per_ms,
-        scattering_rate_per_ms=sim.scattering_rate_per_ms if sim.pumping else None,
+        scattering_rate_per_ms=sim.scattering_rate_per_ms,
         pumping_on=sim.pumping,
         initial=sim.initial_density_matrix(),
         t_span_ms=sim.t_span_ms,
         dt_ms=sim.dt_ms,
-    )
+    ), cfg.probe.detuning_MHz)
 
 
 def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
@@ -214,9 +208,7 @@ fig.savefig("rabi.png", dpi=150)
 def _chevron_point(setup: RunSetup, inhomog, det: float) -> tuple[float, float]:
     """Simulated and analytic Rabi frequency (kHz) at one detuning."""
     point = operating_point(setup, det)
-    analytic = math.hypot(setup.microwave.rabi_kHz,
-                          dressed_clock_shift(point.probe, setup.atom,
-                                              bias_field_G=setup.cloud.bias_field_G))
+    analytic = generalized_rabi_kHz(point)
     record = ensemble_average(point, inhomog)
     return rabi_frequency(record, freq_hint_kHz=analytic), analytic
 
@@ -270,14 +262,6 @@ fig.tight_layout(); fig.savefig("chevron.png", dpi=150)
 # ------------------------------------------------------------ measurement
 
 
-def _run_measurement_sweep(cfg: RunConfig, setup: RunSetup, grid) -> list:
-    return sweep_measurement_strength(
-        grid, setup, cfg.inhomogeneity,
-        target_rate_per_ms=cfg.simulation.scattering_rate_per_ms,
-        mask_gamma=cfg.sweep.mask_gamma,
-        detection_efficiency=cfg.output.detection_efficiency)
-
-
 def _figure_rows(figures):
     for f in figures:
         yield (f.detuning_MHz, f.tau_d_ms, f.omega_kHz, f.eta, f.eta_sq,
@@ -295,12 +279,14 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
                                     cfg.atom)
     grid = np.linspace(lo, hi, cfg.sweep.n_points)
 
-    figures = _run_measurement_sweep(cfg, setup, grid)
+    run_sweep = partial(sweep_measurement_strength, grid,
+                        inhomog=cfg.inhomogeneity, mask_gamma=cfg.sweep.mask_gamma,
+                        detection_efficiency=cfg.output.detection_efficiency)
+    figures = run_sweep(setup)
     write_csv(out / "measurement.csv", _MEASUREMENT_COLUMNS,
               _figure_rows(figures))
     if cfg.simulation.extra_loss_per_ms > 0:
-        no_loss = _run_measurement_sweep(
-            cfg, replace(setup, extra_loss_per_ms=0.0), grid)
+        no_loss = run_sweep(replace(setup, extra_loss_per_ms=0.0))
         write_csv(out / "measurement_no_loss.csv", _MEASUREMENT_COLUMNS,
                   _figure_rows(no_loss))
 
@@ -323,8 +309,7 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
         cloud = cfg.cloud
         scale = 1e3 / cloud.od_resonant
         big = replace(cloud, od_resonant=1e3, atom_number=cloud.atom_number * scale)
-        probe = operating_point(setup, peak_eta.detuning_MHz,
-                                cfg.simulation.scattering_rate_per_ms).probe
+        probe = operating_point(setup, peak_eta.detuning_MHz).probe
         pn_big = projection_noise_snr(
             big, probe, cfg.atom, peak_eta.tau_d_ms * 1e-3,
             detection_efficiency=cfg.output.detection_efficiency)

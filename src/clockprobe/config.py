@@ -14,6 +14,7 @@ inside the lower inter-resonance window.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -202,7 +203,11 @@ def _validate_tree(tree: Any, source: str) -> dict:
 
 
 def _fits(value: Any, hint: Any) -> bool:
-    """Whether a YAML value fits a field type; a bool is no number, a float no int."""
+    """Whether a YAML value fits a field type.
+
+    A bool is no number, a float no int, and a float field takes only a
+    finite number.
+    """
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == len(args)
@@ -210,7 +215,8 @@ def _fits(value: Any, hint: Any) -> bool:
     if args:  # a union such as float | None
         return any(_fits(value, h) for h in args)
     if hint is float:
-        hint = (int, float)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
@@ -227,7 +233,7 @@ def _build_block(name: str, values: dict, source: str):
     for key, value in values.items():
         if not _fits(value, hints[key]):
             raise ConfigError(f"{source}: {name}.{key} = {value!r} is not "
-                              f"of type {fields[key].type}")
+                              f"of type {fields[key].type} (numbers must be finite)")
     kwargs = dict(values)
     if "window_MHz" in kwargs:
         kwargs["window_MHz"] = tuple(float(w) for w in kwargs["window_MHz"])

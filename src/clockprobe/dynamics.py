@@ -12,7 +12,7 @@ Internal units: time in ms, Hamiltonian entries in MHz, rates in 1/ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -133,16 +133,14 @@ class SimRecord:
 
 
 def pumping_jump_operators(probe: ProbeConfig, atom: CsD1Constants | None = None,
-                           total_rate_per_ms: float | None = None,
-                           reference_rho: np.ndarray | None = None):
+                           total_rate_per_ms: float | None = None):
     """Adiabatic-elimination jump operators, one per emitted polarization q.
 
     Returns a list of (operator, rate_per_ms) pairs; the Lindblad term for
     each is rate * D[A_q].  When ``total_rate_per_ms`` is given, the
-    common rate is rescaled so that the total photon scattering rate for
-    ``reference_rho`` (default: equal clock-state mixture) matches it
-    exactly; otherwise rates follow I/Delta^2 from the configured
-    irradiance.
+    common rate is rescaled so that the total photon scattering rate of
+    the equal clock-state mixture matches it exactly; otherwise rates
+    follow I/Delta^2 from the configured irradiance.
     """
     atom = atom or CsD1Constants()
     check_off_resonance(probe.detuning_MHz, atom)
@@ -157,8 +155,7 @@ def pumping_jump_operators(probe: ProbeConfig, atom: CsD1Constants | None = None
     gamma_per_ms = 2.0 * math.pi * atom.gamma_MHz * 1e3
     rate = gamma_per_ms * probe.irradiance_rel / 8.0
     if total_rate_per_ms is not None:
-        if reference_rho is None:
-            reference_rho = clock_mixture(0.5).rho
+        reference_rho = clock_mixture(0.5).rho
         r_ref = sum(
             float(np.trace(op.conj().T @ op @ reference_rho).real) for op in ops
         ) * rate
@@ -188,8 +185,8 @@ def microwave_coupling_matrix() -> np.ndarray:
 
 
 def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
-                      bias_field_G: float, atom: CsD1Constants | None = None,
-                      mw_scale: float = 1.0) -> np.ndarray:
+                      bias_field_G: float,
+                      atom: CsD1Constants | None = None) -> np.ndarray:
     """Rotating-frame Hamiltonian (16x16, MHz).
 
     Zeeman + probe light shift + microwave coupling in the rotating-wave
@@ -202,7 +199,7 @@ def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
     if probe is not None:
         h += light_shift_matrix(probe, atom)
     if mw is not None:
-        chi_MHz = mw.rabi_kHz * mw_scale * 1e-3
+        chi_MHz = mw.rabi_kHz * 1e-3
         det_MHz = mw.detuning_kHz * 1e-3
         h += 0.5 * chi_MHz * microwave_coupling_matrix()
         for i in range(7, 16):  # F = 4 block sits at -(drive detuning)
@@ -325,45 +322,30 @@ class RunSetup:
     dt_ms: float = 0.005
 
 
-def run_simulation(setup: RunSetup, probe_scale: float = 1.0,
-                   mw_scale: float = 1.0) -> SimRecord:
-    """Build Hamiltonian, jumps and signal phases for ``setup`` and evolve.
-
-    ``probe_scale`` multiplies the probe irradiance (moving both the light
-    shift and the pumping rates); ``mw_scale`` multiplies the microwave
-    Rabi frequency.  Used by the ensemble-averaging layer.
-    """
+def run_simulation(setup: RunSetup) -> SimRecord:
+    """Build Hamiltonian, jumps and signal phases for ``setup`` and evolve."""
     from .birefringence import state_phase_table
 
-    probe = setup.probe
-    if probe_scale != 1.0:
-        probe = replace(probe, irradiance_rel=probe.irradiance_rel * probe_scale)
-    atom = setup.atom
-    h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G,
-                          atom, mw_scale=mw_scale)
-    if setup.pumping_on:
-        target = None
-        if setup.scattering_rate_per_ms is not None:
-            target = setup.scattering_rate_per_ms * probe_scale
-        jumps = pumping_jump_operators(probe, atom, total_rate_per_ms=target)
-    else:
-        jumps = []
+    probe, atom = setup.probe, setup.atom
+    h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G, atom)
+    jumps = (pumping_jump_operators(probe, atom,
+                                    total_rate_per_ms=setup.scattering_rate_per_ms)
+             if setup.pumping_on else [])
     phases = state_phase_table(probe, atom, od=setup.cloud.od_resonant)
     rho0 = setup.initial if setup.initial is not None else pure_state(3, 0)
     return evolve(rho0, h, jumps, setup.extra_loss_per_ms,
                   setup.t_span_ms, setup.dt_ms, state_phases=phases)
 
 
-def rabi_frequency(record: SimRecord, use_signal: bool = False,
+def rabi_frequency(record: SimRecord,
                    freq_hint_kHz: float | None = None) -> float:
-    """Dominant oscillation frequency (kHz) of the record.
+    """Dominant oscillation frequency (kHz) of the record's s3.
 
-    Least-squares fit of a decaying sinusoid on s3 (or the polarimeter
-    signal); raises :class:`FitFailureError` when the oscillation
-    amplitude is below 5x the fit residual.
+    Least-squares fit of a decaying sinusoid; raises
+    :class:`FitFailureError` when the oscillation amplitude is below 5x
+    the fit residual.
     """
     from .fitting import fit_decaying_sinusoid
 
-    y = record.signal_rad if use_signal else record.s3
-    fit = fit_decaying_sinusoid(record.times_ms, y, freq_hint_kHz=freq_hint_kHz)
-    return fit.freq_kHz
+    return fit_decaying_sinusoid(record.times_ms, record.s3,
+                                 freq_hint_kHz=freq_hint_kHz).freq_kHz

@@ -39,6 +39,7 @@ __all__ = [
     "ensemble_average",
     "decay_time",
     "calibrated_irradiance",
+    "generalized_rabi_kHz",
     "operating_point",
     "sweep",
     "sweep_measurement_strength",
@@ -90,11 +91,13 @@ def _stratified_factors(rms_frac: float, n: int) -> np.ndarray:
 def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord:
     """Average of independent evolutions over the irradiance distributions.
 
-    Probe factors scale both the light shift and the pumping rate;
+    Each member is ``setup`` at one probe and one microwave irradiance
+    factor: probe factors scale both the light shift and the pumping rate;
     microwave factors scale the Rabi frequency.  The pairing of the two
     stratified lattices is a seeded random permutation, so the result is
     deterministic per seed, and with zero spreads (or n_samples = 1) it
-    reduces exactly to a single evolution.
+    reduces exactly to a single evolution.  The records are summed as they
+    arrive, so one member record is held at a time.
     """
     if not (inhomog.probe_irradiance_rms_frac or inhomog.mw_irradiance_rms_frac):
         return run_simulation(setup)
@@ -103,63 +106,66 @@ def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord
     rng = np.random.default_rng(inhomog.seed)
     mw_f = mw_f[rng.permutation(inhomog.n_samples)]
 
-    base: SimRecord | None = None
-    signal = s3 = pops = lost = None
-    for pf, mf in zip(probe_f, mw_f):
-        rec = run_simulation(setup, probe_scale=float(pf), mw_scale=float(mf))
-        if base is None:
-            base = rec
-            signal = rec.signal_rad.copy()
-            s3 = rec.s3.copy()
-            pops = rec.populations.copy()
-            lost = rec.lost.copy()
+    probe, mw, rate = setup.probe, setup.microwave, setup.scattering_rate_per_ms
+    fields = ("signal_rad", "s3", "populations", "lost")
+    sums = None
+    for pf, mf in zip(probe_f.tolist(), mw_f.tolist()):
+        rec = run_simulation(replace(
+            setup, probe=replace(probe, irradiance_rel=probe.irradiance_rel * pf),
+            microwave=replace(mw, rabi_kHz=mw.rabi_kHz * mf),
+            scattering_rate_per_ms=None if rate is None else rate * pf))
+        if sums is None:
+            times, sums = rec.times_ms, [getattr(rec, f).copy() for f in fields]
         else:
-            signal += rec.signal_rad
-            s3 += rec.s3
-            pops += rec.populations
-            lost += rec.lost
+            for total, f in zip(sums, fields):
+                total += getattr(rec, f)
     n = inhomog.n_samples
-    return SimRecord(times_ms=base.times_ms, signal_rad=signal / n, s3=s3 / n,
-                     populations=pops / n, lost=lost / n)
+    return SimRecord(times, *(total / n for total in sums))
 
 
-def decay_time(record: SimRecord, use_signal: bool = True,
-               freq_hint_kHz: float | None = None) -> float:
-    """1/e time (ms) of the fitted oscillation envelope."""
-    y = record.signal_rad if use_signal else record.s3
-    return fit_decaying_sinusoid(record.times_ms, y,
+def decay_time(record: SimRecord, freq_hint_kHz: float | None = None) -> float:
+    """1/e time (ms) of the fitted envelope of the polarimeter signal."""
+    return fit_decaying_sinusoid(record.times_ms, record.signal_rad,
                                  freq_hint_kHz=freq_hint_kHz).tau_ms
+
+
+def generalized_rabi_kHz(setup: RunSetup) -> float:
+    """sqrt(chi^2 + dU^2) (kHz): the drive dressed by the probe's clock shift."""
+    return math.hypot(setup.microwave.rabi_kHz,
+                      dressed_clock_shift(setup.probe, setup.atom,
+                                          bias_field_G=setup.cloud.bias_field_G))
 
 
 def calibrated_irradiance(detuning_MHz: float, theta_deg: float,
                           target_rate_per_ms: float,
-                          atom: CsD1Constants | None = None,
-                          reference_rho: np.ndarray | None = None) -> float:
-    """I/I_sat giving ``target_rate_per_ms`` at the reference population.
+                          atom: CsD1Constants | None = None) -> float:
+    """I/I_sat giving ``target_rate_per_ms`` for the equal clock mixture.
 
     Implements the constant-scattering-rate sweep protocol: the rate is
     linear in irradiance, so one unit-irradiance evaluation fixes the
     scale.
     """
     atom = atom or CsD1Constants()
-    if reference_rho is None:
-        reference_rho = clock_mixture(0.5).rho
     jumps = pumping_jump_operators(
         ProbeConfig(detuning_MHz, 1.0, theta_deg), atom)
-    r_unit = scattering_rate_per_ms(jumps, reference_rho)
+    r_unit = scattering_rate_per_ms(jumps, clock_mixture(0.5).rho)
     return target_rate_per_ms / r_unit
 
 
-def operating_point(setup: RunSetup, detuning_MHz: float,
-                    target_rate_per_ms: float | None = None) -> RunSetup:
-    """``setup`` at ``detuning_MHz``, recalibrated to a target rate if given."""
+def operating_point(setup: RunSetup, detuning_MHz: float) -> RunSetup:
+    """``setup`` with its probe at ``detuning_MHz``.
+
+    This is the constant-scattering-rate rule: when
+    ``setup.scattering_rate_per_ms`` is set, the probe irradiance is
+    recalibrated so that the equal clock mixture scatters at that rate at
+    this detuning; otherwise the irradiance is kept.
+    """
     probe = replace(setup.probe, detuning_MHz=detuning_MHz)
-    if target_rate_per_ms is None:
-        return replace(setup, probe=probe)
-    s_cal = calibrated_irradiance(detuning_MHz, probe.polarization_angle_deg,
-                                  target_rate_per_ms, setup.atom)
-    return replace(setup, probe=replace(probe, irradiance_rel=s_cal),
-                   scattering_rate_per_ms=target_rate_per_ms)
+    rate = setup.scattering_rate_per_ms
+    if rate is not None:
+        probe = replace(probe, irradiance_rel=calibrated_irradiance(
+            detuning_MHz, probe.polarization_angle_deg, rate, setup.atom))
+    return replace(setup, probe=probe)
 
 
 def _workers() -> int:
@@ -201,13 +207,10 @@ def sweep(point, detunings_MHz, atom: CsD1Constants,
 
 
 def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
-                        target_rate_per_ms: float | None,
                         detection_efficiency: float,
                         det: float) -> MeasurementFigure:
-    point = operating_point(setup, det, target_rate_per_ms)
-    hint = math.hypot(setup.microwave.rabi_kHz,
-                      dressed_clock_shift(point.probe, point.atom,
-                                          bias_field_G=setup.cloud.bias_field_G))
+    point = operating_point(setup, det)
+    hint = generalized_rabi_kHz(point)
     rec = ensemble_average(point, inhomog)
     tau_ms = decay_time(rec, freq_hint_kHz=hint)
     omega = rabi_frequency(rec, freq_hint_kHz=hint)
@@ -221,23 +224,18 @@ def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
 
 def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
                                inhomog: InhomogeneityConfig,
-                               target_rate_per_ms: float | None = None,
                                mask_gamma: float = 5.0,
                                detection_efficiency: float = 1.0,
                                ) -> list[MeasurementFigure]:
     """tau_d, Omega, eta^2 and projection-noise SNR over a detuning grid.
 
-    At each point the probe irradiance is rescaled to hold the reference
-    scattering rate constant (default: the calibrated rate already in
-    ``setup``), the ensemble average is run, and the oscillation fit
-    yields tau_d and Omega.  Masking, per-point failures and worker
-    processes are those of :func:`sweep`.
+    Each point is :func:`operating_point` of ``setup`` (so at the setup's
+    scattering rate, when one is set); the ensemble average is run, and
+    the oscillation fit yields tau_d and Omega.  Masking, per-point
+    failures and worker processes are those of :func:`sweep`.
     """
-    if target_rate_per_ms is None:
-        target_rate_per_ms = setup.scattering_rate_per_ms
     grid = [float(d) for d in detunings_MHz]
-    figure = partial(_measurement_figure, setup, inhomog, target_rate_per_ms,
-                     detection_efficiency)
+    figure = partial(_measurement_figure, setup, inhomog, detection_efficiency)
     return [fig or MeasurementFigure(det, *[math.nan] * 5, masked=masked,
                                      error=error)
             for det, (fig, masked, error)

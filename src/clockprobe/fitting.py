@@ -23,6 +23,10 @@ from .errors import FitFailureError
 
 __all__ = ["SinusoidFit", "fit_decaying_sinusoid"]
 
+# A fit whose oscillation amplitude is below this multiple of its residual
+# rms resolves no oscillation.
+MIN_AMP_OVER_RESIDUAL = 5.0
+
 
 @dataclass(frozen=True)
 class SinusoidFit:
@@ -75,7 +79,6 @@ def _spectral_guess(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
-                          min_amp_over_residual: float = 5.0,
                           freq_hint_kHz: float | None = None) -> SinusoidFit:
     """Fit a decaying sinusoid; frequency returned in kHz for t in ms.
 
@@ -83,7 +86,7 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
     is needed when a small oscillation rides on a large pumping drift.
     Raises :class:`FitFailureError`, never falls back to the initial guess,
     when no oscillation is resolvable, the fit does not converge or leaves
-    (0, Nyquist), or the amplitude is below ``min_amp_over_residual`` x residual.
+    (0, Nyquist), or the amplitude is below ``MIN_AMP_OVER_RESIDUAL`` x residual.
     """
     t = np.asarray(t_ms, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -124,9 +127,9 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
     fit = SinusoidFit(freq_kHz=abs(popt[6]), tau_ms=abs(popt[4]), beta=abs(popt[5]),
                       amplitude=abs(popt[3]), phase_rad=popt[7],
                       residual_rms=float(np.sqrt(np.mean(resid**2))))
-    if fit.amplitude < min_amp_over_residual * fit.residual_rms:
+    if fit.amplitude < MIN_AMP_OVER_RESIDUAL * fit.residual_rms:
         raise FitFailureError(
             f"oscillation amplitude {fit.amplitude:g} below "
-            f"{min_amp_over_residual}x residual {fit.residual_rms:g}"
+            f"{MIN_AMP_OVER_RESIDUAL}x residual {fit.residual_rms:g}"
         )
     return fit

@@ -210,8 +210,7 @@ def _strength_sweep(grid, probe_rms):
                      pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
     n = 16 if (probe_rms or 0.015) else 1
     inh = InhomogeneityConfig(probe_rms, 0.015, n_samples=n, seed=0)
-    figs = sweep_measurement_strength(grid, setup, inh,
-                                      target_rate_per_ms=1.25)
+    figs = sweep_measurement_strength(grid, setup, inh)
     return [f for f in figs if not f.masked and not f.error]
 
 

@@ -15,6 +15,7 @@ from clockprobe.atom import IDX_DOWN, IDX_UP
 from clockprobe.birefringence import state_phase_table
 from clockprobe.cli import SCHEMA_LINE, main
 from clockprobe.config import PRESETS, SimulationConfig, load_config
+from clockprobe.ensemble import calibrated_irradiance
 from clockprobe.errors import (
     ConfigError,
     FitFailureError,
@@ -90,6 +91,15 @@ class TestConfigLoading:
                                     "  n_samples: 1\n  seed: 5\n"))
         assert load_config(p).inhomogeneity.seed == 5
         assert load_config(p, seed=99).inhomogeneity.seed == 99
+
+    def test_rate_calibrates_the_irradiance_with_pumping_off(self, tmp_path):
+        p = write(tmp_path, "c.yaml", "simulation:\n  pumping: false\n"
+                                      "  scattering_rate_per_ms: 1.25\n")
+        cfg = load_config(p, preset="rabi-ideal")
+        setup = cli.build_setup(cfg)
+        assert not setup.pumping_on
+        assert setup.probe.irradiance_rel == calibrated_irradiance(
+            cfg.probe.detuning_MHz, 45.0, 1.25, cfg.atom)
 
     def test_unknown_block_rejected(self, tmp_path):
         p = write(tmp_path, "c.yaml", "laser:\n  power: 3\n")
@@ -357,6 +367,11 @@ class TestIllTypedConfig:
         ("rabi", "rabi-ideal", "probe.detuning_MHz", "abc"),
         ("spectra", "spectra", "sweep.n_points", "2.5"),
         ("rabi", "rabi-ideal", "probe.irradiance_rel", "true"),
+        ("rabi", "rabi-ideal", "probe.detuning_MHz", ".nan"),
+        ("spectra", "spectra", "probe.detuning_MHz", ".nan"),
+        ("rabi", "rabi-ideal", "probe.irradiance_rel", ".inf"),
+        ("spectra", "spectra", "probe.detuning_MHz", ".inf"),
+        ("spectra", "spectra", "sweep.window_MHz", "[-.inf, -60.0]"),
     ])
     def test_ill_typed_value_exits_2(self, tmp_path, capsys, command, preset,
                                      key, value):

@@ -15,6 +15,7 @@ from clockprobe.ensemble import (
     calibrated_irradiance,
     decay_time,
     ensemble_average,
+    operating_point,
     sweep_measurement_strength,
 )
 from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scattering_rate_per_ms
@@ -70,6 +71,22 @@ class TestEnsembleAverage:
         for field in ("signal_rad", "s3", "populations", "lost"):
             assert np.array_equal(getattr(avg, field), getattr(single, field))
 
+    def test_members_are_derived_setups(self):
+        # each member is the setup at its probe and microwave factors, the
+        # scattering rate scaled with the probe; summed in member order
+        setup = make_setup(t_span=0.5)
+        inh = InhomogeneityConfig(0.15, 0.1, n_samples=2, seed=1)
+        probe_f = _stratified_factors(0.15, 2)
+        mw_f = _stratified_factors(0.1, 2)[np.random.default_rng(1).permutation(2)]
+        members = [run_simulation(replace(
+            setup, probe=replace(setup.probe, irradiance_rel=setup.probe.irradiance_rel * p),
+            microwave=replace(setup.microwave, rabi_kHz=2.0 * m),
+            scattering_rate_per_ms=1.25 * p)) for p, m in zip(probe_f, mw_f)]
+        avg = ensemble_average(setup, inh)
+        for field in ("signal_rad", "s3", "populations", "lost"):
+            a, b = (getattr(r, field) for r in members)
+            assert np.array_equal(getattr(avg, field), (a + b) / 2)
+
     def test_deterministic_per_seed(self):
         setup = make_setup(t_span=1.0)
         inh = InhomogeneityConfig(0.15, 0.015, n_samples=4, seed=3)
@@ -101,6 +118,21 @@ class TestCalibration:
         assert 10 < s < 60
 
 
+class TestOperatingPoint:
+    @pytest.mark.parametrize("det", [-1000.0, -600.0, -100.0])
+    def test_recalibrates_to_the_setup_rate(self, det):
+        point = operating_point(make_setup(rate=1.25), det)
+        assert point.probe.detuning_MHz == det
+        assert point.probe.irradiance_rel == calibrated_irradiance(
+            det, 45.0, 1.25, ATOM)
+        assert point.scattering_rate_per_ms == 1.25
+
+    def test_keeps_the_irradiance_without_a_rate(self):
+        setup = replace(make_setup(), scattering_rate_per_ms=None)
+        point = operating_point(setup, -600.0)
+        assert point.probe == replace(setup.probe, detuning_MHz=-600.0)
+
+
 class TestDecayPhysics:
     def test_decay_time_inverse_in_scattering_rate(self):
         rates = [0.625, 1.25, 2.5]
@@ -129,8 +161,7 @@ class TestSweep:
     def test_sweep_masks_near_resonance_and_fills_figures(self):
         setup = make_setup(t_span=3.0)
         inh = InhomogeneityConfig(0.0, 0.0, 1, 0)
-        figures = sweep_measurement_strength(
-            [-10.0, MAGIC, -500.0], setup, inh, target_rate_per_ms=1.25)
+        figures = sweep_measurement_strength([-10.0, MAGIC, -500.0], setup, inh)
         assert figures[0].masked
         good = figures[1]
         assert not good.masked and not good.error
@@ -148,6 +179,5 @@ class TestSweep:
 
         monkeypatch.setattr(ensemble, "run_simulation", violate)
         figures = sweep_measurement_strength(
-            [MAGIC, -500.0], make_setup(), InhomogeneityConfig(0.0, 0.0, 1, 0),
-            target_rate_per_ms=1.25)
+            [MAGIC, -500.0], make_setup(), InhomogeneityConfig(0.0, 0.0, 1, 0))
         assert [f.error for f in figures] == ["positivity violated at t = 0.01 ms"] * 2

@@ -11,29 +11,27 @@ polarization.
 import numpy as np
 
 from clockprobe import (
-    CsD1Constants,
     ProbeConfig,
     differential_clock_shift,
     dressed_clock_shift,
     find_magic_detunings,
 )
 
-atom = CsD1Constants()
 window = (-1100.0, -50.0)
 
 print("Differential clock shift vs probe detuning (theta = 45 deg, I = I_sat)")
 print(f"{'detuning (MHz)':>16} {'bare dU (kHz)':>15} {'dressed dU (kHz)':>17}")
 for det in np.linspace(-1050, -100, 20):
     probe = ProbeConfig(float(det), 1.0, 45.0)
-    bare = differential_clock_shift(probe, atom)
-    dressed = dressed_clock_shift(probe, atom, bias_field_G=0.5)
+    bare = differential_clock_shift(probe)
+    dressed = dressed_clock_shift(probe, bias_field_G=0.5)
     print(f"{det:16.1f} {bare:15.4f} {dressed:17.4f}")
 
 print()
 print("Zero crossing vs polarization angle:")
 print(f"{'theta (deg)':>12} {'magic detuning (MHz)':>22}")
 for theta in (25.0, 30.0, 45.0, 60.0, 75.0, 90.0):
-    points = find_magic_detunings(theta, window, atom)
+    points = find_magic_detunings(theta, window)
     if points:
         print(f"{theta:12.1f} {points[0].detuning_MHz:22.2f}")
     else:

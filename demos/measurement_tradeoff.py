@@ -16,7 +16,6 @@ common-mode and the spread cannot dephase the ensemble.
 
 from clockprobe import (
     CloudConfig,
-    CsD1Constants,
     InhomogeneityConfig,
     MicrowaveConfig,
     ProbeConfig,
@@ -26,15 +25,12 @@ from clockprobe import (
     sweep_measurement_strength,
 )
 
-atom = CsD1Constants()
-magic = find_magic_detunings(45.0, (-1100.0, -50.0), atom)[0].detuning_MHz
+magic = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz
 rate = 1.25  # photon scattering events per atom per ms
 
 setup = RunSetup(
-    probe=ProbeConfig(magic, calibrated_irradiance(magic, 45.0, rate, atom),
-                      45.0),
+    probe=ProbeConfig(magic, calibrated_irradiance(magic, 45.0, rate), 45.0),
     microwave=MicrowaveConfig(rabi_kHz=2.0),
-    atom=atom,
     cloud=CloudConfig(od_resonant=2.5),
     scattering_rate_per_ms=rate,
     extra_loss_per_ms=0.4,

@@ -13,7 +13,6 @@ the fitted oscillation parameters for three situations:
 from dataclasses import replace
 
 from clockprobe import (
-    CsD1Constants,
     InhomogeneityConfig,
     MicrowaveConfig,
     ProbeConfig,
@@ -24,14 +23,12 @@ from clockprobe import (
     fit_decaying_sinusoid,
 )
 
-atom = CsD1Constants()
-magic = find_magic_detunings(45.0, (-1100.0, -50.0), atom)[0].detuning_MHz
+magic = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz
 print(f"magic probe detuning: {magic:.2f} MHz\n")
 
 base = RunSetup(
     probe=ProbeConfig(magic, 16.0, 45.0),
     microwave=MicrowaveConfig(rabi_kHz=2.0),
-    atom=atom,
     pumping_on=True,
     t_span_ms=3.0,
     dt_ms=0.005,
@@ -55,7 +52,7 @@ describe("with 1.5% microwave spread and (2.5 ms)^-1 atom loss",
          dephased, InhomogeneityConfig(0.0, 0.015, 16, 0), 2.0)
 
 off = replace(base, probe=ProbeConfig(-250.0, 16.0, 45.0))
-du = dressed_clock_shift(off.probe, atom, bias_field_G=0.5)
+du = dressed_clock_shift(off.probe, bias_field_G=0.5)
 describe(f"probe at -250 MHz (light shift detunes the drive by {du:.2f} kHz)",
          off, none, (2.0**2 + du**2) ** 0.5)
 

@@ -5,7 +5,8 @@ Library layout:
 - :mod:`clockprobe.angular` — exact Wigner 3j/6j algebra and dipole amplitudes
 - :mod:`clockprobe.atom` — Cs D1 constants, ground-manifold registry, cloud
 - :mod:`clockprobe.lightshift` — light-shift operator, decomposition, magic points
-- :mod:`clockprobe.birefringence` — phase spectra, polarimetry, shot noise, SNR
+- :mod:`clockprobe.birefringence` — phase spectra, polarimetry, shot noise, SNR,
+  two-color balance
 - :mod:`clockprobe.dynamics` — 16-level Lindblad evolution with microwave drive
 - :mod:`clockprobe.fitting` — decaying-sinusoid extraction of frequency and decay
 - :mod:`clockprobe.ensemble` — inhomogeneity averaging and the detuning sweep driver
@@ -15,7 +16,6 @@ Library layout:
 from .angular import HalfInt, dipole_element, wigner3j, wigner6j
 from .atom import (
     CloudConfig,
-    CsD1Constants,
     GroundState,
     IDX_DOWN,
     IDX_UP,
@@ -27,6 +27,7 @@ from .atom import (
 from .birefringence import (
     PseudoSpin,
     StokesVector,
+    TwoColorSolution,
     apply_birefringence,
     collective_phase_eq1,
     faraday_benchmark_phase,
@@ -37,6 +38,7 @@ from .birefringence import (
     shot_noise_trace,
     snr_eta,
     state_phase_table,
+    two_color_balance,
 )
 from .config import PRESETS, RunConfig, load_config
 from .dynamics import (
@@ -73,14 +75,12 @@ from .lightshift import (
     LightShiftOperator,
     MagicPoint,
     ProbeConfig,
-    TwoColorSolution,
     build_light_shift,
     differential_clock_shift,
     dressed_clock_shift,
     find_magic_detunings,
     light_shift_matrix,
     tensor_fz2_check,
-    two_color_balance,
 )
 
 __version__ = "0.1.0"

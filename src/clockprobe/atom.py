@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "GroundState",
-    "CsD1Constants",
     "CloudConfig",
     "state_registry",
     "state_index",
@@ -22,9 +21,32 @@ __all__ = [
     "N_GROUND",
     "IDX_DOWN",
     "IDX_UP",
+    "GAMMA_MHZ",
+    "EXCITED_HF_SPLITTING_MHZ",
+    "GROUND_HF_SPLITTING_MHZ",
+    "I_SAT_W_M2",
+    "G_F",
+    "ZEEMAN_MHZ_PER_G",
+    "WAVELENGTH_NM",
+    "PHOTON_ENERGY_J",
 ]
 
 N_GROUND = 16
+
+# Cs D1 line.  The excited hyperfine splitting and the linewidth are locked
+# together by the ratio 1168 MHz = 256 Gamma, which the closed forms at the
+# inter-resonance midpoint (Delta/Gamma = -128) rely on.
+GAMMA_MHZ = 1168.0 / 256.0  # 4.5625
+EXCITED_HF_SPLITTING_MHZ = 1168.0
+GROUND_HF_SPLITTING_MHZ = 9192.631770
+# Isotropic-convention D1 saturation irradiance (2.5 mW/cm^2); outputs that
+# would depend on it are either ratios or recalibrated, so the convention
+# cancels wherever possible.
+I_SAT_W_M2 = 25.0
+G_F = {3: -0.25, 4: 0.25}  # ground hyperfine g-factors
+ZEEMAN_MHZ_PER_G = 1.399624  # Bohr magneton / h
+WAVELENGTH_NM = 894.6
+PHOTON_ENERGY_J = 6.62607015e-34 * 2.99792458e8 / (WAVELENGTH_NM * 1e-9)  # h c / lambda
 
 
 @dataclass(frozen=True)
@@ -61,44 +83,6 @@ IDX_UP = state_index(4, 0)  # |4,0>, pseudo-spin up
 
 
 @dataclass(frozen=True)
-class CsD1Constants:
-    """Cs D1 line constants.
-
-    ``excited_hf_splitting_MHz`` and ``gamma_MHz`` are locked together by
-    the ratio 1168 MHz = 256 Gamma.  ``i_sat_W_m2`` is the isotropic-
-    convention D1 saturation irradiance (2.5 mW/cm^2); outputs that would
-    depend on it are either ratios or recalibrated, so the convention
-    cancels wherever possible.
-    """
-
-    gamma_MHz: float = 1168.0 / 256.0  # 4.5625
-    excited_hf_splitting_MHz: float = 1168.0
-    ground_hf_splitting_MHz: float = 9192.631770
-    i_sat_W_m2: float = 25.0  # 2.5 mW/cm^2
-    gF_upper: float = 0.25  # F = 4
-    gF_lower: float = -0.25  # F = 3
-    zeeman_MHz_per_G: float = 1.399624  # Bohr magneton / h
-    wavelength_nm: float = 894.6
-
-    def __post_init__(self):
-        ratio = self.excited_hf_splitting_MHz / self.gamma_MHz
-        if abs(ratio - 256.0) > 1e-9:
-            raise ValueError(
-                "excited_hf_splitting_MHz / gamma_MHz must equal 256 "
-                f"(got {ratio})"
-            )
-
-    def g_factor(self, F: int) -> float:
-        return self.gF_upper if F == 4 else self.gF_lower
-
-    @property
-    def photon_energy_J(self) -> float:
-        h = 6.62607015e-34
-        c = 2.99792458e8
-        return h * c / (self.wavelength_nm * 1e-9)
-
-
-@dataclass(frozen=True)
 class CloudConfig:
     """Atom cloud and probe beam geometry."""
 
@@ -122,7 +106,7 @@ class CloudConfig:
             )
 
 
-def zeeman_hamiltonian(bias_field_G: float, atom: CsD1Constants | None = None) -> np.ndarray:
+def zeeman_hamiltonian(bias_field_G: float) -> np.ndarray:
     """Linear Zeeman Hamiltonian (16x16, MHz), diagonal in the registry basis.
 
     Entries are gF * mF * (muB/h) * B; gF has opposite signs for the two
@@ -131,11 +115,7 @@ def zeeman_hamiltonian(bias_field_G: float, atom: CsD1Constants | None = None) -
     """
     if bias_field_G < 0:
         raise ValueError("bias field must be >= 0")
-    atom = atom or CsD1Constants()
     diag = np.array(
-        [
-            atom.g_factor(st.F) * st.mF * atom.zeeman_MHz_per_G * bias_field_G
-            for st in state_registry()
-        ]
+        [G_F[st.F] * st.mF * ZEEMAN_MHZ_PER_G * bias_field_G for st in state_registry()]
     )
     return np.diag(diag)

@@ -13,10 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import IDX_UP, CloudConfig, CsD1Constants, GroundState, state_index
+from .atom import (
+    EXCITED_HF_SPLITTING_MHZ,
+    GAMMA_MHZ,
+    I_SAT_W_M2,
+    IDX_DOWN,
+    IDX_UP,
+    PHOTON_ENERGY_J,
+    CloudConfig,
+    GroundState,
+    state_index,
+)
+from .errors import NoBalanceError
 from .lightshift import (
     ProbeConfig,
     check_off_resonance,
+    find_magic_detunings,
     line_strengths,
     spherical_polarization,
 )
@@ -34,6 +46,8 @@ __all__ = [
     "photon_flux_per_s",
     "snr_eta",
     "projection_noise_snr",
+    "TwoColorSolution",
+    "two_color_balance",
     "FARADAY_PHASE_PER_OD_PER_DETUNING",
 ]
 
@@ -69,8 +83,7 @@ class PseudoSpin:
             raise ValueError("|S3| must not exceed S")
 
 
-def per_state_phase(state: GroundState, probe: ProbeConfig,
-                    atom: CsD1Constants | None = None, od: float = 1.0) -> float:
+def per_state_phase(state: GroundState, probe: ProbeConfig, od: float = 1.0) -> float:
     """Birefringent phase (rad) if all atoms occupy ``state``.
 
     Computed as the difference of the x- and z-polarization dispersive
@@ -78,43 +91,38 @@ def per_state_phase(state: GroundState, probe: ProbeConfig,
     oscillator strengths; works for any ground sublevel, not just the
     clock states.
     """
-    return float(state_phase_table(probe, atom, od)[state_index(state.F, state.mF)])
+    return float(state_phase_table(probe, od)[state_index(state.F, state.mF)])
 
 
-def state_phase_table(probe: ProbeConfig, atom: CsD1Constants | None = None,
-                      od: float = 1.0) -> np.ndarray:
+def state_phase_table(probe: ProbeConfig, od: float = 1.0) -> np.ndarray:
     """per_state_phase for all 16 registry states, as one array."""
-    atom = atom or CsD1Constants()
-    check_off_resonance(probe.detuning_MHz, atom)
-    w, r = _phase_poles(atom, od)
+    check_off_resonance(probe.detuning_MHz)
+    w, r = _phase_poles(od)
     return np.sum(w / (probe.detuning_MHz - r), axis=1)
 
 
-def _phase_poles(atom: CsD1Constants, od: float) -> tuple[np.ndarray, np.ndarray]:
+def _phase_poles(od: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights w (rad MHz, x minus z line strengths) and poles r (MHz) of phi[g]."""
-    s_x, r = line_strengths(spherical_polarization(90.0), atom)
-    s_z, _ = line_strengths(spherical_polarization(0.0), atom)
-    return od / 2.0 * (atom.gamma_MHz / 2.0) * (s_x - s_z), r
+    s_x, r = line_strengths(spherical_polarization(90.0))
+    s_z, _ = line_strengths(spherical_polarization(0.0))
+    return od / 2.0 * (GAMMA_MHZ / 2.0) * (s_x - s_z), r
 
 
-def collective_phase_eq1(spin: PseudoSpin, od: float,
-                         atom: CsD1Constants | None = None) -> float:
+def collective_phase_eq1(spin: PseudoSpin, od: float) -> float:
     """Closed-form collective phase at the inter-resonance midpoint.
 
     Valid for a probe tuned exactly halfway between the F=4 -> F'=3,4
     transitions (Delta/Gamma = -128), neglecting the spin-down state.
     """
-    atom = atom or CsD1Constants()
     if od <= 0:
         raise ValueError("od must be > 0")
-    det_over_gamma = -(atom.excited_hf_splitting_MHz / 2.0) / atom.gamma_MHz
+    det_over_gamma = -(EXCITED_HF_SPLITTING_MHZ / 2.0) / GAMMA_MHZ
     return (5.0 / 96.0) * (od / det_over_gamma) * (spin.s3 + spin.s_total) / spin.s_total
 
 
-def faraday_benchmark_phase(od: float, atom: CsD1Constants | None = None) -> float:
+def faraday_benchmark_phase(od: float) -> float:
     """Benchmark Faraday phase magnitude at matched OD and Delta/Gamma = -128."""
-    atom = atom or CsD1Constants()
-    det_over_gamma = (atom.excited_hf_splitting_MHz / 2.0) / atom.gamma_MHz
+    det_over_gamma = (EXCITED_HF_SPLITTING_MHZ / 2.0) / GAMMA_MHZ
     return FARADAY_PHASE_PER_OD_PER_DETUNING * od / det_over_gamma
 
 
@@ -161,34 +169,93 @@ def aperture_factors(cloud: CloudConfig) -> tuple[float, float]:
     return phase_factor, flux_factor
 
 
-def photon_flux_per_s(probe: ProbeConfig, atom: CsD1Constants,
-                      cloud: CloudConfig, detection_efficiency: float = 1.0) -> float:
+def photon_flux_per_s(probe: ProbeConfig, cloud: CloudConfig,
+                      detection_efficiency: float = 1.0) -> float:
     """Detected photon flux through the cloud-matched aperture."""
-    irradiance = probe.irradiance_rel * atom.i_sat_W_m2
+    irradiance = probe.irradiance_rel * I_SAT_W_M2
     area = math.pi * (cloud.cloud_radius_mm * 1e-3) ** 2
     _, flux_factor = aperture_factors(cloud)
-    return detection_efficiency * irradiance * area * flux_factor / atom.photon_energy_J
+    return detection_efficiency * irradiance * area * flux_factor / PHOTON_ENERGY_J
 
 
-def snr_eta(probe: ProbeConfig, atom: CsD1Constants | None, cloud: CloudConfig,
-            tau_d_s: float, detection_efficiency: float = 1.0) -> float:
+def snr_eta(probe: ProbeConfig, cloud: CloudConfig, tau_d_s: float,
+            detection_efficiency: float = 1.0) -> float:
     """SNR eta for a full-scale (S3 = S) measurement at bandwidth 1/tau_d.
 
     Uses the signal-weighted phase across the aperture; ``od_resonant`` is
     the peak optical density of the Gaussian cloud.
     """
-    atom = atom or CsD1Constants()
     if tau_d_s <= 0:
         raise ValueError("tau_d_s must be > 0")
-    phi = float(state_phase_table(probe, atom, od=cloud.od_resonant)[IDX_UP])
+    phi = float(state_phase_table(probe, od=cloud.od_resonant)[IDX_UP])
     phase_factor, _ = aperture_factors(cloud)
-    flux = photon_flux_per_s(probe, atom, cloud, detection_efficiency)
+    flux = photon_flux_per_s(probe, cloud, detection_efficiency)
     return abs(phi) * phase_factor * math.sqrt(2.0 * flux * tau_d_s)
 
 
-def projection_noise_snr(cloud: CloudConfig, probe: ProbeConfig,
-                         atom: CsD1Constants | None, tau_d_s: float,
+def projection_noise_snr(cloud: CloudConfig, probe: ProbeConfig, tau_d_s: float,
                          detection_efficiency: float = 1.0) -> float:
     """SNR for resolving the coherent-state fluctuation sqrt(N) of S3 near 0."""
-    eta = snr_eta(probe, atom, cloud, tau_d_s, detection_efficiency)
+    eta = snr_eta(probe, cloud, tau_d_s, detection_efficiency)
     return eta / (2.0 * math.sqrt(cloud.atom_number))
+
+
+@dataclass(frozen=True)
+class TwoColorSolution:
+    """Two-frequency probe operating point that nulls the S3 = 0 signal."""
+
+    detuning_34_MHz: float  # component between the F=3 -> F' transitions
+    detuning_44_MHz: float  # component between the F=4 -> F' transitions
+    power_ratio_34_over_44: float
+    phase_34_rad: float  # per unit OD, equal clock mixture, unit power
+    phase_44_rad: float
+
+    def total_phase(self, p_up: float, p_down: float, od: float = 1.0) -> float:
+        """Power-weighted two-color phase for clock populations (p_up, p_down)."""
+        total = 0.0
+        for det, weight in (
+            (self.detuning_44_MHz, 1.0),
+            (self.detuning_34_MHz, self.power_ratio_34_over_44),
+        ):
+            phases = state_phase_table(ProbeConfig(det, 1.0, 45.0), od=od)
+            total += weight * (p_up * phases[IDX_UP] + p_down * phases[IDX_DOWN])
+        return float(total / (1.0 + self.power_ratio_34_over_44))
+
+
+def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, float],
+                      theta_deg: float = 45.0) -> TwoColorSolution:
+    """Choose one detuning per window and the power ratio nulling phi at S3 = 0.
+
+    Prefers magic detunings in each window (falling back to the window
+    midpoint when no root exists there); raises :class:`NoBalanceError`
+    when the equal-mixture phases share a sign in both windows.
+    """
+
+    def pick(window: tuple[float, float]) -> float:
+        roots = find_magic_detunings(theta_deg, window)
+        if roots:
+            center = 0.5 * (window[0] + window[1])
+            return min(roots, key=lambda p: abs(p.detuning_MHz - center)).detuning_MHz
+        return 0.5 * (window[0] + window[1])
+
+    d34 = pick(window_34)
+    d44 = pick(window_44)
+
+    def mixture_phase(det: float) -> float:
+        phases = state_phase_table(ProbeConfig(det, 1.0, theta_deg), od=1.0)
+        return float(0.5 * (phases[IDX_UP] + phases[IDX_DOWN]))
+
+    phi34 = mixture_phase(d34)
+    phi44 = mixture_phase(d44)
+    if phi34 * phi44 >= 0.0:
+        raise NoBalanceError(
+            f"equal-mixture phases have the same sign: phi(34) = {phi34:.3e}, "
+            f"phi(44) = {phi44:.3e}"
+        )
+    return TwoColorSolution(
+        detuning_34_MHz=d34,
+        detuning_44_MHz=d44,
+        power_ratio_34_over_44=-phi44 / phi34,
+        phase_34_rad=phi34,
+        phase_44_rad=phi44,
+    )

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atom import IDX_DOWN, IDX_UP
+from .atom import GAMMA_MHZ, IDX_DOWN, IDX_UP
 from .birefringence import _phase_poles, projection_noise_snr
 from .config import RunConfig, load_config
 from .dynamics import RunSetup, rabi_frequency
@@ -112,7 +112,6 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         probe=cfg.probe,
         microwave=cfg.microwave,
         cloud=cfg.cloud,
-        atom=cfg.atom,
         extra_loss_per_ms=sim.extra_loss_per_ms,
         scattering_rate_per_ms=sim.scattering_rate_per_ms,
         pumping_on=sim.pumping,
@@ -123,14 +122,14 @@ def build_setup(cfg: RunConfig) -> RunSetup:
 
 
 def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
-                            atom, **kwargs) -> list:
+                            **kwargs) -> list:
     """Magic detunings in the sweep window, searched before any sweep runs.
 
     A window that spans a resonance is a config error, so it fails before
     any point is computed or any CSV is written.
     """
     try:
-        return find_magic_detunings(theta_deg, window, atom, **kwargs)
+        return find_magic_detunings(theta_deg, window, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"sweep.window_MHz: {exc}") from exc
 
@@ -139,17 +138,16 @@ def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
 
 
 def cmd_spectra(cfg: RunConfig, out: Path) -> None:
-    atom, sweep, probe = cfg.atom, cfg.sweep, cfg.probe
+    sweep, probe = cfg.sweep, cfg.probe
     lo, hi = sweep.window_MHz
     points = _window_magic_detunings(probe.polarization_angle_deg, (lo, hi),
-                                     atom, irradiance_rel=probe.irradiance_rel)
+                                     irradiance_rel=probe.irradiance_rel)
     # the dispersive sums of state_phase_table and differential_clock_shift,
     # broadcast over the grid less the points within 0.2 Gamma of a resonance
     grid = np.linspace(lo, hi, sweep.n_points)
-    w_phi, r_phi = _phase_poles(atom, cfg.cloud.od_resonant)
-    w_du, r_du = _clock_shift_poles(probe.polarization_angle_deg,
-                                    probe.irradiance_rel, atom)
-    grid = grid[np.abs(grid[:, None] - r_du).min(axis=1) > 0.2 * atom.gamma_MHz]
+    w_phi, r_phi = _phase_poles(cfg.cloud.od_resonant)
+    w_du, r_du = _clock_shift_poles(probe.polarization_angle_deg, probe.irradiance_rel)
+    grid = grid[np.abs(grid[:, None] - r_du).min(axis=1) > 0.2 * GAMMA_MHZ]
     phases = np.sum(w_phi / (grid[:, None, None] - r_phi), axis=2)
     du = np.sum(w_du / (grid[:, None] - r_du), axis=1)
     write_csv(out / "phase_spectrum.csv", ["detuning_MHz", "phi_up_rad", "phi_down_rad"],
@@ -214,13 +212,13 @@ def _chevron_point(setup: RunSetup, inhomog, det: float) -> tuple[float, float]:
 
 
 def cmd_chevron(cfg: RunConfig, out: Path) -> None:
-    atom, sw = cfg.atom, cfg.sweep
+    sw = cfg.sweep
     setup = build_setup(cfg)
     lo, hi = sw.window_MHz
     thetas = np.linspace(sw.theta_min_deg, sw.theta_max_deg, sw.n_theta)
     theta_rows = []
     for th in thetas:
-        pts = _window_magic_detunings(float(th), (lo, hi), atom,
+        pts = _window_magic_detunings(float(th), (lo, hi),
                                       irradiance_rel=cfg.probe.irradiance_rel)
         if pts:
             theta_rows.append((float(th), pts[0].detuning_MHz, 1))
@@ -230,8 +228,7 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
     grid = [float(d) for d in np.linspace(lo, hi, sw.n_points)]
     point = partial(_chevron_point, setup, cfg.inhomogeneity)
     rows = []
-    for d, (res, masked, error) in zip(grid, sweep(point, grid, atom,
-                                                   sw.mask_gamma)):
+    for d, (res, masked, error) in zip(grid, sweep(point, grid, sw.mask_gamma)):
         omega, analytic = res or (math.nan, math.nan)
         rows.append((d, omega, analytic, abs(omega - analytic) / analytic,
                      int(masked), error))
@@ -275,8 +272,7 @@ _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     setup = build_setup(cfg)
     lo, hi = cfg.sweep.window_MHz
-    magic = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi),
-                                    cfg.atom)
+    magic = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))
     grid = np.linspace(lo, hi, cfg.sweep.n_points)
 
     run_sweep = partial(sweep_measurement_strength, grid,
@@ -311,7 +307,7 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
         big = replace(cloud, od_resonant=1e3, atom_number=cloud.atom_number * scale)
         probe = operating_point(setup, peak_eta.detuning_MHz).probe
         pn_big = projection_noise_snr(
-            big, probe, cfg.atom, peak_eta.tau_d_ms * 1e-3,
+            big, probe, peak_eta.tau_d_ms * 1e-3,
             detection_efficiency=cfg.output.detection_efficiency)
         summary_rows += [
             ("pn_snr_od_1000", pn_big),

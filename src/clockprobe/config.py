@@ -22,7 +22,7 @@ from typing import Any
 
 import yaml
 
-from .atom import CloudConfig, CsD1Constants
+from .atom import CloudConfig
 from .dynamics import (
     DensityMatrix,
     MicrowaveConfig,
@@ -109,7 +109,6 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    atom: CsD1Constants
     cloud: CloudConfig
     probe: ProbeConfig
     microwave: MicrowaveConfig
@@ -165,7 +164,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 _BLOCK_TYPES = {
-    "atom": CsD1Constants,
     "cloud": CloudConfig,
     "probe": ProbeConfig,
     "microwave": MicrowaveConfig,
@@ -243,8 +241,8 @@ def _build_block(name: str, values: dict, source: str):
         raise ConfigError(f"{source}: block '{name}': {exc}") from exc
 
 
-def resolve_magic_detuning(theta_deg: float, atom: CsD1Constants) -> float:
-    points = find_magic_detunings(theta_deg, MAGIC_SEARCH_WINDOW_MHZ, atom)
+def resolve_magic_detuning(theta_deg: float) -> float:
+    points = find_magic_detunings(theta_deg, MAGIC_SEARCH_WINDOW_MHZ)
     if not points:
         raise ConfigError(
             f"probe.detuning_MHz = 'magic' but no differential-shift zero exists "
@@ -278,8 +276,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     source = str(path) if path is not None else (preset or "defaults")
     tree = _validate_tree(tree, source)
 
-    atom: CsD1Constants = _build_block("atom", tree.get("atom", {}), source)
-
     probe_values = dict(tree.get("probe", {}))
     if "detuning_MHz" not in probe_values:
         raise ConfigError(f"{source}: probe.detuning_MHz is required "
@@ -289,7 +285,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         "probe", {**probe_values, "detuning_MHz": 0.0} if magic else probe_values, source)
     if magic:
         probe = replace(probe, detuning_MHz=resolve_magic_detuning(
-            probe.polarization_angle_deg, atom))
+            probe.polarization_angle_deg))
 
     microwave: MicrowaveConfig = _build_block(
         "microwave", tree.get("microwave", {}), source)
@@ -298,7 +294,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         inhomog_values["seed"] = int(seed)
 
     return RunConfig(
-        atom=atom,
         cloud=_build_block("cloud", tree.get("cloud", {}), source),
         probe=probe,
         microwave=microwave,

@@ -18,15 +18,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from .atom import (
-    CloudConfig,
-    CsD1Constants,
+    GAMMA_MHZ,
     IDX_DOWN,
     IDX_UP,
     N_GROUND,
+    CloudConfig,
     state_index,
     zeeman_hamiltonian,
 )
+from .birefringence import state_phase_table
 from .errors import InvariantViolationError
+from .fitting import fit_decaying_sinusoid
 from .lightshift import (
     ProbeConfig,
     amplitude_tensor,
@@ -127,13 +129,11 @@ class SimRecord:
 
     def csv_rows(self):
         """Rows (time_s, signal_rad, s3, pop_F3, pop_F4, lost)."""
-        for i, t in enumerate(self.times_ms):
-            yield (t * 1e-3, self.signal_rad[i], self.s3[i],
-                   self.pop_F3[i], self.pop_F4[i], self.lost[i])
+        return zip(self.times_ms * 1e-3, self.signal_rad, self.s3,
+                   self.pop_F3, self.pop_F4, self.lost)
 
 
-def pumping_jump_operators(probe: ProbeConfig, atom: CsD1Constants | None = None,
-                           total_rate_per_ms: float | None = None):
+def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None = None):
     """Adiabatic-elimination jump operators, one per emitted polarization q.
 
     Returns a list of (operator, rate_per_ms) pairs; the Lindblad term for
@@ -142,17 +142,16 @@ def pumping_jump_operators(probe: ProbeConfig, atom: CsD1Constants | None = None
     the equal clock-state mixture matches it exactly; otherwise rates
     follow I/Delta^2 from the configured irradiance.
     """
-    atom = atom or CsD1Constants()
-    check_off_resonance(probe.detuning_MHz, atom)
+    check_off_resonance(probe.detuning_MHz)
     a = amplitude_tensor()
     eps = spherical_polarization(probe.polarization_angle_deg)
-    dets = excited_detunings_MHz(probe.detuning_MHz, atom)
+    dets = excited_detunings_MHz(probe.detuning_MHz)
     # excitation amplitude weighted by Gamma/Delta (dimensionless)
-    exc = (a @ eps) * (atom.gamma_MHz / dets)
+    exc = (a @ eps) * (GAMMA_MHZ / dets)
     # A_q[g', g]: excite g through every e, decay to g' emitting polarization q
     ops = [a[:, :, qi] @ exc.T for qi in range(3)]
     # natural two-level scale: R = gamma * s * (Gamma/Delta)^2 / 8
-    gamma_per_ms = 2.0 * math.pi * atom.gamma_MHz * 1e3
+    gamma_per_ms = 2.0 * math.pi * GAMMA_MHZ * 1e3
     rate = gamma_per_ms * probe.irradiance_rel / 8.0
     if total_rate_per_ms is not None:
         reference_rho = clock_mixture(0.5).rho
@@ -185,8 +184,7 @@ def microwave_coupling_matrix() -> np.ndarray:
 
 
 def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
-                      bias_field_G: float,
-                      atom: CsD1Constants | None = None) -> np.ndarray:
+                      bias_field_G: float) -> np.ndarray:
     """Rotating-frame Hamiltonian (16x16, MHz).
 
     Zeeman + probe light shift + microwave coupling in the rotating-wave
@@ -194,10 +192,9 @@ def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
     matrix elements, so Zeeman-detuned spectator transitions are
     represented rather than assumed away.
     """
-    atom = atom or CsD1Constants()
-    h = zeeman_hamiltonian(bias_field_G, atom).astype(complex)
+    h = zeeman_hamiltonian(bias_field_G).astype(complex)
     if probe is not None:
-        h += light_shift_matrix(probe, atom)
+        h += light_shift_matrix(probe)
     if mw is not None:
         chi_MHz = mw.rabi_kHz * 1e-3
         det_MHz = mw.detuning_kHz * 1e-3
@@ -313,7 +310,6 @@ class RunSetup:
     probe: ProbeConfig
     microwave: MicrowaveConfig = MicrowaveConfig()
     cloud: CloudConfig = CloudConfig()
-    atom: CsD1Constants = CsD1Constants()
     extra_loss_per_ms: float = 0.0
     scattering_rate_per_ms: float | None = None  # calibrated when set
     pumping_on: bool = True
@@ -324,14 +320,11 @@ class RunSetup:
 
 def run_simulation(setup: RunSetup) -> SimRecord:
     """Build Hamiltonian, jumps and signal phases for ``setup`` and evolve."""
-    from .birefringence import state_phase_table
-
-    probe, atom = setup.probe, setup.atom
-    h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G, atom)
-    jumps = (pumping_jump_operators(probe, atom,
-                                    total_rate_per_ms=setup.scattering_rate_per_ms)
+    probe = setup.probe
+    h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G)
+    jumps = (pumping_jump_operators(probe, total_rate_per_ms=setup.scattering_rate_per_ms)
              if setup.pumping_on else [])
-    phases = state_phase_table(probe, atom, od=setup.cloud.od_resonant)
+    phases = state_phase_table(probe, od=setup.cloud.od_resonant)
     rho0 = setup.initial if setup.initial is not None else pure_state(3, 0)
     return evolve(rho0, h, jumps, setup.extra_loss_per_ms,
                   setup.t_span_ms, setup.dt_ms, state_phases=phases)
@@ -345,7 +338,5 @@ def rabi_frequency(record: SimRecord,
     :class:`FitFailureError` when the oscillation amplitude is below 5x
     the fit residual.
     """
-    from .fitting import fit_decaying_sinusoid
-
     return fit_decaying_sinusoid(record.times_ms, record.s3,
                                  freq_hint_kHz=freq_hint_kHz).freq_kHz

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
-from .atom import CsD1Constants
+from .atom import GAMMA_MHZ
 from .birefringence import projection_noise_snr, snr_eta
 from .dynamics import (
     RunSetup,
@@ -58,6 +58,8 @@ class InhomogeneityConfig:
             raise ValueError("rms fractions must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,13 @@ class MeasurementFigure:
     tau_d_ms: float
     omega_kHz: float
     eta: float
-    eta_sq: float
     pn_snr: float
     masked: bool = False
     error: str = ""
 
-    def __post_init__(self):
-        if not self.masked and not self.error:
-            if not math.isclose(self.eta_sq, self.eta**2, rel_tol=1e-12, abs_tol=0.0):
-                raise ValueError("eta_sq must equal eta**2")
+    @property
+    def eta_sq(self) -> float:
+        return self.eta**2
 
 
 def _stratified_factors(rms_frac: float, n: int) -> np.ndarray:
@@ -132,22 +132,19 @@ def decay_time(record: SimRecord, freq_hint_kHz: float | None = None) -> float:
 def generalized_rabi_kHz(setup: RunSetup) -> float:
     """sqrt(chi^2 + dU^2) (kHz): the drive dressed by the probe's clock shift."""
     return math.hypot(setup.microwave.rabi_kHz,
-                      dressed_clock_shift(setup.probe, setup.atom,
+                      dressed_clock_shift(setup.probe,
                                           bias_field_G=setup.cloud.bias_field_G))
 
 
 def calibrated_irradiance(detuning_MHz: float, theta_deg: float,
-                          target_rate_per_ms: float,
-                          atom: CsD1Constants | None = None) -> float:
+                          target_rate_per_ms: float) -> float:
     """I/I_sat giving ``target_rate_per_ms`` for the equal clock mixture.
 
     Implements the constant-scattering-rate sweep protocol: the rate is
     linear in irradiance, so one unit-irradiance evaluation fixes the
     scale.
     """
-    atom = atom or CsD1Constants()
-    jumps = pumping_jump_operators(
-        ProbeConfig(detuning_MHz, 1.0, theta_deg), atom)
+    jumps = pumping_jump_operators(ProbeConfig(detuning_MHz, 1.0, theta_deg))
     r_unit = scattering_rate_per_ms(jumps, clock_mixture(0.5).rho)
     return target_rate_per_ms / r_unit
 
@@ -164,7 +161,7 @@ def operating_point(setup: RunSetup, detuning_MHz: float) -> RunSetup:
     rate = setup.scattering_rate_per_ms
     if rate is not None:
         probe = replace(probe, irradiance_rel=calibrated_irradiance(
-            detuning_MHz, probe.polarization_angle_deg, rate, setup.atom))
+            detuning_MHz, probe.polarization_angle_deg, rate))
     return replace(setup, probe=probe)
 
 
@@ -183,8 +180,7 @@ def _attempt(point, det: float) -> tuple:
         return None, False, str(exc)
 
 
-def sweep(point, detunings_MHz, atom: CsD1Constants,
-          mask_gamma: float) -> list[tuple]:
+def sweep(point, detunings_MHz, mask_gamma: float) -> list[tuple]:
     """``(point(det), masked, error)`` for each detuning, in grid order.
 
     Detunings within ``mask_gamma`` linewidths of a resonance are masked,
@@ -193,8 +189,7 @@ def sweep(point, detunings_MHz, atom: CsD1Constants,
     """
     workers = _workers()
     grid = [float(d) for d in detunings_MHz]
-    masked = [nearest_resonance(d, atom)[0] <= mask_gamma * atom.gamma_MHz
-              for d in grid]
+    masked = [nearest_resonance(d)[0] <= mask_gamma * GAMMA_MHZ for d in grid]
     live = [d for d, m in zip(grid, masked) if not m]
     attempt = partial(_attempt, point)
     if workers == 1 or len(live) < 2:
@@ -214,12 +209,10 @@ def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
     rec = ensemble_average(point, inhomog)
     tau_ms = decay_time(rec, freq_hint_kHz=hint)
     omega = rabi_frequency(rec, freq_hint_kHz=hint)
-    eta = snr_eta(point.probe, point.atom, setup.cloud, tau_ms * 1e-3,
-                  detection_efficiency)
-    pn = projection_noise_snr(setup.cloud, point.probe, point.atom,
-                              tau_ms * 1e-3,
+    eta = snr_eta(point.probe, setup.cloud, tau_ms * 1e-3, detection_efficiency)
+    pn = projection_noise_snr(setup.cloud, point.probe, tau_ms * 1e-3,
                               detection_efficiency=detection_efficiency)
-    return MeasurementFigure(det, tau_ms, omega, eta, eta**2, pn)
+    return MeasurementFigure(det, tau_ms, omega, eta, pn)
 
 
 def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
@@ -236,7 +229,6 @@ def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
     """
     grid = [float(d) for d in detunings_MHz]
     figure = partial(_measurement_figure, setup, inhomog, detection_efficiency)
-    return [fig or MeasurementFigure(det, *[math.nan] * 5, masked=masked,
+    return [fig or MeasurementFigure(det, *[math.nan] * 4, masked=masked,
                                      error=error)
-            for det, (fig, masked, error)
-            in zip(grid, sweep(figure, grid, setup.atom, mask_gamma))]
+            for det, (fig, masked, error) in zip(grid, sweep(figure, grid, mask_gamma))]

@@ -20,19 +20,27 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import dipole_element, wigner6j
-from .atom import CsD1Constants, N_GROUND, IDX_DOWN, IDX_UP, state_registry
-from .errors import NoBalanceError, ResonanceProximityError
+from .atom import (
+    EXCITED_HF_SPLITTING_MHZ,
+    GAMMA_MHZ,
+    GROUND_HF_SPLITTING_MHZ,
+    IDX_DOWN,
+    IDX_UP,
+    N_GROUND,
+    state_registry,
+    zeeman_hamiltonian,
+)
+from .errors import ResonanceProximityError
 
 __all__ = [
     "ProbeConfig",
     "LightShiftOperator",
     "MagicPoint",
-    "TwoColorSolution",
     "amplitude_tensor",
     "line_strengths",
     "spherical_polarization",
     "circular_polarization",
-    "resonance_positions_MHz",
+    "RESONANCES_MHZ",
     "nearest_resonance",
     "excited_detunings_MHz",
     "check_off_resonance",
@@ -42,7 +50,6 @@ __all__ = [
     "dressed_clock_shift",
     "find_magic_detunings",
     "tensor_fz2_check",
-    "two_color_balance",
 ]
 
 _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
@@ -53,6 +60,18 @@ _XI_WEIGHTS = np.array([[n_k * (-1) ** fe * wigner6j(1, k, 1, 4, fe, 4) * s_fe
                          for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
                         for k, n_k in enumerate((-math.sqrt(3.0), math.sqrt(27.0 / 40.0),
                                                  math.sqrt(27.0 / 154.0)))])
+
+# D1 resonances in the probe-detuning coordinate (MHz)
+RESONANCES_MHZ = {
+    "F=4 -> F'=4": 0.0,
+    "F=4 -> F'=3": -EXCITED_HF_SPLITTING_MHZ,
+    "F=3 -> F'=4": GROUND_HF_SPLITTING_MHZ,
+    "F=3 -> F'=3": GROUND_HF_SPLITTING_MHZ - EXCITED_HF_SPLITTING_MHZ,
+}
+# Resonance r[F, F'] (MHz), both indexed 0 for F=3 and 1 for F=4
+_RESONANCES = np.array([[RESONANCES_MHZ[f"F={F} -> F'={Fe}"] for Fe in (3, 4)]
+                        for F in (3, 4)])
+_RESONANCES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -139,8 +158,7 @@ def amplitude_tensor() -> np.ndarray:
     return a
 
 
-def line_strengths(polarization: np.ndarray,
-                   atom: CsD1Constants) -> tuple[np.ndarray, np.ndarray]:
+def line_strengths(polarization: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Line strengths s[g, F'] and their resonances r[g, F'] (MHz), each 16 x 2.
 
     s[g, F'] = sum over e in F' of |sum_q eps_q a[g, e, q]|^2.  Every
@@ -148,43 +166,24 @@ def line_strengths(polarization: np.ndarray,
     sum_F' w s[g, F'] / (Delta - r[g, F']).
     """
     s = np.abs(amplitude_tensor() @ polarization) ** 2 @ np.eye(2)[_F_INDEX]
-    return s, _resonance_table(atom)[_F_INDEX]
+    return s, _RESONANCES[_F_INDEX]
 
 
-def resonance_positions_MHz(atom: CsD1Constants) -> dict[str, float]:
-    """D1 resonances in the probe-detuning coordinate."""
-    hf = atom.excited_hf_splitting_MHz
-    g = atom.ground_hf_splitting_MHz
-    return {
-        "F=4 -> F'=4": 0.0,
-        "F=4 -> F'=3": -hf,
-        "F=3 -> F'=4": g,
-        "F=3 -> F'=3": g - hf,
-    }
-
-
-def _resonance_table(atom: CsD1Constants) -> np.ndarray:
-    """Resonance r[F, F'] (MHz), both indexed 0 for F=3 and 1 for F=4."""
-    res = resonance_positions_MHz(atom)
-    return np.array([[res[f"F={F} -> F'={Fe}"] for Fe in (3, 4)] for F in (3, 4)])
-
-
-def nearest_resonance(detuning_MHz: float,
-                      atom: CsD1Constants) -> tuple[float, str, float]:
+def nearest_resonance(detuning_MHz: float) -> tuple[float, str, float]:
     """(distance, label, position) of the D1 resonance nearest the detuning (MHz)."""
     return min((abs(detuning_MHz - pos), label, pos)
-               for label, pos in resonance_positions_MHz(atom).items())
+               for label, pos in RESONANCES_MHZ.items())
 
 
-def check_off_resonance(detuning_MHz: float, atom: CsD1Constants) -> None:
-    distance, label, pos = nearest_resonance(detuning_MHz, atom)
-    if distance <= 0.1 * atom.gamma_MHz:
+def check_off_resonance(detuning_MHz: float) -> None:
+    distance, label, pos = nearest_resonance(detuning_MHz)
+    if distance <= 0.1 * GAMMA_MHZ:
         raise ResonanceProximityError(detuning_MHz, pos, label)
 
 
-def excited_detunings_MHz(detuning_MHz: float, atom: CsD1Constants) -> np.ndarray:
+def excited_detunings_MHz(detuning_MHz: float) -> np.ndarray:
     """Detuning denominator d[g, e] (MHz) for each ground/excited pair."""
-    return detuning_MHz - _resonance_table(atom)[_F_INDEX[:, None], _F_INDEX]
+    return detuning_MHz - _RESONANCES[_F_INDEX[:, None], _F_INDEX]
 
 
 @lru_cache(maxsize=8)
@@ -213,7 +212,7 @@ def _decompose_block(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return scalar, vector, tensor
 
 
-def light_shift_matrix(probe: ProbeConfig, atom: CsD1Constants | None = None,
+def light_shift_matrix(probe: ProbeConfig,
                        polarization: np.ndarray | None = None) -> np.ndarray:
     """Hermitian 16x16 light-shift operator (MHz) of the probe.
 
@@ -222,13 +221,12 @@ def light_shift_matrix(probe: ProbeConfig, atom: CsD1Constants | None = None,
     Raises :class:`ResonanceProximityError` within 0.1 Gamma of any D1
     resonance, where the dispersive model diverges.
     """
-    atom = atom or CsD1Constants()
     if polarization is None:
         polarization = spherical_polarization(probe.polarization_angle_deg)
-    check_off_resonance(probe.detuning_MHz, atom)
+    check_off_resonance(probe.detuning_MHz)
     exc = amplitude_tensor() @ polarization  # exc[g, e] = sum_q eps_q a[g, e, q]
-    dets = excited_detunings_MHz(probe.detuning_MHz, atom)
-    pref = atom.gamma_MHz**2 / 8.0 * probe.irradiance_rel
+    dets = excited_detunings_MHz(probe.detuning_MHz)
+    pref = GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel
     v = np.zeros((N_GROUND, N_GROUND), dtype=complex)
     for blk in _BLOCKS:
         e_weighted = exc[blk] / dets[blk]  # same denominator within a ground-F block
@@ -236,7 +234,7 @@ def light_shift_matrix(probe: ProbeConfig, atom: CsD1Constants | None = None,
     return 0.5 * (v + v.conj().T)  # symmetrize away float round-off
 
 
-def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
+def build_light_shift(probe: ProbeConfig,
                       polarization: np.ndarray | None = None) -> LightShiftOperator:
     """:func:`light_shift_matrix` with its scalar/vector/tensor parts and xi's.
 
@@ -245,44 +243,41 @@ def build_light_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
     S_4F' / (Delta - r_4F') with f_0 = f_1 = 1 (xi1 is the sigma+ vector
     coupling) and f_2 = (3|eps_0|^2 - 1)/2 (the Fz^2 part of the tensor).
     """
-    atom = atom or CsD1Constants()
     if polarization is None:
         polarization = spherical_polarization(probe.polarization_angle_deg)
-    v = light_shift_matrix(probe, atom, polarization)
+    v = light_shift_matrix(probe, polarization)
 
     scalar, vector, tensor = (np.zeros_like(v) for _ in range(3))
     for blk in _BLOCKS:
         scalar[blk, blk], vector[blk, blk], tensor[blk, blk] = _decompose_block(v[blk, blk])
 
     f_k = np.array([1.0, 1.0, (3.0 * abs(polarization[1]) ** 2 - 1.0) / 2.0])
-    xi = (atom.gamma_MHz**2 / 8.0 * probe.irradiance_rel * f_k
-          * (_XI_WEIGHTS @ (1.0 / (probe.detuning_MHz - _resonance_table(atom)[1]))))
+    xi = (GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel * f_k
+          * (_XI_WEIGHTS @ (1.0 / (probe.detuning_MHz - _RESONANCES[1]))))
     return LightShiftOperator(v, scalar, vector, tensor, *xi.tolist())
 
 
-def _clock_shift_poles(theta_deg: float, irradiance_rel: float,
-                       atom: CsD1Constants) -> tuple[np.ndarray, np.ndarray]:
+def _clock_shift_poles(theta_deg: float,
+                       irradiance_rel: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights w (kHz MHz) and poles r (MHz) of dU(Delta) = sum w / (Delta - r).
 
     The clock rows of :func:`line_strengths`: one pole per D1 resonance.
     """
-    s, r = line_strengths(spherical_polarization(theta_deg), atom)
+    s, r = line_strengths(spherical_polarization(theta_deg))
     clock = [IDX_DOWN, IDX_UP]
-    pref = atom.gamma_MHz**2 / 8.0 * irradiance_rel * 1e3
+    pref = GAMMA_MHZ**2 / 8.0 * irradiance_rel * 1e3
     sign = np.array([[-1.0], [1.0]])  # <4,0|V|4,0> - <3,0|V|3,0>
     return (pref * sign * s[clock]).ravel(), r[clock].ravel()
 
 
-def differential_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None) -> float:
+def differential_clock_shift(probe: ProbeConfig) -> float:
     """Differential light shift <4,0|V|4,0> - <3,0|V|3,0> in kHz."""
-    atom = atom or CsD1Constants()
-    check_off_resonance(probe.detuning_MHz, atom)
-    w, r = _clock_shift_poles(probe.polarization_angle_deg, probe.irradiance_rel, atom)
+    check_off_resonance(probe.detuning_MHz)
+    w, r = _clock_shift_poles(probe.polarization_angle_deg, probe.irradiance_rel)
     return float(np.sum(w / (probe.detuning_MHz - r)))
 
 
-def dressed_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
-                        bias_field_G: float = 0.5) -> float:
+def dressed_clock_shift(probe: ProbeConfig, bias_field_G: float = 0.5) -> float:
     """Differential shift (kHz) of the Zeeman-dressed clock levels.
 
     Eigenvalue difference of Zeeman + light shift for the levels
@@ -291,11 +286,8 @@ def dressed_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
     couplings to |F, m != 0>, which is what the microwave transition
     frequency actually experiences.
     """
-    from .atom import zeeman_hamiltonian
-
-    atom = atom or CsD1Constants()
-    h = zeeman_hamiltonian(bias_field_G, atom).astype(complex)
-    h += light_shift_matrix(probe, atom)
+    h = zeeman_hamiltonian(bias_field_G).astype(complex)
+    h += light_shift_matrix(probe)
     w, v = np.linalg.eigh(h)
     i_up = int(np.argmax(np.abs(v[IDX_UP, :]) ** 2))
     i_down = int(np.argmax(np.abs(v[IDX_DOWN, :]) ** 2))
@@ -303,7 +295,6 @@ def dressed_clock_shift(probe: ProbeConfig, atom: CsD1Constants | None = None,
 
 
 def find_magic_detunings(theta_deg: float, window: tuple[float, float],
-                         atom: CsD1Constants | None = None,
                          irradiance_rel: float = 1.0) -> list[MagicPoint]:
     """All zero crossings of the differential light shift inside ``window``.
 
@@ -314,25 +305,23 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
     0.2 Gamma of a resonance are discarded.  An empty list is a valid
     return.
     """
-    atom = atom or CsD1Constants()
     lo, hi = sorted(window)
-    margin = 0.2 * atom.gamma_MHz
-    for pos in resonance_positions_MHz(atom).values():
+    margin = 0.2 * GAMMA_MHZ
+    for pos in RESONANCES_MHZ.values():
         if lo + margin < pos < hi - margin:
             raise ValueError(
                 f"window ({lo}, {hi}) MHz contains the resonance at {pos} MHz"
             )
-    w, r = _clock_shift_poles(theta_deg, irradiance_rel, atom)
+    w, r = _clock_shift_poles(theta_deg, irradiance_rel)
     w, r = w[w != 0.0], r[w != 0.0]
     numerator = sum(wk * np.poly(np.delete(r, k)) for k, wk in enumerate(w))
     roots = np.roots(numerator)
     return [MagicPoint(float(d), theta_deg, float(np.sum(w / (d - r))))
             for d in np.sort(roots[roots.imag == 0].real)
-            if lo <= d <= hi and nearest_resonance(d, atom)[0] > margin]
+            if lo <= d <= hi and nearest_resonance(d)[0] > margin]
 
 
-def tensor_fz2_check(probe: ProbeConfig, atom: CsD1Constants | None = None,
-                     bias_field_G: float = 0.0,
+def tensor_fz2_check(probe: ProbeConfig, bias_field_G: float = 0.0,
                      averaging_time_ms: float = 1.0) -> float:
     """Largest residual coupling out of either |F,0> clock state (MHz).
 
@@ -341,11 +330,8 @@ def tensor_fz2_check(probe: ProbeConfig, atom: CsD1Constants | None = None,
     ``averaging_time_ms`` (secular approximation); with no bias field the
     raw elements are returned, so the check is able to fail.
     """
-    from .atom import zeeman_hamiltonian
-
-    atom = atom or CsD1Constants()
-    v = light_shift_matrix(probe, atom)
-    hz = np.diag(zeeman_hamiltonian(bias_field_G, atom))
+    v = light_shift_matrix(probe)
+    hz = np.diag(zeeman_hamiltonian(bias_field_G))
     worst = 0.0
     for f0, blk in zip((IDX_DOWN, IDX_UP), _BLOCKS):
         for j in range(blk.start, blk.stop):
@@ -356,70 +342,3 @@ def tensor_fz2_check(probe: ProbeConfig, atom: CsD1Constants | None = None,
             factor = abs(np.sinc(gap * 1e3 * averaging_time_ms))
             worst = max(worst, abs(v[f0, j]) * factor)
     return worst
-
-
-@dataclass(frozen=True)
-class TwoColorSolution:
-    """Two-frequency probe operating point that nulls the S3 = 0 signal."""
-
-    detuning_34_MHz: float  # component between the F=3 -> F' transitions
-    detuning_44_MHz: float  # component between the F=4 -> F' transitions
-    power_ratio_34_over_44: float
-    phase_34_rad: float  # per unit OD, equal clock mixture, unit power
-    phase_44_rad: float
-
-    def total_phase(self, p_up: float, p_down: float, od: float = 1.0) -> float:
-        """Power-weighted two-color phase for clock populations (p_up, p_down)."""
-        from .birefringence import state_phase_table
-
-        total = 0.0
-        for det, weight in (
-            (self.detuning_44_MHz, 1.0),
-            (self.detuning_34_MHz, self.power_ratio_34_over_44),
-        ):
-            phases = state_phase_table(ProbeConfig(det, 1.0, 45.0), od=od)
-            total += weight * (p_up * phases[IDX_UP] + p_down * phases[IDX_DOWN])
-        return float(total / (1.0 + self.power_ratio_34_over_44))
-
-
-def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, float],
-                      theta_deg: float = 45.0,
-                      atom: CsD1Constants | None = None) -> TwoColorSolution:
-    """Choose one detuning per window and the power ratio nulling phi at S3 = 0.
-
-    Prefers magic detunings in each window (falling back to the window
-    midpoint when no root exists there); raises :class:`NoBalanceError`
-    when the equal-mixture phases share a sign in both windows.
-    """
-    from .birefringence import state_phase_table
-
-    atom = atom or CsD1Constants()
-
-    def pick(window: tuple[float, float]) -> float:
-        roots = find_magic_detunings(theta_deg, window, atom)
-        if roots:
-            center = 0.5 * (window[0] + window[1])
-            return min(roots, key=lambda p: abs(p.detuning_MHz - center)).detuning_MHz
-        return 0.5 * (window[0] + window[1])
-
-    d34 = pick(window_34)
-    d44 = pick(window_44)
-
-    def mixture_phase(det: float) -> float:
-        phases = state_phase_table(ProbeConfig(det, 1.0, theta_deg), atom, od=1.0)
-        return float(0.5 * (phases[IDX_UP] + phases[IDX_DOWN]))
-
-    phi34 = mixture_phase(d34)
-    phi44 = mixture_phase(d44)
-    if phi34 * phi44 >= 0.0:
-        raise NoBalanceError(
-            f"equal-mixture phases have the same sign: phi(34) = {phi34:.3e}, "
-            f"phi(44) = {phi44:.3e}"
-        )
-    return TwoColorSolution(
-        detuning_34_MHz=d34,
-        detuning_44_MHz=d44,
-        power_ratio_34_over_44=-phi44 / phi34,
-        phase_34_rad=phi34,
-        phase_44_rad=phi44,
-    )

@@ -17,8 +17,8 @@ import conftest
 
 from clockprobe.angular import dipole_element
 from clockprobe.atom import (
+    EXCITED_HF_SPLITTING_MHZ,
     CloudConfig,
-    CsD1Constants,
     IDX_DOWN,
     IDX_UP,
     state_index,
@@ -29,6 +29,7 @@ from clockprobe.birefringence import (
     collective_phase_eq1,
     per_state_phase,
     projection_noise_snr,
+    two_color_balance,
 )
 from clockprobe.cli import main
 from clockprobe.dynamics import (
@@ -45,16 +46,14 @@ from clockprobe.ensemble import (
     sweep_measurement_strength,
 )
 from clockprobe.lightshift import (
+    RESONANCES_MHZ,
     ProbeConfig,
     dressed_clock_shift,
     find_magic_detunings,
-    resonance_positions_MHz,
-    two_color_balance,
 )
 
-ATOM = CsD1Constants()
 LOWER_WINDOW = (-1100.0, -50.0)
-MAGIC = find_magic_detunings(45.0, LOWER_WINDOW, ATOM)[0].detuning_MHz
+MAGIC = find_magic_detunings(45.0, LOWER_WINDOW)[0].detuning_MHz
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -68,11 +67,10 @@ def test_01_magic_detuning_location_and_count():
     # The magic pair: one root in each D1 inter-resonance window.  Within a
     # window the differential shift is strictly monotonic, so each holds one.
     t0 = time.perf_counter()
-    lower = find_magic_detunings(45.0, (-1168.0, 0.0), ATOM)
+    lower = find_magic_detunings(45.0, (-1168.0, 0.0))
     dt = time.perf_counter() - t0
-    res = resonance_positions_MHz(ATOM)
     upper = find_magic_detunings(
-        45.0, (res["F=3 -> F'=3"], res["F=3 -> F'=4"]), ATOM)
+        45.0, (RESONANCES_MHZ["F=3 -> F'=3"], RESONANCES_MHZ["F=3 -> F'=4"]))
     points = lower + upper
     lower_ok = (len(lower) == 1
                 and abs(lower[0].detuning_MHz + 335.0) <= 5.0)
@@ -92,9 +90,9 @@ def test_01_magic_detuning_location_and_count():
 def test_02_closed_form_phase_prefactor():
     t0 = time.perf_counter()
     up = state_registry()[state_index(4, 0)]
-    midpoint = -ATOM.excited_hf_splitting_MHz / 2.0
-    full = per_state_phase(up, ProbeConfig(midpoint, 16.0, 45.0), ATOM, od=1.0)
-    closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0, atom=ATOM)
+    midpoint = -EXCITED_HF_SPLITTING_MHZ / 2.0
+    full = per_state_phase(up, ProbeConfig(midpoint, 16.0, 45.0), od=1.0)
+    closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0)
     rel = abs(full - closed) / abs(closed)
     dt = time.perf_counter() - t0
     ok = rel <= 0.02 and dt < 1.0
@@ -129,8 +127,8 @@ def test_04_chevron_matches_generalized_rabi():
     for det in grid:
         probe = ProbeConfig(det, 16.0, 45.0)
         setup = RunSetup(probe=probe, microwave=MicrowaveConfig(rabi_kHz=2.0),
-                         atom=ATOM, pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
-        du = dressed_clock_shift(probe, ATOM, bias_field_G=0.5)
+                         pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
+        du = dressed_clock_shift(probe, bias_field_G=0.5)
         analytic = math.hypot(2.0, du)
         omega = rabi_frequency(run_simulation(setup), freq_hint_kHz=analytic)
         residuals.append(abs(omega - analytic) / analytic)
@@ -148,7 +146,7 @@ def test_04_chevron_matches_generalized_rabi():
 def _clock_leakage(bias_G: float) -> float:
     setup = RunSetup(probe=ProbeConfig(MAGIC, 8.0, 45.0),
                      microwave=MicrowaveConfig(rabi_kHz=0.0),
-                     atom=ATOM, pumping_on=False, initial=clock_mixture(0.5),
+                     pumping_on=False, initial=clock_mixture(0.5),
                      t_span_ms=5.0, dt_ms=0.01)
     setup = replace(setup, cloud=replace(setup.cloud, bias_field_G=bias_G))
     rec = run_simulation(setup)
@@ -169,9 +167,9 @@ def test_06_decay_time_scaling():
     # tau_d proportional to 1 / scattering rate (loss and spreads off)
     products = []
     for rate in (0.625, 1.25, 2.5):
-        s_cal = calibrated_irradiance(MAGIC, 45.0, rate, ATOM)
+        s_cal = calibrated_irradiance(MAGIC, 45.0, rate)
         setup = RunSetup(probe=ProbeConfig(MAGIC, s_cal, 45.0),
-                         microwave=MicrowaveConfig(rabi_kHz=5.0), atom=ATOM,
+                         microwave=MicrowaveConfig(rabi_kHz=5.0),
                          scattering_rate_per_ms=rate, pumping_on=True,
                          t_span_ms=min(5.0, 3.2 / rate), dt_ms=0.005)
         products.append(decay_time(run_simulation(setup), freq_hint_kHz=5.0)
@@ -184,9 +182,9 @@ def test_06_decay_time_scaling():
     inv_tau = []
     rates = (0.1, 0.2, 0.4)
     for rate in rates:
-        s_cal = calibrated_irradiance(MAGIC, 45.0, rate, ATOM)
+        s_cal = calibrated_irradiance(MAGIC, 45.0, rate)
         setup = RunSetup(probe=ProbeConfig(MAGIC, s_cal, 45.0),
-                         microwave=MicrowaveConfig(rabi_kHz=5.0), atom=ATOM,
+                         microwave=MicrowaveConfig(rabi_kHz=5.0),
                          scattering_rate_per_ms=rate, extra_loss_per_ms=0.4,
                          pumping_on=True, t_span_ms=6.0, dt_ms=0.01)
         inv_tau.append(1.0 / decay_time(run_simulation(setup),
@@ -202,9 +200,9 @@ def test_06_decay_time_scaling():
 
 
 def _strength_sweep(grid, probe_rms):
-    s_cal = calibrated_irradiance(MAGIC, 45.0, 1.25, ATOM)
+    s_cal = calibrated_irradiance(MAGIC, 45.0, 1.25)
     setup = RunSetup(probe=ProbeConfig(MAGIC, s_cal, 45.0),
-                     microwave=MicrowaveConfig(rabi_kHz=2.0), atom=ATOM,
+                     microwave=MicrowaveConfig(rabi_kHz=2.0),
                      cloud=CloudConfig(od_resonant=2.5),
                      scattering_rate_per_ms=1.25, extra_loss_per_ms=0.4,
                      pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
@@ -248,9 +246,9 @@ def test_08_projection_noise_snr_scaling(sweep_with_spread):
     scale = 1e3 / cloud.od_resonant
     big = replace(cloud, od_resonant=1e3,
                   atom_number=cloud.atom_number * scale)
-    s_cal = calibrated_irradiance(at_magic.detuning_MHz, 45.0, 1.25, ATOM)
+    s_cal = calibrated_irradiance(at_magic.detuning_MHz, 45.0, 1.25)
     probe = ProbeConfig(at_magic.detuning_MHz, s_cal, 45.0)
-    pn_big = projection_noise_snr(big, probe, ATOM,
+    pn_big = projection_noise_snr(big, probe,
                                   at_magic.tau_d_ms * 1e-3)
     ratio = pn_big / pn_small
     ratio_ok = abs(ratio - 20.0) <= 0.5
@@ -264,7 +262,7 @@ def test_08_projection_noise_snr_scaling(sweep_with_spread):
 
 def test_09_numerical_hygiene(tmp_path):
     setup = RunSetup(probe=ProbeConfig(MAGIC, 16.0, 45.0),
-                     microwave=MicrowaveConfig(rabi_kHz=2.0), atom=ATOM,
+                     microwave=MicrowaveConfig(rabi_kHz=2.0),
                      extra_loss_per_ms=0.4, pumping_on=True,
                      t_span_ms=3.0, dt_ms=0.01)
     rec = run_simulation(setup)
@@ -295,7 +293,7 @@ def test_09_numerical_hygiene(tmp_path):
 
 
 def test_10_two_color_balance():
-    sol = two_color_balance((8100.0, 9100.0), LOWER_WINDOW, 45.0, ATOM)
+    sol = two_color_balance((8100.0, 9100.0), LOWER_WINDOW, 45.0)
     residual = abs(sol.total_phase(0.5, 0.5, od=1.0))
     opposite = sol.phase_34_rad * sol.phase_44_rad < 0
     ok = residual <= 1e-6 and opposite

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from clockprobe.atom import (
+    EXCITED_HF_SPLITTING_MHZ,
+    G_F,
+    GAMMA_MHZ,
+    PHOTON_ENERGY_J,
+    ZEEMAN_MHZ_PER_G,
     CloudConfig,
-    CsD1Constants,
     IDX_DOWN,
     IDX_UP,
     N_GROUND,
@@ -40,27 +44,16 @@ class TestRegistry:
 
 class TestConstants:
     def test_linewidth_splitting_ratio_locked(self):
-        atom = CsD1Constants()
-        assert atom.excited_hf_splitting_MHz / atom.gamma_MHz == pytest.approx(256.0)
-        assert atom.gamma_MHz == pytest.approx(4.5625)
-
-    def test_inconsistent_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            CsD1Constants(gamma_MHz=5.0)
-
-    def test_scaled_pair_accepted(self):
-        atom = CsD1Constants(gamma_MHz=5.0, excited_hf_splitting_MHz=1280.0)
-        assert atom.excited_hf_splitting_MHz / atom.gamma_MHz == pytest.approx(256.0)
+        # the closed forms at Delta/Gamma = -128 rely on the exact lock
+        assert EXCITED_HF_SPLITTING_MHZ / GAMMA_MHZ == 256.0
+        assert GAMMA_MHZ == 4.5625
 
     def test_g_factors(self):
-        atom = CsD1Constants()
-        assert atom.g_factor(4) == 0.25
-        assert atom.g_factor(3) == -0.25
+        assert G_F == {3: -0.25, 4: 0.25}
 
     def test_photon_energy(self):
-        atom = CsD1Constants()
         # h c / lambda at 894.6 nm is about 2.22e-19 J
-        assert atom.photon_energy_J == pytest.approx(2.221e-19, rel=1e-3)
+        assert PHOTON_ENERGY_J == pytest.approx(2.221e-19, rel=1e-3)
 
 
 class TestCloud:
@@ -82,13 +75,12 @@ class TestCloud:
 
 class TestZeeman:
     def test_diagonal_linear_splitting(self):
-        atom = CsD1Constants()
-        h = zeeman_hamiltonian(0.5, atom)
+        h = zeeman_hamiltonian(0.5)
         assert h.shape == (16, 16)
         assert np.allclose(h, np.diag(np.diag(h)))
         reg = state_registry()
         for i, s in enumerate(reg):
-            expected = atom.g_factor(s.F) * s.mF * atom.zeeman_MHz_per_G * 0.5
+            expected = G_F[s.F] * s.mF * ZEEMAN_MHZ_PER_G * 0.5
             assert h[i, i] == pytest.approx(expected, abs=1e-15)
 
     def test_clock_states_unshifted(self):

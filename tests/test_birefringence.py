@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from clockprobe.atom import CloudConfig, CsD1Constants, state_registry, state_index
+from clockprobe.atom import (
+    EXCITED_HF_SPLITTING_MHZ,
+    GAMMA_MHZ,
+    CloudConfig,
+    state_index,
+    state_registry,
+)
 from clockprobe.birefringence import (
     PseudoSpin,
     StokesVector,
@@ -25,14 +31,13 @@ from clockprobe.errors import ResonanceProximityError
 from clockprobe.lightshift import (
     ProbeConfig,
     amplitude_tensor,
-    resonance_positions_MHz,
+    RESONANCES_MHZ,
     spherical_polarization,
 )
 
-ATOM = CsD1Constants()
 UP = state_registry()[state_index(4, 0)]
 DOWN = state_registry()[state_index(3, 0)]
-MIDPOINT = -ATOM.excited_hf_splitting_MHz / 2.0  # -584 MHz
+MIDPOINT = -EXCITED_HF_SPLITTING_MHZ / 2.0  # -584 MHz
 
 
 class TestPerStatePhase:
@@ -41,37 +46,37 @@ class TestPerStatePhase:
         # with the closed-form collective expression to within the 2%
         # contribution the closed form neglects
         probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        full = per_state_phase(UP, probe, ATOM, od=1.0)
-        closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0, atom=ATOM)
+        full = per_state_phase(UP, probe, od=1.0)
+        closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0)
         assert closed == pytest.approx(-(5.0 / 96.0) / 128.0 * 2.0, rel=1e-12)
         assert full == pytest.approx(closed, rel=0.02)
 
     def test_spin_down_small_at_midpoint(self):
         probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        assert abs(per_state_phase(DOWN, probe, ATOM)) < 0.1 * abs(
-            per_state_phase(UP, probe, ATOM))
+        assert abs(per_state_phase(DOWN, probe)) < 0.1 * abs(
+            per_state_phase(UP, probe))
 
     def test_phase_linear_in_od(self):
         probe = ProbeConfig(-400.0, 16.0, 45.0)
-        p1 = per_state_phase(UP, probe, ATOM, od=1.0)
-        p3 = per_state_phase(UP, probe, ATOM, od=3.0)
+        p1 = per_state_phase(UP, probe, od=1.0)
+        p3 = per_state_phase(UP, probe, od=3.0)
         assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
 
     def test_sign_flip_across_resonance(self):
-        left = per_state_phase(UP, ProbeConfig(-40.0, 16.0, 45.0), ATOM)
-        right = per_state_phase(UP, ProbeConfig(40.0, 16.0, 45.0), ATOM)
+        left = per_state_phase(UP, ProbeConfig(-40.0, 16.0, 45.0))
+        right = per_state_phase(UP, ProbeConfig(40.0, 16.0, 45.0))
         assert left * right < 0
 
     def test_raises_on_resonance(self):
         with pytest.raises(ResonanceProximityError):
-            per_state_phase(UP, ProbeConfig(0.1, 16.0, 45.0), ATOM)
+            per_state_phase(UP, ProbeConfig(0.1, 16.0, 45.0))
 
     def test_table_matches_individual_states(self):
         probe = ProbeConfig(-500.0, 16.0, 45.0)
-        table = state_phase_table(probe, ATOM, od=2.0)
+        table = state_phase_table(probe, od=2.0)
         assert len(table) == 16
         assert table[state_index(4, 0)] == pytest.approx(
-            per_state_phase(UP, probe, ATOM, od=2.0))
+            per_state_phase(UP, probe, od=2.0))
 
     def test_table_matches_amplitude_sum(self):
         # oracle: sum over all 16 x 16 ground/excited pairs of the x- minus
@@ -79,25 +84,24 @@ class TestPerStatePhase:
         a = amplitude_tensor()
         exc_x = a @ spherical_polarization(90.0)
         exc_z = a @ spherical_polarization(0.0)
-        res = resonance_positions_MHz(ATOM)
         reg = state_registry()
         for det in (-1100.0, -584.0, -335.0, -60.0, 40.0, 8300.0, 9500.0):
             probe = ProbeConfig(det, 16.0, 45.0)
             oracle = np.array([sum(
                 (abs(exc_x[g, e]) ** 2 - abs(exc_z[g, e]) ** 2)
-                / (det - res[f"F={gs.F} -> F'={es.F}"])
+                / (det - RESONANCES_MHZ[f"F={gs.F} -> F'={es.F}"])
                 for e, es in enumerate(reg)) for g, gs in enumerate(reg)])
-            oracle *= 2.5 / 2.0 * ATOM.gamma_MHz / 2.0
+            oracle *= 2.5 / 2.0 * GAMMA_MHZ / 2.0
             # states whose x and z shifts cancel are zero up to round-off
-            np.testing.assert_allclose(state_phase_table(probe, ATOM, od=2.5),
+            np.testing.assert_allclose(state_phase_table(probe, od=2.5),
                                        oracle, rtol=1e-12,
                                        atol=1e-15 * np.abs(oracle).max())
 
     def test_faraday_benchmark_ratio(self):
         # birefringent signal is ~30% of the matched Faraday benchmark
         probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        biref = abs(per_state_phase(UP, probe, ATOM, od=1.0))
-        faraday = faraday_benchmark_phase(od=1.0, atom=ATOM)
+        biref = abs(per_state_phase(UP, probe, od=1.0))
+        faraday = faraday_benchmark_phase(od=1.0)
         assert biref / faraday == pytest.approx(0.30, abs=0.05)
 
 
@@ -159,9 +163,9 @@ class TestSnr:
 
     def test_flux_linear_in_irradiance_and_efficiency(self):
         cloud = CloudConfig()
-        f1 = photon_flux_per_s(ProbeConfig(-400.0, 10.0, 45.0), ATOM, cloud)
-        f2 = photon_flux_per_s(ProbeConfig(-400.0, 20.0, 45.0), ATOM, cloud)
-        f3 = photon_flux_per_s(ProbeConfig(-400.0, 10.0, 45.0), ATOM, cloud,
+        f1 = photon_flux_per_s(ProbeConfig(-400.0, 10.0, 45.0), cloud)
+        f2 = photon_flux_per_s(ProbeConfig(-400.0, 20.0, 45.0), cloud)
+        f3 = photon_flux_per_s(ProbeConfig(-400.0, 10.0, 45.0), cloud,
                                detection_efficiency=0.5)
         assert f2 == pytest.approx(2 * f1, rel=1e-12)
         assert f3 == pytest.approx(0.5 * f1, rel=1e-12)
@@ -170,9 +174,9 @@ class TestSnr:
         probe = ProbeConfig(-400.0, 16.0, 45.0)
         cloud1 = CloudConfig(od_resonant=1.0)
         cloud2 = CloudConfig(od_resonant=2.0)
-        e1 = snr_eta(probe, ATOM, cloud1, 1e-3)
-        e2 = snr_eta(probe, ATOM, cloud1, 4e-3)
-        e3 = snr_eta(probe, ATOM, cloud2, 1e-3)
+        e1 = snr_eta(probe, cloud1, 1e-3)
+        e2 = snr_eta(probe, cloud1, 4e-3)
+        e3 = snr_eta(probe, cloud2, 1e-3)
         assert e2 == pytest.approx(2 * e1, rel=1e-12)
         assert e3 == pytest.approx(2 * e1, rel=1e-12)
 
@@ -182,10 +186,10 @@ class TestSnr:
         scale = 400.0
         big = CloudConfig(od_resonant=2.5 * scale,
                           atom_number=cloud.atom_number * scale)
-        pn_small = projection_noise_snr(cloud, probe, ATOM, 1e-3)
-        pn_big = projection_noise_snr(big, probe, ATOM, 1e-3)
+        pn_small = projection_noise_snr(cloud, probe, 1e-3)
+        pn_big = projection_noise_snr(big, probe, 1e-3)
         assert pn_big / pn_small == pytest.approx(math.sqrt(scale), rel=1e-12)
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
-            snr_eta(ProbeConfig(-400.0, 16.0, 45.0), ATOM, CloudConfig(), 0.0)
+            snr_eta(ProbeConfig(-400.0, 16.0, 45.0), CloudConfig(), 0.0)

@@ -99,12 +99,21 @@ class TestConfigLoading:
         setup = cli.build_setup(cfg)
         assert not setup.pumping_on
         assert setup.probe.irradiance_rel == calibrated_irradiance(
-            cfg.probe.detuning_MHz, 45.0, 1.25, cfg.atom)
+            cfg.probe.detuning_MHz, 45.0, 1.25)
 
     def test_unknown_block_rejected(self, tmp_path):
         p = write(tmp_path, "c.yaml", "laser:\n  power: 3\n")
         with pytest.raises(ConfigError, match="laser"):
             load_config(p)
+
+    def test_atom_block_rejected(self, tmp_path):
+        # the Cs D1 constants are fixed: an atom block is an unknown block
+        p = write(tmp_path, "c.yaml", FAST_RABI + "atom:\n  i_sat_W_m2: 30.0\n")
+        with pytest.raises(ConfigError, match="atom"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["rabi", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         # the removed knobs are unknown keys now, not silently ignored
@@ -188,11 +197,10 @@ class TestCliRuns:
                                              rows["differential_shift.csv"]):
             probe = ProbeConfig(float(d), c.probe.irradiance_rel,
                                 c.probe.polarization_angle_deg)
-            phases = state_phase_table(probe, c.atom, od=c.cloud.od_resonant)
+            phases = state_phase_table(probe, od=c.cloud.od_resonant)
             assert up == pytest.approx(phases[IDX_UP], rel=1e-12)
             assert down == pytest.approx(phases[IDX_DOWN], rel=1e-12)
-            assert du == pytest.approx(differential_clock_shift(probe, c.atom),
-                                       rel=1e-12)
+            assert du == pytest.approx(differential_clock_shift(probe), rel=1e-12)
 
     def test_plot_scripts_emitted_when_enabled(self, tmp_path):
         cfg = write(tmp_path, "c.yaml",
@@ -331,6 +339,17 @@ class TestExitCodes:
                                           f"{block}:\n  {key}: 1\n"))
             assert main(["rabi", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.yaml",
+                    FAST_RABI.replace("  n_samples: 1\n",
+                                      "  n_samples: 1\n  seed: -1\n"))
+        out = tmp_path / "o"
+        for argv in (["--preset", "rabi-dephased", "--seed", "-1"],
+                     ["--config", str(cfg)]):
+            assert main(["rabi", *argv, "--out", str(out)]) == 2
+            assert "inhomogeneity" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_workers_exits_2_before_sweep(self, tmp_path, capsys,

@@ -24,16 +24,6 @@ non_negative = reals(0.0, 1e6)
 
 
 @st.composite
-def atoms(draw):
-    gamma = draw(reals(0.1, 100.0))
-    return {"gamma_MHz": gamma, "excited_hf_splitting_MHz": 256.0 * gamma,
-            "ground_hf_splitting_MHz": draw(positive),
-            "i_sat_W_m2": draw(positive), "gF_upper": draw(reals(-1.0, 1.0)),
-            "gF_lower": draw(reals(-1.0, 1.0)),
-            "zeeman_MHz_per_G": draw(positive), "wavelength_nm": draw(positive)}
-
-
-@st.composite
 def clouds(draw):
     radius = draw(reals(0.01, 10.0))
     return {"atom_number": draw(positive), "cloud_radius_mm": radius,
@@ -65,7 +55,6 @@ def sweeps(draw):
 
 
 VALID_BLOCKS = {
-    "atom": atoms(),
     "cloud": clouds(),
     "probe": st.fixed_dictionaries({
         "detuning_MHz": reals(), "irradiance_rel": positive,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from clockprobe.atom import CsD1Constants, IDX_DOWN, IDX_UP, state_index
+from clockprobe.atom import IDX_DOWN, IDX_UP, state_index
 from clockprobe.dynamics import (
     DensityMatrix,
     MicrowaveConfig,
@@ -26,7 +26,6 @@ from clockprobe.dynamics import (
 from clockprobe.errors import InvariantViolationError
 from clockprobe.lightshift import ProbeConfig
 
-ATOM = CsD1Constants()
 
 
 class TestStates:
@@ -48,19 +47,19 @@ class TestStates:
 class TestHamiltonian:
     def test_clock_coupling_element(self):
         mw = MicrowaveConfig(rabi_kHz=2.0)
-        h = build_hamiltonian(None, mw, 0.0, ATOM)
+        h = build_hamiltonian(None, mw, 0.0)
         assert h[IDX_DOWN, IDX_UP] == pytest.approx(0.5 * 2.0e-3)
 
     def test_spectator_elements_scale(self):
         mw = MicrowaveConfig(rabi_kHz=4.0)
-        h = build_hamiltonian(None, mw, 0.0, ATOM)
+        h = build_hamiltonian(None, mw, 0.0)
         i3, i4 = state_index(3, 2), state_index(4, 2)
         # sqrt(16 - m^2)/4 relative element for m = 2
         assert h[i3, i4] == pytest.approx(0.5 * 4.0e-3 * math.sqrt(12) / 4.0)
 
     def test_drive_detuning_shifts_f4_block(self):
         mw = MicrowaveConfig(rabi_kHz=2.0, detuning_kHz=1.5)
-        h = build_hamiltonian(None, mw, 0.0, ATOM)
+        h = build_hamiltonian(None, mw, 0.0)
         assert h[IDX_UP, IDX_UP] == pytest.approx(-1.5e-3)
         assert h[IDX_DOWN, IDX_DOWN] == 0.0
 
@@ -68,7 +67,7 @@ class TestHamiltonian:
 class TestTwoLevelOracle:
     def test_resonant_rabi_flopping(self):
         # probe off, resonant drive: s3(t) = -cos(chi t), undamped
-        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 5.0, ATOM)
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 5.0)
         rec = evolve(pure_state(3, 0), h, [], 0.0, 2.0, 0.002)
         expected = -np.cos(2 * np.pi * 2.0 * rec.times_ms)
         assert np.abs(rec.s3 - expected).max() < 1e-6
@@ -77,7 +76,7 @@ class TestTwoLevelOracle:
         chi, delta = 2.0, 1.5
         omega = math.hypot(chi, delta)
         mw = MicrowaveConfig(rabi_kHz=chi, detuning_kHz=delta)
-        h = build_hamiltonian(None, mw, 5.0, ATOM)
+        h = build_hamiltonian(None, mw, 5.0)
         rec = evolve(pure_state(3, 0), h, [], 0.0, 2.0, 0.002)
         expected = (chi / omega) ** 2 * np.sin(np.pi * omega * rec.times_ms) ** 2
         assert np.abs(rec.populations[:, IDX_UP] - expected).max() < 1e-6
@@ -85,7 +84,7 @@ class TestTwoLevelOracle:
     def test_fitted_frequency_matches_generalized_rabi(self):
         chi, delta = 2.0, 1.0
         mw = MicrowaveConfig(rabi_kHz=chi, detuning_kHz=delta)
-        h = build_hamiltonian(None, mw, 5.0, ATOM)
+        h = build_hamiltonian(None, mw, 5.0)
         rec = evolve(pure_state(3, 0), h, [], 0.0, 3.0, 0.005)
         omega = rabi_frequency(rec)
         assert omega == pytest.approx(math.hypot(chi, delta), rel=1e-3)
@@ -95,20 +94,20 @@ class TestPumping:
     def test_rate_calibration_exact_at_reference(self):
         probe = ProbeConfig(-335.0, 16.0, 45.0)
         target = 1.25
-        jumps = pumping_jump_operators(probe, ATOM, total_rate_per_ms=target)
+        jumps = pumping_jump_operators(probe, total_rate_per_ms=target)
         assert scattering_rate_per_ms(jumps, clock_mixture(0.5).rho) == \
             pytest.approx(target, rel=1e-12)
 
     def test_rate_linear_in_irradiance(self):
-        j1 = pumping_jump_operators(ProbeConfig(-335.0, 8.0, 45.0), ATOM)
-        j2 = pumping_jump_operators(ProbeConfig(-335.0, 16.0, 45.0), ATOM)
+        j1 = pumping_jump_operators(ProbeConfig(-335.0, 8.0, 45.0))
+        j2 = pumping_jump_operators(ProbeConfig(-335.0, 16.0, 45.0))
         rho = clock_mixture(0.5).rho
         assert scattering_rate_per_ms(j2, rho) == pytest.approx(
             2 * scattering_rate_per_ms(j1, rho), rel=1e-12)
 
     def test_spin_down_scatters_far_less_at_lower_window(self):
         # probe between the F=4 resonances barely touches F=3 states
-        jumps = pumping_jump_operators(ProbeConfig(-335.0, 16.0, 45.0), ATOM)
+        jumps = pumping_jump_operators(ProbeConfig(-335.0, 16.0, 45.0))
         r_up = scattering_rate_per_ms(jumps, clock_mixture(1.0).rho)
         r_down = scattering_rate_per_ms(jumps, clock_mixture(0.0).rho)
         assert r_down < 0.01 * r_up
@@ -208,8 +207,8 @@ def plain_step_loop(rho0, h, jumps, loss, t_span_ms, dt_ms):
 class TestStackedTrajectory:
     def test_bitwise_equal_to_plain_step_loop(self):
         probe = ProbeConfig(-335.0, 16.0, 45.0)
-        h = build_hamiltonian(probe, MicrowaveConfig(rabi_kHz=2.0), 0.0, ATOM)
-        jumps = pumping_jump_operators(probe, ATOM, total_rate_per_ms=1.25)
+        h = build_hamiltonian(probe, MicrowaveConfig(rabi_kHz=2.0), 0.0)
+        jumps = pumping_jump_operators(probe, total_rate_per_ms=1.25)
         phases = np.linspace(-1.0, 1.0, 16)
         rho0 = clock_mixture(0.3)
         rec = evolve(rho0, h, jumps, 0.4, 1.0, 0.005, state_phases=phases)
@@ -234,8 +233,8 @@ class TestStackedTrajectory:
         rho0 = DensityMatrix(rho / np.trace(rho).real)
         probe = ProbeConfig(probe_det_MHz, irradiance, 45.0)
         mw = MicrowaveConfig(rabi_kHz=rabi_kHz, detuning_kHz=drive_det_kHz)
-        h = build_hamiltonian(probe, mw, 0.5, ATOM)
-        jumps = pumping_jump_operators(probe, ATOM)
+        h = build_hamiltonian(probe, mw, 0.5)
+        jumps = pumping_jump_operators(probe)
         rec = evolve(rho0, h, jumps, loss, 0.5, 0.01)
         total = rec.populations.sum(axis=1) + rec.lost
         assert np.abs(total - 1.0).max() < 1e-9
@@ -247,7 +246,7 @@ class TestInvariantChecks:
     def test_non_hermitian_initial_state_fails_at_t0(self):
         rho = pure_state(3, 0).rho.copy()
         rho[IDX_DOWN, IDX_UP] = 1e-3  # no matching conjugate element
-        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0, ATOM)
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(InvariantViolationError,
                            match=re.escape("hermiticity violated at t = 0 ms")):
             evolve(DensityMatrix(rho), h, [], 0.0, 0.1, 0.01)
@@ -257,12 +256,12 @@ class TestInvariantChecks:
         # population below zero from the first step on
         op = np.zeros((16, 16))
         op[IDX_UP, IDX_DOWN] = 1.0
-        h = build_hamiltonian(None, None, 0.0, ATOM)
+        h = build_hamiltonian(None, None, 0.0)
         with pytest.raises(InvariantViolationError,
                            match=re.escape("positivity violated at t = 0.01 ms")):
             evolve(pure_state(3, 0), h, [(op, -1.0)], 0.0, 0.1, 0.01)
 
     def test_span_not_a_multiple_of_step_rejected(self):
-        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0, ATOM)
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(ValueError, match="not a multiple"):
             evolve(pure_state(3, 0), h, [], 0.0, 1.0, 0.7)

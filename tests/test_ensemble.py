@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clockprobe.atom import CsD1Constants
 from clockprobe.dynamics import MicrowaveConfig, RunSetup, run_simulation
 from clockprobe.ensemble import (
     InhomogeneityConfig,
@@ -22,16 +21,14 @@ from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scatterin
 from clockprobe.errors import InvariantViolationError
 from clockprobe.lightshift import ProbeConfig, find_magic_detunings
 
-ATOM = CsD1Constants()
-MAGIC = find_magic_detunings(45.0, (-1100.0, -50.0), ATOM)[0].detuning_MHz
+MAGIC = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz
 
 
 def make_setup(detuning=MAGIC, rate=1.25, mw_kHz=2.0, loss=0.0, t_span=3.0):
-    s_cal = calibrated_irradiance(detuning, 45.0, rate, ATOM)
+    s_cal = calibrated_irradiance(detuning, 45.0, rate)
     return RunSetup(
         probe=ProbeConfig(detuning, s_cal, 45.0),
         microwave=MicrowaveConfig(rabi_kHz=mw_kHz),
-        atom=ATOM,
         extra_loss_per_ms=loss,
         scattering_rate_per_ms=rate,
         pumping_on=True,
@@ -106,15 +103,15 @@ class TestEnsembleAverage:
 
 class TestCalibration:
     def test_calibrated_rate_is_exact(self):
-        s = calibrated_irradiance(MAGIC, 45.0, 2.0, ATOM)
-        jumps = pumping_jump_operators(ProbeConfig(MAGIC, s, 45.0), ATOM)
+        s = calibrated_irradiance(MAGIC, 45.0, 2.0)
+        jumps = pumping_jump_operators(ProbeConfig(MAGIC, s, 45.0))
         assert scattering_rate_per_ms(jumps, clock_mixture(0.5).rho) == \
             pytest.approx(2.0, rel=1e-12)
 
     def test_rate_scale_is_physical(self):
         # (0.8 ms)^-1 at the magic detuning needs tens of saturation
         # intensities, matching the strong-probe operating point
-        s = calibrated_irradiance(MAGIC, 45.0, 1.25, ATOM)
+        s = calibrated_irradiance(MAGIC, 45.0, 1.25)
         assert 10 < s < 60
 
 
@@ -124,7 +121,7 @@ class TestOperatingPoint:
         point = operating_point(make_setup(rate=1.25), det)
         assert point.probe.detuning_MHz == det
         assert point.probe.irradiance_rel == calibrated_irradiance(
-            det, 45.0, 1.25, ATOM)
+            det, 45.0, 1.25)
         assert point.scattering_rate_per_ms == 1.25
 
     def test_keeps_the_irradiance_without_a_rate(self):
@@ -147,13 +144,9 @@ class TestDecayPhysics:
 
 
 class TestMeasurementFigure:
-    def test_eta_sq_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MeasurementFigure(-335.0, 0.8, 2.0, 10.0, 99.0, 0.1)
-
     def test_masked_point_skips_validation(self):
         f = MeasurementFigure(-10.0, math.nan, math.nan, math.nan, math.nan,
-                              math.nan, masked=True)
+                              masked=True)
         assert f.masked
 
 

@@ -204,21 +204,51 @@ def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
     return h
 
 
+def _kron_sum(ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(np.kron(a, 1), np.kron(1, b))`` bit for bit, as ``out[i, k, j, l]``.
+
+    The identity puts a on the k == l slots and b on the i == j slots.  Off
+    them np.kron holds the signed zeros a * 0 and 0 * b, which are formed
+    the same way here, so every entry matches the kron formula bit for bit.
+    """
+    d = np.arange(N_GROUND)
+    a0, a1, b0, b1 = a * 0.0, a * 1.0, 0.0 * b, 1.0 * b
+    ufunc(a0[:, None, :, None], b0[None, :, None, :], out=out)
+    out[:, d, :, d] = ufunc(a1, b0[d, d, None, None])  # k == l, as [k, i, j]
+    out[d, :, d, :] = ufunc(a0[d, d, None, None], b1)  # i == j, as [i, k, l]
+    out[d[:, None], d, d[:, None], d] = ufunc(a1[d, d, None], b1[d, d])  # both
+    return out
+
+
 def _liouvillian(h: np.ndarray, jumps, extra_loss_per_ms: float) -> np.ndarray:
-    eye = np.eye(N_GROUND)
+    """Lindblad generator acting on row-stacked rho, built in place.
+
+    lv[i, k, j, l] is L[16 i + k, 16 j + l].  The terms are added in the
+    order of the kron formula: -1j (omega x 1 - 1 x omega^T), then
+    r (A x conj(A) - (A^dag A x 1 + 1 x (A^dag A)^T) / 2) per jump, then
+    the loss, so L equals that formula bit for bit.
+    """
+    shape = (N_GROUND,) * 4
     omega = 2.0 * math.pi * 1e3 * h  # MHz -> rad/ms
-    lv = -1j * (np.kron(omega, eye) - np.kron(eye, omega.T))
+    lv = _kron_sum(np.subtract, omega, omega.T, np.empty(shape, dtype=complex))
+    lv *= -1j
+    anti, buf = np.empty_like(lv), np.empty_like(lv)
     for op, rate in jumps:
         opd = op.conj().T @ op
-        lv += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(opd, eye) + np.kron(eye, opd.T))
-        )
+        _kron_sum(np.add, opd, opd.T, anti)
+        anti *= 0.5
+        # np.kron(op, op.conj()), with the same broadcast product
+        np.multiply(op[:, None, :, None], op.conj()[None, :, None, :], out=buf)
+        buf -= anti
+        buf *= rate
+        lv += buf
     if extra_loss_per_ms:
         p = np.zeros((N_GROUND, N_GROUND))
         p[IDX_UP, IDX_UP] = p[IDX_DOWN, IDX_DOWN] = 1.0
-        lv += -0.5 * extra_loss_per_ms * (np.kron(p, eye) + np.kron(eye, p.T))
-    return lv
+        loss = _kron_sum(np.add, p, p.T, np.empty(shape))
+        loss *= -0.5 * extra_loss_per_ms
+        lv += loss
+    return lv.reshape(N_GROUND * N_GROUND, N_GROUND * N_GROUND)
 
 
 def step_count(t_span_ms: float, dt_ms: float) -> int:
@@ -234,6 +264,11 @@ def step_count(t_span_ms: float, dt_ms: float) -> int:
     return n_steps
 
 
+# States per block of the invariant checks: the checks' temporaries stay
+# this size whatever the record length.
+_CHECK_BLOCK = 64
+
+
 def _check_invariants(states: np.ndarray, times: np.ndarray) -> None:
     """Raise at the earliest non-Hermitian or non-positive state.
 
@@ -242,30 +277,35 @@ def _check_invariants(states: np.ndarray, times: np.ndarray) -> None:
     Hermitian part shifted by 1e-9 exists, that is when its smallest
     eigenvalue is above -1e-9; only on failure is ``eigvalsh`` run to
     locate and report the violation.  At equal times Hermiticity is
-    reported first.
+    reported first.  The states are checked in time order, ``_CHECK_BLOCK``
+    at a time, so no temporary spans the whole trajectory.
     """
-    adjoint = states.conj().transpose(0, 2, 1)
-    herm = np.abs(states - adjoint).max(axis=(1, 2))
-    bad = np.nonzero(~(herm <= 1e-10))[0]
-    first_herm = int(bad[0]) if len(bad) else len(states)
-    hermitian = adjoint[:first_herm]  # reused in place for 0.5 (rho + rho^dagger)
-    hermitian += states[:first_herm]
-    hermitian *= 0.5
-    try:
-        np.linalg.cholesky(hermitian + 1e-9 * np.eye(N_GROUND))
-    except np.linalg.LinAlgError:
-        w_min = np.linalg.eigvalsh(hermitian).min(axis=1)
-        neg = np.nonzero(w_min < -1e-9)[0]
-        if len(neg):
-            i = int(neg[0])
+    shift = 1e-9 * np.eye(N_GROUND)
+    for start in range(0, len(states), _CHECK_BLOCK):
+        block = states[start:start + _CHECK_BLOCK]
+        adjoint = block.conj().transpose(0, 2, 1)
+        herm = np.abs(block - adjoint).max(axis=(1, 2))
+        bad = np.nonzero(~(herm <= 1e-10))[0]
+        first_herm = int(bad[0]) if len(bad) else len(block)
+        hermitian = adjoint[:first_herm]  # reused in place for 0.5 (rho + rho^dagger)
+        hermitian += block[:first_herm]
+        hermitian *= 0.5
+        try:
+            np.linalg.cholesky(hermitian + shift)
+        except np.linalg.LinAlgError:
+            w_min = np.linalg.eigvalsh(hermitian).min(axis=1)
+            neg = np.nonzero(w_min < -1e-9)[0]
+            if len(neg):
+                i = int(neg[0])
+                raise InvariantViolationError(
+                    f"positivity violated at t = {times[start + i]:g} ms: "
+                    f"min eig {w_min[i]:g}"
+                ) from None
+        if first_herm < len(block):
             raise InvariantViolationError(
-                f"positivity violated at t = {times[i]:g} ms: min eig {w_min[i]:g}"
-            ) from None
-    if first_herm < len(states):
-        raise InvariantViolationError(
-            f"hermiticity violated at t = {times[first_herm]:g} ms: "
-            f"{herm[first_herm]:g}"
-        )
+                f"hermiticity violated at t = {times[start + first_herm]:g} ms: "
+                f"{herm[first_herm]:g}"
+            )
 
 
 def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
@@ -277,12 +317,13 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
     matrix exponential exp(L dt) once computed.  ``state_phases`` gives
     the per-state birefringent phase used for the signal; extrinsic loss
     drains the clock states uniformly into the lost-population reservoir.
-    Hermiticity and positivity are checked once on the whole trajectory;
-    a violation raises :class:`InvariantViolationError`.
+    Hermiticity and positivity are checked on every state, block by block;
+    the earliest violation raises :class:`InvariantViolationError`.
     """
     n_steps = step_count(t_span_ms, dt_ms)
     lv = _liouvillian(hamiltonian, jumps, extra_loss_per_ms)
-    prop = expm(lv * dt_ms)
+    lv *= dt_ms
+    prop = expm(lv)
     times = np.arange(n_steps + 1) * dt_ms
     if state_phases is None:
         state_phases = np.zeros(N_GROUND)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.ndimage import uniform_filter1d
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import FitFailureError
@@ -58,6 +57,19 @@ def _fit_background(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.asarray(popt, dtype=float)
     except RuntimeError:
         return np.array(p0)
+
+
+def _moving_average(y: np.ndarray, size: int) -> np.ndarray:
+    """Centred running mean, edges padded with the end values.
+
+    Bit for bit ``scipy.ndimage.uniform_filter1d(y, size, mode="nearest")``:
+    a running sum updated by (entering - leaving) and divided by ``size``.
+    """
+    half = size // 2
+    ext = np.pad(y, (half, size - half - 1), mode="edge")
+    # cumsum adds in sequence: 0.0, the first window, then each update
+    terms = np.concatenate(([0.0], ext[:size], ext[size:] - ext[:-size]))
+    return np.cumsum(terms)[size:] / size
 
 
 def _analytic_signal(y: np.ndarray) -> np.ndarray:
@@ -104,7 +116,7 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
     # background from a one-period moving average so the oscillation
     # itself cannot contaminate the drift estimate
     window = int(np.clip(round(1.0 / (f0 * dt)), 1, len(t) // 4))
-    bg = _fit_background(t, uniform_filter1d(y, window, mode="nearest"))
+    bg = _fit_background(t, _moving_average(y, window))
     yd = y - _background(t, *bg)
 
     env = np.abs(_analytic_signal(yd))

@@ -452,7 +452,8 @@ class TestAtomicWrite:
 
 def test_cli_import_skips_scipy_stats_and_signal():
     code = ("import sys, clockprobe.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', "
+            "'scipy.ndimage') "
             "if m in sys.modules))")
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

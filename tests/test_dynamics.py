@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from clockprobe.atom import IDX_DOWN, IDX_UP, state_index
+from clockprobe.cli import build_setup
+from clockprobe.config import load_config
 from clockprobe.dynamics import (
     DensityMatrix,
     MicrowaveConfig,
     RunSetup,
+    _check_invariants,
     _liouvillian,
     build_hamiltonian,
     clock_mixture,
@@ -25,7 +30,6 @@ from clockprobe.dynamics import (
 )
 from clockprobe.errors import InvariantViolationError
 from clockprobe.lightshift import ProbeConfig
-
 
 
 class TestStates:
@@ -151,8 +155,6 @@ class TestConservation:
                          extra_loss_per_ms=0.4, pumping_on=True,
                          t_span_ms=1.0, dt_ms=0.01)
         coarse = run_simulation(setup)
-        from dataclasses import replace
-
         fine = run_simulation(replace(setup, dt_ms=0.005))
         assert np.abs(coarse.s3 - fine.s3[::2]).max() < 1e-6
         assert np.abs(coarse.signal_rad - fine.signal_rad[::2]).max() < 1e-6
@@ -166,8 +168,6 @@ class TestBiasFieldDecoupling:
                          microwave=MicrowaveConfig(rabi_kHz=0.0),
                          pumping_on=False, initial=clock_mixture(0.5),
                          t_span_ms=t_span, dt_ms=0.01)
-        from dataclasses import replace
-
         setup = replace(setup, cloud=replace(setup.cloud, bias_field_G=bias_G))
         rec = run_simulation(setup)
         clock = rec.populations[:, IDX_UP] + rec.populations[:, IDX_DOWN]
@@ -265,3 +265,127 @@ class TestInvariantChecks:
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(ValueError, match="not a multiple"):
             evolve(pure_state(3, 0), h, [], 0.0, 1.0, 0.7)
+
+
+def kron_liouvillian(h, jumps, extra_loss_per_ms):
+    """Reference generator: the np.kron formula, term by term."""
+    eye = np.eye(16)
+    omega = 2.0 * math.pi * 1e3 * h
+    lv = -1j * (np.kron(omega, eye) - np.kron(eye, omega.T))
+    for op, rate in jumps:
+        opd = op.conj().T @ op
+        lv += rate * (
+            np.kron(op, op.conj())
+            - 0.5 * (np.kron(opd, eye) + np.kron(eye, opd.T))
+        )
+    if extra_loss_per_ms:
+        p = np.zeros((16, 16))
+        p[IDX_UP, IDX_UP] = p[IDX_DOWN, IDX_DOWN] = 1.0
+        lv += -0.5 * extra_loss_per_ms * (np.kron(p, eye) + np.kron(eye, p.T))
+    return lv
+
+
+def measurement_setup():
+    return build_setup(load_config(preset="measurement"))
+
+
+def operator_terms(setup):
+    h = build_hamiltonian(setup.probe, setup.microwave, setup.cloud.bias_field_G)
+    jumps = pumping_jump_operators(
+        setup.probe, total_rate_per_ms=setup.scattering_rate_per_ms)
+    return h, jumps
+
+
+def magic_terms(loss, pumping=True):
+    h, jumps = operator_terms(measurement_setup())
+    return h, jumps if pumping else [], loss
+
+
+def chevron_terms(detuning_MHz):
+    setup = build_setup(load_config(preset="chevron"))
+    probe = replace(setup.probe, detuning_MHz=detuning_MHz, irradiance_rel=16.0)
+    return (*operator_terms(replace(setup, probe=probe)), 0.0)
+
+
+def signed_zero_terms():
+    """Random operators whose zero entries carry both signs."""
+    rng = np.random.default_rng(7)
+
+    def matrix(zero_frac):
+        re, im = rng.normal(size=(2, 16, 16))
+        re[rng.random((16, 16)) < zero_frac] = 0.0
+        im[rng.random((16, 16)) < zero_frac] = 0.0
+        z = np.empty((16, 16), dtype=complex)
+        z.real = re * rng.choice([-1.0, 1.0], size=(16, 16))
+        z.imag = im * rng.choice([-1.0, 1.0], size=(16, 16))
+        return z
+
+    return matrix(0.5), [(matrix(0.8), 1.3), (matrix(0.8), -0.7)], 0.4
+
+
+class TestLiouvillianBuild:
+    @pytest.mark.parametrize("terms", [
+        pytest.param(lambda: magic_terms(0.4), id="magic-loss"),
+        pytest.param(lambda: magic_terms(0.0), id="magic-no-loss"),
+        pytest.param(lambda: chevron_terms(-996.0), id="chevron-996"),
+        pytest.param(lambda: chevron_terms(-116.5), id="chevron-116.5"),
+        pytest.param(lambda: magic_terms(0.0, pumping=False), id="no-jumps"),
+        pytest.param(signed_zero_terms, id="signed-zeros"),
+    ])
+    def test_bitwise_equal_to_kron_formula(self, terms):
+        h, jumps, loss = terms()
+        lv = _liouvillian(h, jumps, loss)
+        ref = kron_liouvillian(h, jumps, loss)
+        assert lv.shape == ref.shape == (256, 256)
+        assert np.array_equal(lv.view(np.uint64), ref.view(np.uint64))
+
+    def test_run_simulation_peak_allocation(self):
+        setup = measurement_setup()
+        run_simulation(setup)  # first call pays one-off set-up
+        tracemalloc.start()
+        try:
+            run_simulation(setup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2**20
+
+
+def mixture_stack(n=601):
+    """n copies of the equal clock mixture and their sample times."""
+    return (np.repeat(clock_mixture(0.5).rho[None], n, axis=0),
+            np.arange(n) * 0.005)
+
+
+def break_positivity(states, i):
+    states[i, IDX_UP, IDX_UP] = 1.5
+    states[i, IDX_DOWN, IDX_DOWN] = -0.5
+
+
+def break_hermiticity(states, i):
+    states[i, IDX_DOWN, IDX_UP] = 1e-3
+
+
+class TestInvariantBlocks:
+    def test_positivity_violation_names_its_time(self):
+        states, times = mixture_stack()
+        break_positivity(states, 100)
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"positivity violated at t = {times[100]:g} ms")):
+            _check_invariants(states, times)
+
+    def test_hermiticity_reported_first_at_equal_times(self):
+        states, times = mixture_stack()
+        break_positivity(states, 130)
+        break_hermiticity(states, 130)
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"hermiticity violated at t = {times[130]:g} ms")):
+            _check_invariants(states, times)
+
+    def test_earlier_positivity_beats_later_hermiticity(self):
+        states, times = mixture_stack()
+        break_positivity(states, 70)
+        break_hermiticity(states, 130)
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"positivity violated at t = {times[70]:g} ms")):
+            _check_invariants(states, times)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from clockprobe.errors import FitFailureError
-from clockprobe.fitting import _analytic_signal, fit_decaying_sinusoid
+from clockprobe.fitting import (
+    _analytic_signal,
+    _moving_average,
+    fit_decaying_sinusoid,
+)
 
 T = np.arange(0, 3.0, 0.005)
 RNG = np.random.default_rng(42)
@@ -78,3 +82,17 @@ class TestAnalyticSignal:
 
         y = np.random.default_rng(n).normal(size=n)
         assert np.array_equal(_analytic_signal(y), hilbert(y))
+
+
+class TestMovingAverage:
+    @pytest.mark.parametrize("n", [16, 17, 600, 601])
+    def test_bitwise_equal_to_scipy_uniform_filter(self, n):
+        from scipy.ndimage import uniform_filter1d
+
+        rng = np.random.default_rng(n)
+        for size in (1, 2, 3, 7, n // 4):
+            # entries spanning six decades make rounding order visible
+            y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
+            ref = uniform_filter1d(y, size, mode="nearest")
+            assert np.array_equal(_moving_average(y, size).view(np.uint64),
+                                  ref.view(np.uint64))

@@ -5,8 +5,7 @@ Library layout:
 - :mod:`clockprobe.angular` — exact Wigner 3j/6j algebra and dipole amplitudes
 - :mod:`clockprobe.atom` — Cs D1 constants, ground-manifold registry, cloud
 - :mod:`clockprobe.lightshift` — light-shift operator, decomposition, magic points
-- :mod:`clockprobe.birefringence` — phase spectra, polarimetry, shot noise, SNR,
-  two-color balance
+- :mod:`clockprobe.birefringence` — phase spectra, SNR figures, two-color balance
 - :mod:`clockprobe.dynamics` — 16-level Lindblad evolution with microwave drive
 - :mod:`clockprobe.fitting` — decaying-sinusoid extraction of frequency and decay
 - :mod:`clockprobe.ensemble` — inhomogeneity averaging and the detuning sweep driver
@@ -26,16 +25,10 @@ from .atom import (
 )
 from .birefringence import (
     PseudoSpin,
-    StokesVector,
     TwoColorSolution,
-    apply_birefringence,
     collective_phase_eq1,
-    faraday_benchmark_phase,
-    per_state_phase,
     photon_flux_per_s,
-    polarimeter_signal,
     projection_noise_snr,
-    shot_noise_trace,
     snr_eta,
     state_phase_table,
     two_color_balance,
@@ -80,7 +73,6 @@ from .lightshift import (
     dressed_clock_shift,
     find_magic_detunings,
     light_shift_matrix,
-    tensor_fz2_check,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Birefringent phase spectra, Stokes polarimetry, shot noise and SNR figures.
+"""Birefringent phase spectra, SNR figures and the two-color balance.
 
-Sign convention: positive phi rotates +j2 toward +j3 on the Poincare
-sphere, and the per-state phase is the x-component optical phase minus the
-z-component phase.  Absorption is neglected everywhere (the signal model
-is purely dispersive); near-resonance operating points raise instead.
+Sign convention: the per-state phase is the x-component optical phase
+minus the z-component phase.  Absorption is neglected everywhere (the
+signal model is purely dispersive); near-resonance operating points raise
+instead.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .atom import (
     IDX_UP,
     PHOTON_ENERGY_J,
     CloudConfig,
-    GroundState,
-    state_index,
 )
 from .errors import NoBalanceError
 from .lightshift import (
@@ -34,41 +32,15 @@ from .lightshift import (
 )
 
 __all__ = [
-    "StokesVector",
     "PseudoSpin",
-    "per_state_phase",
     "state_phase_table",
     "collective_phase_eq1",
-    "faraday_benchmark_phase",
-    "apply_birefringence",
-    "polarimeter_signal",
-    "shot_noise_trace",
     "photon_flux_per_s",
     "snr_eta",
     "projection_noise_snr",
     "TwoColorSolution",
     "two_color_balance",
-    "FARADAY_PHASE_PER_OD_PER_DETUNING",
 ]
-
-# Benchmark constant: Faraday phase per unit OD per unit (Delta/Gamma) for a
-# stretched-state angular-momentum measurement with Fz/F matched to S3/S.
-# External calibration point; the birefringent phase is ~30% of it.
-FARADAY_PHASE_PER_OD_PER_DETUNING = 7.0 / 20.0
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Classical Stokes vector; j0 is the magnitude in photon-flux units."""
-
-    j0: float
-    j1: float
-    j2: float
-    j3: float
-
-    @property
-    def degree_of_polarization(self) -> float:
-        return math.sqrt(self.j1**2 + self.j2**2 + self.j3**2) / self.j0
 
 
 @dataclass(frozen=True)
@@ -83,19 +55,13 @@ class PseudoSpin:
             raise ValueError("|S3| must not exceed S")
 
 
-def per_state_phase(state: GroundState, probe: ProbeConfig, od: float = 1.0) -> float:
-    """Birefringent phase (rad) if all atoms occupy ``state``.
-
-    Computed as the difference of the x- and z-polarization dispersive
-    phase shifts, summed over both excited hyperfine levels with their
-    oscillator strengths; works for any ground sublevel, not just the
-    clock states.
-    """
-    return float(state_phase_table(probe, od)[state_index(state.F, state.mF)])
-
-
 def state_phase_table(probe: ProbeConfig, od: float = 1.0) -> np.ndarray:
-    """per_state_phase for all 16 registry states, as one array."""
+    """Birefringent phase (rad) of each of the 16 registry states, as one array.
+
+    Entry g is the phase if all atoms occupy state g: the difference of the
+    x- and z-polarization dispersive phase shifts, summed over both excited
+    hyperfine levels with their oscillator strengths.
+    """
     check_off_resonance(probe.detuning_MHz)
     w, r = _phase_poles(od)
     return np.sum(w / (probe.detuning_MHz - r), axis=1)
@@ -118,38 +84,6 @@ def collective_phase_eq1(spin: PseudoSpin, od: float) -> float:
         raise ValueError("od must be > 0")
     det_over_gamma = -(EXCITED_HF_SPLITTING_MHZ / 2.0) / GAMMA_MHZ
     return (5.0 / 96.0) * (od / det_over_gamma) * (spin.s3 + spin.s_total) / spin.s_total
-
-
-def faraday_benchmark_phase(od: float) -> float:
-    """Benchmark Faraday phase magnitude at matched OD and Delta/Gamma = -128."""
-    det_over_gamma = (EXCITED_HF_SPLITTING_MHZ / 2.0) / GAMMA_MHZ
-    return FARADAY_PHASE_PER_OD_PER_DETUNING * od / det_over_gamma
-
-
-def apply_birefringence(stokes: StokesVector, phi: float) -> StokesVector:
-    """Rotate the Stokes vector by phi around the 1-axis of the Poincare sphere."""
-    c, s = math.cos(phi), math.sin(phi)
-    return StokesVector(
-        j0=stokes.j0,
-        j1=stokes.j1,
-        j2=c * stokes.j2 - s * stokes.j3,
-        j3=s * stokes.j2 + c * stokes.j3,
-    )
-
-
-def polarimeter_signal(stokes: StokesVector) -> float:
-    """Ellipticity component seen by the quarter-wave-plate polarimeter."""
-    return stokes.j3
-
-
-def shot_noise_trace(clean_signal: np.ndarray, photon_flux: float, dt: float,
-                     seed: int) -> np.ndarray:
-    """Add photon shot noise with phase-equivalent sigma 1/sqrt(2 flux dt)."""
-    if photon_flux <= 0 or dt <= 0:
-        raise ValueError("photon_flux and dt must be > 0")
-    rng = np.random.default_rng(seed)
-    sigma = 1.0 / math.sqrt(2.0 * photon_flux * dt)
-    return np.asarray(clean_signal, dtype=float) + rng.normal(0.0, sigma, len(clean_signal))
 
 
 def aperture_factors(cloud: CloudConfig) -> tuple[float, float]:

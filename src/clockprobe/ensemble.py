@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .atom import GAMMA_MHZ
-from .birefringence import projection_noise_snr, snr_eta
+from .birefringence import snr_eta
 from .dynamics import (
     RunSetup,
     SimRecord,
@@ -210,8 +210,8 @@ def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
     tau_ms = decay_time(rec, freq_hint_kHz=hint)
     omega = rabi_frequency(rec, freq_hint_kHz=hint)
     eta = snr_eta(point.probe, setup.cloud, tau_ms * 1e-3, detection_efficiency)
-    pn = projection_noise_snr(setup.cloud, point.probe, tau_ms * 1e-3,
-                              detection_efficiency=detection_efficiency)
+    # projection_noise_snr(...), without evaluating snr_eta a second time
+    pn = eta / (2.0 * math.sqrt(setup.cloud.atom_number))
     return MeasurementFigure(det, tau_ms, omega, eta, pn)
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "differential_clock_shift",
     "dressed_clock_shift",
     "find_magic_detunings",
-    "tensor_fz2_check",
 ]
 
 _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
@@ -320,25 +319,3 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
             for d in np.sort(roots[roots.imag == 0].real)
             if lo <= d <= hi and nearest_resonance(d)[0] > margin]
 
-
-def tensor_fz2_check(probe: ProbeConfig, bias_field_G: float = 0.0,
-                     averaging_time_ms: float = 1.0) -> float:
-    """Largest residual coupling out of either |F,0> clock state (MHz).
-
-    Off-diagonal light-shift elements connecting |F,0> to |F, m != 0> are
-    suppressed by time-averaging over the Zeeman precession during
-    ``averaging_time_ms`` (secular approximation); with no bias field the
-    raw elements are returned, so the check is able to fail.
-    """
-    v = light_shift_matrix(probe)
-    hz = np.diag(zeeman_hamiltonian(bias_field_G))
-    worst = 0.0
-    for f0, blk in zip((IDX_DOWN, IDX_UP), _BLOCKS):
-        for j in range(blk.start, blk.stop):
-            if j == f0:
-                continue
-            gap = hz[j] - hz[f0]
-            # |(1/T) int_0^T exp(i 2 pi gap t) dt|; gap in MHz, T in ms
-            factor = abs(np.sinc(gap * 1e3 * averaging_time_ms))
-            worst = max(worst, abs(v[f0, j]) * factor)
-    return worst

@@ -21,14 +21,13 @@ from clockprobe.atom import (
     CloudConfig,
     IDX_DOWN,
     IDX_UP,
-    state_index,
     state_registry,
 )
 from clockprobe.birefringence import (
     PseudoSpin,
     collective_phase_eq1,
-    per_state_phase,
     projection_noise_snr,
+    state_phase_table,
     two_color_balance,
 )
 from clockprobe.cli import main
@@ -89,9 +88,8 @@ def test_01_magic_detuning_location_and_count():
 
 def test_02_closed_form_phase_prefactor():
     t0 = time.perf_counter()
-    up = state_registry()[state_index(4, 0)]
     midpoint = -EXCITED_HF_SPLITTING_MHZ / 2.0
-    full = per_state_phase(up, ProbeConfig(midpoint, 16.0, 45.0), od=1.0)
+    full = state_phase_table(ProbeConfig(midpoint, 16.0, 45.0), od=1.0)[IDX_UP]
     closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0)
     rel = abs(full - closed) / abs(closed)
     dt = time.perf_counter() - t0

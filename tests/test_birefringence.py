@@ -1,4 +1,4 @@
-"""Phase spectra, closed-form collective phase, polarimetry and SNR figures."""
+"""Phase spectra, closed-form collective phase and SNR figures."""
 
 import math
 
@@ -8,22 +8,17 @@ import pytest
 from clockprobe.atom import (
     EXCITED_HF_SPLITTING_MHZ,
     GAMMA_MHZ,
+    IDX_DOWN,
+    IDX_UP,
     CloudConfig,
-    state_index,
     state_registry,
 )
 from clockprobe.birefringence import (
     PseudoSpin,
-    StokesVector,
     aperture_factors,
-    apply_birefringence,
     collective_phase_eq1,
-    faraday_benchmark_phase,
-    per_state_phase,
     photon_flux_per_s,
-    polarimeter_signal,
     projection_noise_snr,
-    shot_noise_trace,
     snr_eta,
     state_phase_table,
 )
@@ -35,8 +30,6 @@ from clockprobe.lightshift import (
     spherical_polarization,
 )
 
-UP = state_registry()[state_index(4, 0)]
-DOWN = state_registry()[state_index(3, 0)]
 MIDPOINT = -EXCITED_HF_SPLITTING_MHZ / 2.0  # -584 MHz
 
 
@@ -46,37 +39,30 @@ class TestPerStatePhase:
         # with the closed-form collective expression to within the 2%
         # contribution the closed form neglects
         probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        full = per_state_phase(UP, probe, od=1.0)
+        full = state_phase_table(probe, od=1.0)[IDX_UP]
         closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0)
         assert closed == pytest.approx(-(5.0 / 96.0) / 128.0 * 2.0, rel=1e-12)
         assert full == pytest.approx(closed, rel=0.02)
 
     def test_spin_down_small_at_midpoint(self):
         probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        assert abs(per_state_phase(DOWN, probe)) < 0.1 * abs(
-            per_state_phase(UP, probe))
+        phases = state_phase_table(probe)
+        assert abs(phases[IDX_DOWN]) < 0.1 * abs(phases[IDX_UP])
 
     def test_phase_linear_in_od(self):
         probe = ProbeConfig(-400.0, 16.0, 45.0)
-        p1 = per_state_phase(UP, probe, od=1.0)
-        p3 = per_state_phase(UP, probe, od=3.0)
+        p1 = state_phase_table(probe, od=1.0)[IDX_UP]
+        p3 = state_phase_table(probe, od=3.0)[IDX_UP]
         assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
 
     def test_sign_flip_across_resonance(self):
-        left = per_state_phase(UP, ProbeConfig(-40.0, 16.0, 45.0))
-        right = per_state_phase(UP, ProbeConfig(40.0, 16.0, 45.0))
+        left = state_phase_table(ProbeConfig(-40.0, 16.0, 45.0))[IDX_UP]
+        right = state_phase_table(ProbeConfig(40.0, 16.0, 45.0))[IDX_UP]
         assert left * right < 0
 
     def test_raises_on_resonance(self):
         with pytest.raises(ResonanceProximityError):
-            per_state_phase(UP, ProbeConfig(0.1, 16.0, 45.0))
-
-    def test_table_matches_individual_states(self):
-        probe = ProbeConfig(-500.0, 16.0, 45.0)
-        table = state_phase_table(probe, od=2.0)
-        assert len(table) == 16
-        assert table[state_index(4, 0)] == pytest.approx(
-            per_state_phase(UP, probe, od=2.0))
+            state_phase_table(ProbeConfig(0.1, 16.0, 45.0))
 
     def test_table_matches_amplitude_sum(self):
         # oracle: sum over all 16 x 16 ground/excited pairs of the x- minus
@@ -97,57 +83,10 @@ class TestPerStatePhase:
                                        oracle, rtol=1e-12,
                                        atol=1e-15 * np.abs(oracle).max())
 
-    def test_faraday_benchmark_ratio(self):
-        # birefringent signal is ~30% of the matched Faraday benchmark
-        probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        biref = abs(per_state_phase(UP, probe, od=1.0))
-        faraday = faraday_benchmark_phase(od=1.0)
-        assert biref / faraday == pytest.approx(0.30, abs=0.05)
 
-
-class TestStokes:
-    def test_rotation_preserves_magnitude(self):
-        s = StokesVector(1.0, 0.2, 0.9, 0.1)
-        r = apply_birefringence(s, 0.7)
-        assert r.degree_of_polarization == pytest.approx(s.degree_of_polarization)
-        assert r.j1 == s.j1
-
-    def test_small_angle_moves_j2_into_j3(self):
-        s = StokesVector(1.0, 0.0, 1.0, 0.0)
-        r = apply_birefringence(s, 1e-3)
-        assert polarimeter_signal(r) == pytest.approx(1e-3, rel=1e-5)
-
-    def test_signal_linear_in_phase(self):
-        s = StokesVector(1.0, 0.0, 1.0, 0.0)
-        j3 = [polarimeter_signal(apply_birefringence(s, phi))
-              for phi in (1e-4, 2e-4, 4e-4)]
-        assert j3[1] == pytest.approx(2 * j3[0], rel=1e-6)
-        assert j3[2] == pytest.approx(4 * j3[0], rel=1e-6)
-
-    def test_pseudospin_validation(self):
-        with pytest.raises(ValueError):
-            PseudoSpin(1.0, 1.5)
-
-
-class TestShotNoise:
-    def test_variance_matches_prediction(self):
-        flux, dt = 1e12, 1e-6
-        clean = np.zeros(200_000)
-        noisy = shot_noise_trace(clean, flux, dt, seed=5)
-        sigma = np.std(noisy)
-        assert sigma == pytest.approx(1.0 / math.sqrt(2 * flux * dt), rel=0.02)
-
-    def test_deterministic_per_seed(self):
-        clean = np.zeros(100)
-        a = shot_noise_trace(clean, 1e12, 1e-6, seed=9)
-        b = shot_noise_trace(clean, 1e12, 1e-6, seed=9)
-        c = shot_noise_trace(clean, 1e12, 1e-6, seed=10)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            shot_noise_trace(np.zeros(4), -1.0, 1e-6, 0)
+def test_pseudospin_validation():
+    with pytest.raises(ValueError):
+        PseudoSpin(1.0, 1.5)
 
 
 class TestSnr:

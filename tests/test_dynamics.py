@@ -160,6 +160,40 @@ class TestConservation:
         assert np.abs(coarse.signal_rad - fine.signal_rad[::2]).max() < 1e-6
 
 
+class TestLossBalance:
+    @pytest.mark.parametrize("dt_ms, bound", [(0.005, 2e-6), (0.0025, 5e-7)])
+    def test_lost_is_loss_rate_times_clock_population_integral(self, dt_ms, bound):
+        # lost(t) = gamma_loss * int_0^t (p_up + p_down) dt, integrated here
+        # by a cumulative trapezoid sum whose error scales as dt^2; unlike
+        # trace + lost = 1 this fails for a wrong loss term
+        setup = measurement_setup()
+        rec = run_simulation(replace(setup, dt_ms=dt_ms))
+        clock = rec.populations[:, IDX_UP] + rec.populations[:, IDX_DOWN]
+        steps = 0.5 * (clock[1:] + clock[:-1]) * np.diff(rec.times_ms)
+        balance = setup.extra_loss_per_ms * np.concatenate([[0.0], np.cumsum(steps)])
+        assert setup.extra_loss_per_ms == 0.4 and rec.lost[-1] > 0.3
+        assert np.abs(rec.lost - balance).max() <= bound
+
+
+class TestUnitaryOracle:
+    @pytest.mark.parametrize("detuning_MHz", [-335.0, -600.0, 7000.0])
+    def test_populations_match_hilbert_space_propagator(self, detuning_MHz):
+        # pumping and loss off: rho(t) = U rho0 U^dagger with
+        # U = exp(-2 pi i 1e3 H t) in the 16-dimensional space, from a
+        # random full rho0 with the probe's tensor light shift on
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho0 = z @ z.conj().T
+        rho0 /= np.trace(rho0).real
+        h = build_hamiltonian(ProbeConfig(detuning_MHz, 16.0, 45.0),
+                              MicrowaveConfig(rabi_kHz=2.0, detuning_kHz=0.3), 0.5)
+        rec = evolve(DensityMatrix(rho0), h, [], 0.0, 1.0, 0.01)
+        for t, pops in zip(rec.times_ms, rec.populations):
+            u = expm(-2j * np.pi * 1e3 * h * t)
+            exact = np.real(np.diag(u @ rho0 @ u.conj().T))
+            assert np.abs(pops - exact).max() <= 1e-11, t
+
+
 class TestBiasFieldDecoupling:
     def _leakage(self, bias_G, t_span=5.0):
         # time-averaged coherent admixture outside the clock pair for an

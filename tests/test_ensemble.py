@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clockprobe.birefringence import projection_noise_snr
 from clockprobe.dynamics import MicrowaveConfig, RunSetup, run_simulation
 from clockprobe.ensemble import (
     InhomogeneityConfig,
@@ -163,6 +164,14 @@ class TestSweep:
         assert good.pn_snr > 0
         # off the magic point the light shift detunes the drive strongly
         assert figures[2].omega_kHz > 5 * good.omega_kHz
+
+    def test_pn_snr_is_eta_over_twice_root_n(self):
+        setup = make_setup()
+        (fig,) = sweep_measurement_strength(
+            [MAGIC], setup, InhomogeneityConfig(0.0, 0.0, 1, 0))
+        pn = projection_noise_snr(setup.cloud, operating_point(setup, MAGIC).probe,
+                                  fig.tau_d_ms * 1e-3)
+        assert fig.pn_snr == fig.eta / (2.0 * math.sqrt(setup.cloud.atom_number)) == pn
 
     def test_invariant_violation_recorded_per_point(self, monkeypatch):
         from clockprobe import ensemble

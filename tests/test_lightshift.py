@@ -20,7 +20,6 @@ from clockprobe.lightshift import (
     light_shift_matrix,
     RESONANCES_MHZ,
     spherical_polarization,
-    tensor_fz2_check,
 )
 
 
@@ -62,6 +61,11 @@ class TestOperator:
         v = build_light_shift(ProbeConfig(-300.0, 10.0, 30.0)).total
         assert np.abs(v - v.conj().T).max() < 1e-15
         assert np.abs(v[:7, 7:]).max() == 0.0
+
+    def test_pure_pi_has_no_residual_coupling(self):
+        # theta = 0 drives only q = 0, which cannot connect m = 0 to m != 0
+        v = light_shift_matrix(ProbeConfig(-335.0, 16.0, 0.0))
+        assert np.abs(v - np.diag(np.diag(v))).max() < 1e-15
 
     def test_resonance_proximity_raises(self):
         with pytest.raises(ResonanceProximityError):
@@ -245,20 +249,6 @@ class TestDressedShift:
             return abs(dressed_clock_shift(probe, 0.5) - d) / abs(d)
 
         assert rel_gap(near) > rel_gap(far)
-
-
-class TestTensorDecoupling:
-    def test_bias_field_suppresses_clock_coupling(self):
-        probe = ProbeConfig(-335.0, 16.0, 45.0)
-        with_field = tensor_fz2_check(probe, bias_field_G=0.5)
-        without = tensor_fz2_check(probe, bias_field_G=0.0)
-        assert without > 0
-        assert with_field < without / 100
-
-    def test_pure_pi_has_no_residual_coupling(self):
-        # theta = 0 drives only q = 0, which cannot connect m = 0 to m != 0
-        probe = ProbeConfig(-335.0, 16.0, 0.0)
-        assert tensor_fz2_check(probe, bias_field_G=0.0) < 1e-15
 
 
 class TestTwoColor:

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`clockprobe.angular` — exact Wigner 3j/6j algebra and dipole amplitudes
+- :mod:`clockprobe.angular` — Wigner 3j/6j on doubled integers, Cs D1 dipole amplitudes
 - :mod:`clockprobe.atom` — Cs D1 constants, ground-manifold registry, cloud
 - :mod:`clockprobe.lightshift` — light-shift operator, decomposition, magic points
 - :mod:`clockprobe.birefringence` — phase spectra, SNR figures, two-color balance
@@ -12,7 +12,7 @@ Library layout:
 - :mod:`clockprobe.config` / :mod:`clockprobe.cli` — YAML configs and the CLI
 """
 
-from .angular import HalfInt, dipole_element, wigner3j, wigner6j
+from .angular import dipole_element, wigner3j, wigner6j
 from .atom import (
     CloudConfig,
     GroundState,

@@ -2,23 +2,21 @@
 
 Wigner 3j/6j symbols are evaluated from the Racah formulas with exact
 rational arithmetic (``fractions.Fraction``), converting to float only at
-the boundary.  Selection-rule zeros are therefore exact zeros, and sum
-rules hold to machine precision.  Hyperfine dipole matrix elements are
-reduced with the Wigner-Eckart theorem and normalized so that the
-line-strength sum rule over the full 6P1/2 manifold equals 1 for every
-ground sublevel.
+the boundary.  Every argument is twice its quantum number (an int), as in
+GSL's ``gsl_sf_coupling_3j(two_ja, ...)``, so half-integers are exact.
+Selection-rule zeros are therefore exact zeros, and sum rules hold to
+machine precision.  Hyperfine dipole matrix elements are reduced with the
+Wigner-Eckart theorem and normalized so that the line-strength sum rule
+over the full 6P1/2 manifold equals 1 for every ground sublevel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "HalfInt",
-    "DipoleElement",
     "wigner3j",
     "wigner6j",
     "dipole_element",
@@ -31,68 +29,6 @@ _J_TWICE = 1
 _JP_TWICE = 1
 
 
-@dataclass(frozen=True)
-class HalfInt:
-    """Half-integer quantum number, stored doubled so the value is exact."""
-
-    twice_value: int
-
-    @classmethod
-    def coerce(cls, x) -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, int):
-            return cls(2 * x)
-        if isinstance(x, Fraction):
-            twice = 2 * x
-            if twice.denominator != 1:
-                raise ValueError(f"{x} is not a half-integer")
-            return cls(int(twice))
-        if isinstance(x, float):
-            twice = 2.0 * x
-            if abs(twice - round(twice)) > 1e-9:
-                raise ValueError(f"{x} is not a half-integer")
-            return cls(int(round(twice)))
-        raise TypeError(f"cannot interpret {x!r} as a half-integer")
-
-    @property
-    def value(self) -> float:
-        return self.twice_value / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice_value)
-
-    def __repr__(self) -> str:
-        if self.twice_value % 2 == 0:
-            return f"HalfInt({self.twice_value // 2})"
-        return f"HalfInt({self.twice_value}/2)"
-
-
-@dataclass(frozen=True)
-class DipoleElement:
-    """One hyperfine dipole amplitude, in units of the reduced D1 element.
-
-    ``amplitude`` is exactly zero whenever a selection rule forbids the
-    transition (mE != mF + q, or the clock pi transition gF = eF, mF = 0,
-    q = 0).
-    """
-
-    gF: HalfInt
-    mF: HalfInt
-    eF: HalfInt
-    mE: HalfInt
-    q: int
-    amplitude: float
-
-
-def _twice(x) -> int:
-    return HalfInt.coerce(x).twice_value
-
-
 def _check_jm(tj: int, tm: int) -> None:
     if tj < 0:
         raise ValueError(f"negative magnitude quantum number: j = {tj / 2}")
@@ -103,10 +39,7 @@ def _check_jm(tj: int, tm: int) -> None:
 
 
 def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
-    return (
-        (ta + tb + tc) % 2 == 0
-        and abs(ta - tb) <= tc <= ta + tb
-    )
+    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
 def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
@@ -119,15 +52,19 @@ def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
 
 
 def _signed_sqrt(phase_odd: bool, ksum: Fraction, rad: Fraction) -> float:
-    if ksum == 0:
-        return 0.0
     mag = math.sqrt(float(ksum * ksum * rad))
     sign = -1.0 if (ksum < 0) != phase_odd else 1.0
     return sign * mag
 
 
 @lru_cache(maxsize=None)
-def _wigner3j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
+def wigner3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
+    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3), each argument doubled.
+
+    Returns 0.0 (an exact zero) when the triangle rule or m-sum rule is
+    violated; raises ``ValueError`` for a negative j, |m| > j or an m
+    whose parity differs from its j.
+    """
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         _check_jm(tj, tm)
     if tm1 + tm2 + tm3 != 0 or not _triangle_ok(tj1, tj2, tj3):
@@ -151,8 +88,7 @@ def _wigner3j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) 
             * f((tj3 - tj2 + tm1) // 2 + k)
             * f((tj3 - tj1 - tm2) // 2 + k)
         )
-        term = Fraction((-1) ** k, den)
-        ksum += term
+        ksum += Fraction((-1) ** k, den)
     if ksum == 0:
         return 0.0
 
@@ -170,7 +106,11 @@ def _wigner3j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) 
 
 
 @lru_cache(maxsize=None)
-def _wigner6j_twice(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> float:
+def wigner6j(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> float:
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}, each argument doubled.
+
+    Returns 0.0 (an exact zero) on any triad violation.
+    """
     triads = (
         (tj1, tj2, tj3),
         (tj1, tj5, tj6),
@@ -205,54 +145,32 @@ def _wigner6j_twice(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) 
     return _signed_sqrt(False, ksum, rad)
 
 
-def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
-    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3).
-
-    Returns 0.0 (an exact zero) when the triangle rule or m-sum rule is
-    violated; raises ``ValueError`` for malformed (j, m) pairs.
-    """
-    return _wigner3j_twice(
-        _twice(j1), _twice(j2), _twice(j3), _twice(m1), _twice(m2), _twice(m3)
-    )
-
-
-def wigner6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}; 0.0 on any triad violation."""
-    return _wigner6j_twice(
-        _twice(j1), _twice(j2), _twice(j3), _twice(j4), _twice(j5), _twice(j6)
-    )
-
-
 @lru_cache(maxsize=None)
-def _dipole_amplitude_twice(tgF: int, tmF: int, teF: int, tmE: int, q: int) -> float:
-    if tgF not in (6, 8) or teF not in (6, 8):
+def dipole_element(F: int, mF: int, Fe: int, mE: int, q: int) -> float:
+    """Hyperfine dipole amplitude |F, mF> -> |F', mE> for polarization q.
+
+    The arguments are the integer Cs quantum numbers (F, F' in {3, 4}).
+    The amplitude is the Wigner-Eckart reduction (3j x 6j x degeneracy
+    factors) in units of the reduced 6S1/2 -> 6P1/2 matrix element,
+    normalized so that sum over (F', mE, q) of amplitude**2 is 1 for every
+    ground sublevel.  It is exactly zero whenever a selection rule forbids
+    the transition (mE != mF + q, or the clock pi transition F = F',
+    mF = 0, q = 0).
+    """
+    if F not in (3, 4) or Fe not in (3, 4):
         raise ValueError("Cs 6S1/2 -> 6P1/2 requires F and F' in {3, 4}")
-    _check_jm(tgF, tmF)
-    _check_jm(teF, tmE)
+    tF, tmF, tFe, tmE = 2 * F, 2 * mF, 2 * Fe, 2 * mE
+    _check_jm(tF, tmF)
+    _check_jm(tFe, tmE)
     if q not in (-1, 0, 1):
         raise ValueError(f"spherical polarization index q = {q} not in {{-1, 0, +1}}")
     if tmE != tmF + 2 * q:
         return 0.0
 
-    six = _wigner6j_twice(_J_TWICE, _JP_TWICE, 2, teF, tgF, NUCLEAR_SPIN_TWICE)
-    three = _wigner3j_twice(teF, 2, tgF, -tmE, 2 * q, tmF)
+    six = wigner6j(_J_TWICE, _JP_TWICE, 2, tFe, tF, NUCLEAR_SPIN_TWICE)
+    three = wigner3j(tFe, 2, tF, -tmE, 2 * q, tmF)
     # (2F'+1)(2F+1)(2J+1) degeneracy; sum rule over (F', mE, q) is then 1
-    norm = math.sqrt((teF + 1) * (tgF + 1) * (_J_TWICE + 1))
+    norm = math.sqrt((tFe + 1) * (tF + 1) * (_J_TWICE + 1))
     # phase (-1)**(F' + J + 1 + I + F' - mE), exponents carried doubled
-    phase = -1.0 if ((teF + _J_TWICE + 2 + NUCLEAR_SPIN_TWICE + teF - tmE) // 2) % 2 else 1.0
+    phase = -1.0 if ((tFe + _J_TWICE + 2 + NUCLEAR_SPIN_TWICE + tFe - tmE) // 2) % 2 else 1.0
     return phase * norm * six * three
-
-
-def dipole_element(gF, mF, eF, mE, q: int) -> DipoleElement:
-    """Hyperfine dipole element |gF, mF> -> |eF, mE> for polarization q.
-
-    The amplitude is the Wigner-Eckart reduction (3j x 6j x degeneracy
-    factors) in units of the reduced 6S1/2 -> 6P1/2 matrix element,
-    normalized so that sum over (eF, mE, q) of amplitude**2 is 1 for every
-    ground sublevel.
-    """
-    g, m, e, me = (HalfInt.coerce(x) for x in (gF, mF, eF, mE))
-    amp = _dipole_amplitude_twice(
-        g.twice_value, m.twice_value, e.twice_value, me.twice_value, int(q)
-    )
-    return DipoleElement(gF=g, mF=m, eF=e, mE=me, q=int(q), amplitude=amp)

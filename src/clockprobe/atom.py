@@ -19,6 +19,8 @@ __all__ = [
     "state_index",
     "zeeman_hamiltonian",
     "N_GROUND",
+    "F3_BLOCK",
+    "F4_BLOCK",
     "IDX_DOWN",
     "IDX_UP",
     "GAMMA_MHZ",
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 N_GROUND = 16
+# Registry index ranges of the F = 3 (mF = -3..+3) and F = 4 (mF = -4..+4) blocks
+F3_BLOCK = slice(0, 7)
+F4_BLOCK = slice(7, N_GROUND)
 
 # Cs D1 line.  The excited hyperfine splitting and the linewidth are locked
 # together by the ratio 1168 MHz = 256 Gamma, which the closed forms at the
@@ -75,7 +80,7 @@ def state_index(F: int, mF: int) -> int:
     st = GroundState(F, mF)  # validates
     if st.F == 3:
         return st.mF + 3
-    return 7 + st.mF + 4
+    return F4_BLOCK.start + st.mF + 4
 
 
 IDX_DOWN = state_index(3, 0)  # |3,0>, pseudo-spin down

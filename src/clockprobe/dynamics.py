@@ -18,6 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .atom import (
+    F3_BLOCK,
+    F4_BLOCK,
     GAMMA_MHZ,
     IDX_DOWN,
     IDX_UP,
@@ -121,11 +123,11 @@ class SimRecord:
 
     @property
     def pop_F3(self) -> np.ndarray:
-        return self.populations[:, :7].sum(axis=1)
+        return self.populations[:, F3_BLOCK].sum(axis=1)
 
     @property
     def pop_F4(self) -> np.ndarray:
-        return self.populations[:, 7:].sum(axis=1)
+        return self.populations[:, F4_BLOCK].sum(axis=1)
 
     def csv_rows(self):
         """Rows (time_s, signal_rad, s3, pop_F3, pop_F4, lost)."""
@@ -199,7 +201,7 @@ def build_hamiltonian(probe: ProbeConfig | None, mw: MicrowaveConfig | None,
         chi_MHz = mw.rabi_kHz * 1e-3
         det_MHz = mw.detuning_kHz * 1e-3
         h += 0.5 * chi_MHz * microwave_coupling_matrix()
-        for i in range(7, 16):  # F = 4 block sits at -(drive detuning)
+        for i in range(N_GROUND)[F4_BLOCK]:  # F = 4 block sits at -(drive detuning)
             h[i, i] -= det_MHz
     return h
 
@@ -318,9 +320,12 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
     the per-state birefringent phase used for the signal; extrinsic loss
     drains the clock states uniformly into the lost-population reservoir.
     Hermiticity and positivity are checked on every state, block by block;
-    the earliest violation raises :class:`InvariantViolationError`.
+    the earliest violation raises :class:`InvariantViolationError`.  A
+    negative (or NaN) loss rate raises ``ValueError``.
     """
     n_steps = step_count(t_span_ms, dt_ms)
+    if not extra_loss_per_ms >= 0:
+        raise ValueError(f"extra_loss_per_ms must be >= 0, got {extra_loss_per_ms:g}")
     lv = _liouvillian(hamiltonian, jumps, extra_loss_per_ms)
     lv *= dt_ms
     prop = expm(lv)

@@ -130,10 +130,14 @@ def decay_time(record: SimRecord, freq_hint_kHz: float | None = None) -> float:
 
 
 def generalized_rabi_kHz(setup: RunSetup) -> float:
-    """sqrt(chi^2 + dU^2) (kHz): the drive dressed by the probe's clock shift."""
-    return math.hypot(setup.microwave.rabi_kHz,
-                      dressed_clock_shift(setup.probe,
-                                          bias_field_G=setup.cloud.bias_field_G))
+    """sqrt(chi^2 + (dU - delta)^2) (kHz): the drive dressed by the clock shift.
+
+    dU is the probe's dressed clock shift and delta the drive detuning, by
+    which ``build_hamiltonian`` lowers the F = 4 block.
+    """
+    mw = setup.microwave
+    return math.hypot(mw.rabi_kHz, dressed_clock_shift(
+        setup.probe, bias_field_G=setup.cloud.bias_field_G) - mw.detuning_kHz)
 
 
 def calibrated_irradiance(detuning_MHz: float, theta_deg: float,

@@ -22,6 +22,8 @@ import numpy as np
 from .angular import dipole_element, wigner6j
 from .atom import (
     EXCITED_HF_SPLITTING_MHZ,
+    F3_BLOCK,
+    F4_BLOCK,
     GAMMA_MHZ,
     GROUND_HF_SPLITTING_MHZ,
     IDX_DOWN,
@@ -52,10 +54,10 @@ __all__ = [
 ]
 
 _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
-_BLOCKS = (slice(0, 7), slice(7, 16))  # F = 3 and F = 4 ground manifolds
+_BLOCKS = (F3_BLOCK, F4_BLOCK)  # F = 3 and F = 4 ground manifolds
 _F_INDEX = np.array([st.F - 3 for st in state_registry()])  # 0 for F=3, 1 for F=4
 # N_K (-1)^F' {1 K 1; 4 F' 4} S_4F' of the xi_K (rows K, columns F' = 3, 4)
-_XI_WEIGHTS = np.array([[n_k * (-1) ** fe * wigner6j(1, k, 1, 4, fe, 4) * s_fe
+_XI_WEIGHTS = np.array([[n_k * (-1) ** fe * wigner6j(2, 2 * k, 2, 8, 2 * fe, 8) * s_fe
                          for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
                         for k, n_k in enumerate((-math.sqrt(3.0), math.sqrt(27.0 / 40.0),
                                                  math.sqrt(27.0 / 154.0)))])
@@ -152,7 +154,7 @@ def amplitude_tensor() -> np.ndarray:
             for qi, q in enumerate(_QS):
                 if e.mF != g.mF + q:
                     continue
-                a[gi, ei, qi] = dipole_element(g.F, g.mF, e.F, e.mF, q).amplitude
+                a[gi, ei, qi] = dipole_element(g.F, g.mF, e.F, e.mF, q)
     a.setflags(write=False)
     return a
 

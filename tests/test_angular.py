@@ -2,7 +2,8 @@
 
 sympy.physics.wigner is the independent reference implementation; the
 library must agree with it to near machine precision and satisfy the
-standard orthogonality and sum rules exactly.
+standard orthogonality and sum rules exactly.  The library's Wigner
+symbols take every argument doubled; sympy takes the quantum numbers.
 """
 
 import math
@@ -12,40 +13,12 @@ import pytest
 from sympy import Rational, S
 from sympy.physics.wigner import wigner_3j, wigner_6j
 
-from clockprobe.angular import (
-    HalfInt,
-    NUCLEAR_SPIN_TWICE,
-    dipole_element,
-    wigner3j,
-    wigner6j,
-)
+from clockprobe.angular import NUCLEAR_SPIN_TWICE, dipole_element, wigner3j, wigner6j
 
 
 def _half_range(tmax):
     """All doubled quantum numbers 0..tmax."""
     return range(tmax + 1)
-
-
-class TestHalfInt:
-    def test_coercion_int_float_fraction(self):
-        assert HalfInt.coerce(2).twice_value == 4
-        assert HalfInt.coerce(1.5).twice_value == 3
-        assert HalfInt.coerce(Fraction(7, 2)).twice_value == 7
-
-    def test_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            HalfInt.coerce(0.3)
-        with pytest.raises(ValueError):
-            HalfInt.coerce(Fraction(1, 3))
-        with pytest.raises(TypeError):
-            HalfInt.coerce("1/2")
-
-    def test_value_and_negation(self):
-        h = HalfInt.coerce(3.5)
-        assert h.value == 3.5
-        assert (-h).value == -3.5
-        assert not h.is_integer
-        assert HalfInt.coerce(3).is_integer
 
 
 class TestWigner3j:
@@ -59,9 +32,7 @@ class TestWigner3j:
                             tm3 = -tm1 - tm2
                             if abs(tm3) > tj3:
                                 continue
-                            ours = wigner3j(
-                                Fraction(tj1, 2), Fraction(tj2, 2), Fraction(tj3, 2),
-                                Fraction(tm1, 2), Fraction(tm2, 2), Fraction(tm3, 2))
+                            ours = wigner3j(tj1, tj2, tj3, tm1, tm2, tm3)
                             ref = float(wigner_3j(
                                 Rational(tj1, 2), Rational(tj2, 2), Rational(tj3, 2),
                                 Rational(tm1, 2), Rational(tm2, 2), Rational(tm3, 2)))
@@ -70,18 +41,17 @@ class TestWigner3j:
         assert checked > 500
 
     def test_triangle_violation_is_exact_zero(self):
-        assert wigner3j(1, 1, 3, 0, 0, 0) == 0.0
-        assert wigner3j(Fraction(1, 2), Fraction(1, 2), 3,
-                        Fraction(1, 2), Fraction(-1, 2), 0) == 0.0
+        assert wigner3j(2, 2, 6, 0, 0, 0) == 0.0  # (1 1 3; 0 0 0)
+        assert wigner3j(1, 1, 6, 1, -1, 0) == 0.0  # (1/2 1/2 3; 1/2 -1/2 0)
 
     def test_m_sum_violation_is_exact_zero(self):
-        assert wigner3j(1, 1, 1, 1, 1, 1) == 0.0
+        assert wigner3j(2, 2, 2, 2, 2, 2) == 0.0  # (1 1 1; 1 1 1)
 
     def test_known_exact_values(self):
-        assert wigner3j(1, 1, 0, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3), abs=1e-15)
-        assert wigner3j(2, 1, 1, 0, 0, 0) == pytest.approx(math.sqrt(2 / 15), abs=1e-15)
-        # odd sum with all m = 0 vanishes identically
-        assert wigner3j(2, 1, 2, 0, 0, 0) == 0.0
+        assert wigner3j(2, 2, 0, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3), abs=1e-15)
+        assert wigner3j(4, 2, 2, 0, 0, 0) == pytest.approx(math.sqrt(2 / 15), abs=1e-15)
+        # (2 1 2; 0 0 0): odd sum with all m = 0 vanishes identically
+        assert wigner3j(4, 2, 4, 0, 0, 0) == 0.0
 
     def test_orthogonality(self):
         # sum_{m1 m2} (2 j3 + 1) [3j]^2 = 1 for each admissible (j3, m3)
@@ -93,19 +63,23 @@ class TestWigner3j:
                         tm3 = -tm1 - tm2
                         if abs(tm3) > tj3:
                             continue
-                        total += (tj3 + 1) * wigner3j(
-                            Fraction(tj1, 2), Fraction(tj2, 2), Fraction(tj3, 2),
-                            Fraction(tm1, 2), Fraction(tm2, 2),
-                            Fraction(tm3, 2)) ** 2
+                        total += (tj3 + 1) * wigner3j(tj1, tj2, tj3, tm1, tm2, tm3) ** 2
                 assert total == pytest.approx(tj3 + 1, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            wigner3j(1, 1, 1, 2, -1, -1)  # |m| > j
+            wigner3j(2, 2, 2, 4, -2, -2)  # |m| > j
         with pytest.raises(ValueError):
-            wigner3j(1, 1, 1, Fraction(1, 2), 0, Fraction(-1, 2))  # parity
+            wigner3j(2, 2, 2, 1, 0, -1)  # parity
         with pytest.raises(ValueError):
-            wigner3j(-1, 1, 1, 0, 0, 0)
+            wigner3j(-2, 2, 2, 0, 0, 0)  # negative j
+        # m = 0.3 or 1/3 is no half-integer: its doubled value fails parity
+        with pytest.raises(ValueError):
+            wigner3j(2, 2, 2, 0.6, 0, -0.6)
+        with pytest.raises(ValueError):
+            wigner3j(2, 2, 2, Fraction(2, 3), 0, Fraction(-2, 3))
+        with pytest.raises(TypeError):
+            wigner3j(2, 2, 2, "1/2", 0, 0)
 
 
 class TestWigner6j:
@@ -118,7 +92,7 @@ class TestWigner6j:
                         for tj5 in range(abs(tj3 - tj4), min(tj3 + tj4, 5) + 1, 2):
                             for tj6 in range(abs(tj1 - tj5), min(tj1 + tj5, 5) + 1, 2):
                                 args = (tj1, tj2, tj3, tj4, tj5, tj6)
-                                ours = wigner6j(*(Fraction(t, 2) for t in args))
+                                ours = wigner6j(*args)
                                 try:
                                     ref = float(wigner_6j(
                                         *(Rational(t, 2) for t in args)))
@@ -132,19 +106,18 @@ class TestWigner6j:
         # {1/2 1/2 1; F' F 7/2} for F, F' in {3, 4}
         for tfe in (6, 8):
             for tfg in (6, 8):
-                ours = wigner6j(Fraction(1, 2), Fraction(1, 2), 1,
-                                Fraction(tfe, 2), Fraction(tfg, 2), Fraction(7, 2))
+                ours = wigner6j(1, 1, 2, tfe, tfg, 7)
                 ref = float(wigner_6j(S(1) / 2, S(1) / 2, 1,
                                       Rational(tfe, 2), Rational(tfg, 2), S(7) / 2))
                 assert ours == pytest.approx(ref, abs=1e-15)
 
     def test_triad_violation_is_exact_zero(self):
-        assert wigner6j(1, 1, 3, 1, 1, 1) == 0.0
+        assert wigner6j(2, 2, 6, 2, 2, 2) == 0.0  # {1 1 3; 1 1 1}
 
 
 class TestDipoleElements:
     def test_clock_pi_transition_forbidden_exactly(self):
-        assert dipole_element(4, 0, 4, 0, 0).amplitude == 0.0
+        assert dipole_element(4, 0, 4, 0, 0) == 0.0
 
     def test_sum_rule_uniform_over_ground_manifold(self):
         # sum over F', mE, q of amplitude^2 must be the same (=1) for all
@@ -158,7 +131,7 @@ class TestDipoleElements:
                         mE = mF + q
                         if abs(mE) > eF:
                             continue
-                        s += dipole_element(gF, mF, eF, mE, q).amplitude ** 2
+                        s += dipole_element(gF, mF, eF, mE, q) ** 2
                 totals.append(s)
         assert max(totals) - min(totals) <= 1e-12
         assert totals[0] == pytest.approx(1.0, abs=1e-12)
@@ -168,7 +141,7 @@ class TestDipoleElements:
         # F=3 -> F'=3 : F'=4 must be 1/4 : 3/4
         def strength(gF, eF):
             return sum(
-                dipole_element(gF, mF, eF, mF + q, q).amplitude ** 2
+                dipole_element(gF, mF, eF, mF + q, q) ** 2
                 for mF in range(-gF, gF + 1)
                 for q in (-1, 0, 1)
                 if abs(mF + q) <= eF
@@ -180,7 +153,7 @@ class TestDipoleElements:
         assert strength(3, 4) == pytest.approx(7 * 3 / 4, abs=1e-12)
 
     def test_selection_rule_zero(self):
-        assert dipole_element(4, 2, 4, 2, 1).amplitude == 0.0  # mE != mF + q
+        assert dipole_element(4, 2, 4, 2, 1) == 0.0  # mE != mF + q
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -189,6 +162,12 @@ class TestDipoleElements:
             dipole_element(4, 5, 4, 4, -1)  # |mF| > F
         with pytest.raises(ValueError):
             dipole_element(4, 0, 4, 1, 2)  # bad polarization index
+        with pytest.raises(ValueError):
+            dipole_element(4, 0.3, 4, 0.3, 0)  # mF not an integer
+        with pytest.raises(ValueError):
+            dipole_element(4, Fraction(1, 3), 4, Fraction(1, 3), 0)
+        with pytest.raises(TypeError):
+            dipole_element(4, "1/2", 4, 0, 0)
 
     def test_nuclear_spin_constant(self):
         assert NUCLEAR_SPIN_TWICE == 7

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from clockprobe.atom import IDX_DOWN, IDX_UP, state_index
@@ -194,6 +195,36 @@ class TestUnitaryOracle:
             assert np.abs(pops - exact).max() <= 1e-11, t
 
 
+class TestDissipativeOracle:
+    def test_populations_match_lindblad_ode(self):
+        # pumping and loss on, at the measurement operating point: the
+        # 16 x 16 ODE d rho = K rho + rho K^dagger + sum r A rho A^dagger,
+        # with K = -i omega - (sum r A^dagger A + gamma_loss P) / 2,
+        # integrated by DOP853 with no Liouville-space generator
+        setup = replace(measurement_setup(), t_span_ms=0.5)
+        h, jumps = operator_terms(setup)
+        p = np.zeros((16, 16))
+        p[IDX_UP, IDX_UP] = p[IDX_DOWN, IDX_DOWN] = 1.0
+        k = -2j * np.pi * 1e3 * h - 0.5 * setup.extra_loss_per_ms * p
+        for op, rate in jumps:
+            k -= 0.5 * rate * op.conj().T @ op
+
+        def rhs(_, y):
+            rho = y.reshape(16, 16)
+            drho = k @ rho + rho @ k.conj().T
+            for op, rate in jumps:
+                drho += rate * op @ rho @ op.conj().T
+            return drho.ravel()
+
+        rec = run_simulation(setup)
+        rho0 = pure_state(3, 0).rho
+        sol = solve_ivp(rhs, (0.0, setup.t_span_ms), rho0.ravel(), method="DOP853",
+                        t_eval=rec.times_ms, rtol=1e-10, atol=1e-14)
+        assert sol.success and setup.extra_loss_per_ms > 0 and jumps
+        pops = np.real(np.diagonal(sol.y.T.reshape(-1, 16, 16), axis1=1, axis2=2))
+        assert np.abs(rec.populations - pops).max() <= 1e-10
+
+
 class TestBiasFieldDecoupling:
     def _leakage(self, bias_G, t_span=5.0):
         # time-averaged coherent admixture outside the clock pair for an
@@ -299,6 +330,18 @@ class TestInvariantChecks:
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(ValueError, match="not a multiple"):
             evolve(pure_state(3, 0), h, [], 0.0, 1.0, 0.7)
+
+    def test_negative_loss_rate_rejected(self):
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
+        with pytest.raises(ValueError, match="extra_loss_per_ms"):
+            evolve(pure_state(3, 0), h, [], -0.4, 1.0, 0.01)
+
+    def test_run_simulation_rejects_negative_loss_rate(self):
+        # without the check the trace grows past 1 and lost goes negative
+        setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
+                         extra_loss_per_ms=-0.4, t_span_ms=1.0, dt_ms=0.005)
+        with pytest.raises(ValueError, match="extra_loss_per_ms"):
+            run_simulation(setup)
 
 
 def kron_liouvillian(h, jumps, extra_loss_per_ms):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clockprobe.birefringence import projection_noise_snr
-from clockprobe.dynamics import MicrowaveConfig, RunSetup, run_simulation
+from clockprobe.dynamics import MicrowaveConfig, RunSetup, rabi_frequency, run_simulation
 from clockprobe.ensemble import (
     InhomogeneityConfig,
     MeasurementFigure,
@@ -15,12 +15,13 @@ from clockprobe.ensemble import (
     calibrated_irradiance,
     decay_time,
     ensemble_average,
+    generalized_rabi_kHz,
     operating_point,
     sweep_measurement_strength,
 )
 from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scattering_rate_per_ms
 from clockprobe.errors import InvariantViolationError
-from clockprobe.lightshift import ProbeConfig, find_magic_detunings
+from clockprobe.lightshift import ProbeConfig, dressed_clock_shift, find_magic_detunings
 
 MAGIC = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz
 
@@ -129,6 +130,24 @@ class TestOperatingPoint:
         setup = replace(make_setup(), scattering_rate_per_ms=None)
         point = operating_point(setup, -600.0)
         assert point.probe == replace(setup.probe, detuning_MHz=-600.0)
+
+
+class TestGeneralizedRabi:
+    @pytest.mark.parametrize("drive_det_kHz", [1.0, -1.5])
+    @pytest.mark.parametrize("detuning_MHz", [MAGIC, -600.0], ids=["magic", "-600"])
+    def test_drive_detuning_enters_the_clock_splitting(self, detuning_MHz,
+                                                       drive_det_kHz):
+        # the F = 4 block sits at -delta in the rotating frame, so the
+        # dressed clock splitting is dU - delta; the chevron operating point
+        setup = RunSetup(probe=ProbeConfig(detuning_MHz, 16.0, 45.0),
+                         microwave=MicrowaveConfig(rabi_kHz=2.0,
+                                                   detuning_kHz=drive_det_kHz),
+                         pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
+        du = dressed_clock_shift(setup.probe, bias_field_G=setup.cloud.bias_field_G)
+        expected = math.hypot(2.0, du - drive_det_kHz)
+        assert generalized_rabi_kHz(setup) == pytest.approx(expected, rel=1e-12)
+        omega = rabi_frequency(run_simulation(setup), freq_hint_kHz=expected)
+        assert abs(omega - expected) / expected <= 0.02  # acceptance 04's bound
 
 
 class TestDecayPhysics:

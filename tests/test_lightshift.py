@@ -37,7 +37,7 @@ def oracle_level_shift(state, detuning_MHz, irradiance_rel, theta_deg):
             mE = state.mF + q
             if abs(mE) > eF:
                 continue
-            amp += (eps[q] * dipole_element(state.F, state.mF, eF, mE, q).amplitude) ** 2
+            amp += (eps[q] * dipole_element(state.F, state.mF, eF, mE, q)) ** 2
         total += GAMMA_MHZ**2 / 8.0 * irradiance_rel * amp / delta
     return total
 

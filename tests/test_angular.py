@@ -21,6 +21,17 @@ def _half_range(tmax):
     return range(tmax + 1)
 
 
+class TestHalfInt:
+    def test_rejects_non_half_integers(self):
+        # m = 0.3 or 1/3 is no half-integer: its doubled value fails parity
+        with pytest.raises(ValueError):
+            wigner3j(2, 2, 2, 0.6, 0, -0.6)
+        with pytest.raises(ValueError):
+            wigner3j(2, 2, 2, Fraction(2, 3), 0, Fraction(-2, 3))
+        with pytest.raises(TypeError):
+            wigner3j(2, 2, 2, "1/2", 0, 0)
+
+
 class TestWigner3j:
     def test_against_sympy_integer_and_half_integer(self):
         checked = 0
@@ -73,13 +84,6 @@ class TestWigner3j:
             wigner3j(2, 2, 2, 1, 0, -1)  # parity
         with pytest.raises(ValueError):
             wigner3j(-2, 2, 2, 0, 0, 0)  # negative j
-        # m = 0.3 or 1/3 is no half-integer: its doubled value fails parity
-        with pytest.raises(ValueError):
-            wigner3j(2, 2, 2, 0.6, 0, -0.6)
-        with pytest.raises(ValueError):
-            wigner3j(2, 2, 2, Fraction(2, 3), 0, Fraction(-2, 3))
-        with pytest.raises(TypeError):
-            wigner3j(2, 2, 2, "1/2", 0, 0)
 
 
 class TestWigner6j:

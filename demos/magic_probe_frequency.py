@@ -22,9 +22,8 @@ window = (-1100.0, -50.0)
 print("Differential clock shift vs probe detuning (theta = 45 deg, I = I_sat)")
 print(f"{'detuning (MHz)':>16} {'bare dU (kHz)':>15} {'dressed dU (kHz)':>17}")
 for det in np.linspace(-1050, -100, 20):
-    probe = ProbeConfig(float(det), 1.0, 45.0)
-    bare = differential_clock_shift(probe)
-    dressed = dressed_clock_shift(probe, bias_field_G=0.5)
+    bare = differential_clock_shift(float(det))
+    dressed = dressed_clock_shift(ProbeConfig(float(det), 1.0, 45.0), bias_field_G=0.5)
     print(f"{det:16.1f} {bare:15.4f} {dressed:17.4f}")
 
 print()

@@ -28,6 +28,7 @@ from .lightshift import (
     check_off_resonance,
     find_magic_detunings,
     line_strengths,
+    pole_sum,
     spherical_polarization,
 )
 
@@ -55,23 +56,18 @@ class PseudoSpin:
             raise ValueError("|S3| must not exceed S")
 
 
-def state_phase_table(probe: ProbeConfig, od: float = 1.0) -> np.ndarray:
+def state_phase_table(detuning_MHz, od: float = 1.0) -> np.ndarray:
     """Birefringent phase (rad) of each of the 16 registry states, as one array.
 
     Entry g is the phase if all atoms occupy state g: the difference of the
     x- and z-polarization dispersive phase shifts, summed over both excited
-    hyperfine levels with their oscillator strengths.
+    hyperfine levels with their oscillator strengths.  A detuning array's
+    shape precedes the state axis; each element must be off resonance.
     """
-    check_off_resonance(probe.detuning_MHz)
-    w, r = _phase_poles(od)
-    return np.sum(w / (probe.detuning_MHz - r), axis=1)
-
-
-def _phase_poles(od: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w (rad MHz, x minus z line strengths) and poles r (MHz) of phi[g]."""
+    check_off_resonance(detuning_MHz)
     s_x, r = line_strengths(spherical_polarization(90.0))
     s_z, _ = line_strengths(spherical_polarization(0.0))
-    return od / 2.0 * (GAMMA_MHZ / 2.0) * (s_x - s_z), r
+    return pole_sum(od / 2.0 * (GAMMA_MHZ / 2.0) * (s_x - s_z), r, detuning_MHz)
 
 
 def collective_phase_eq1(spin: PseudoSpin, od: float) -> float:
@@ -121,7 +117,7 @@ def snr_eta(probe: ProbeConfig, cloud: CloudConfig, tau_d_s: float,
     """
     if tau_d_s <= 0:
         raise ValueError("tau_d_s must be > 0")
-    phi = float(state_phase_table(probe, od=cloud.od_resonant)[IDX_UP])
+    phi = float(state_phase_table(probe.detuning_MHz, od=cloud.od_resonant)[IDX_UP])
     phase_factor, _ = aperture_factors(cloud)
     flux = photon_flux_per_s(probe, cloud, detection_efficiency)
     return abs(phi) * phase_factor * math.sqrt(2.0 * flux * tau_d_s)
@@ -146,14 +142,11 @@ class TwoColorSolution:
 
     def total_phase(self, p_up: float, p_down: float, od: float = 1.0) -> float:
         """Power-weighted two-color phase for clock populations (p_up, p_down)."""
-        total = 0.0
-        for det, weight in (
-            (self.detuning_44_MHz, 1.0),
-            (self.detuning_34_MHz, self.power_ratio_34_over_44),
-        ):
-            phases = state_phase_table(ProbeConfig(det, 1.0, 45.0), od=od)
-            total += weight * (p_up * phases[IDX_UP] + p_down * phases[IDX_DOWN])
-        return float(total / (1.0 + self.power_ratio_34_over_44))
+        ratio = self.power_ratio_34_over_44
+        dets = np.array([self.detuning_44_MHz, self.detuning_34_MHz])
+        phases = state_phase_table(dets, od=od)
+        phi44, phi34 = p_up * phases[:, IDX_UP] + p_down * phases[:, IDX_DOWN]
+        return float((phi44 + ratio * phi34) / (1.0 + ratio))
 
 
 def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, float],
@@ -174,13 +167,8 @@ def two_color_balance(window_34: tuple[float, float], window_44: tuple[float, fl
 
     d34 = pick(window_34)
     d44 = pick(window_44)
-
-    def mixture_phase(det: float) -> float:
-        phases = state_phase_table(ProbeConfig(det, 1.0, theta_deg), od=1.0)
-        return float(0.5 * (phases[IDX_UP] + phases[IDX_DOWN]))
-
-    phi34 = mixture_phase(d34)
-    phi44 = mixture_phase(d44)
+    phases = state_phase_table(np.array([d34, d44]))
+    phi34, phi44 = (0.5 * (phases[:, IDX_UP] + phases[:, IDX_DOWN])).tolist()
     if phi34 * phi44 >= 0.0:
         raise NoBalanceError(
             f"equal-mixture phases have the same sign: phi(34) = {phi34:.3e}, "

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atom import GAMMA_MHZ, IDX_DOWN, IDX_UP
-from .birefringence import _phase_poles, projection_noise_snr
+from .atom import IDX_DOWN, IDX_UP
+from .birefringence import projection_noise_snr, state_phase_table
 from .config import RunConfig, load_config
 from .dynamics import RunSetup, rabi_frequency
 from .ensemble import (
@@ -44,7 +44,7 @@ from .ensemble import (
     sweep_measurement_strength,
 )
 from .errors import ClockProbeError, ConfigError, FitFailureError
-from .lightshift import _clock_shift_poles, find_magic_detunings
+from .lightshift import clear_of_resonances, differential_clock_shift, find_magic_detunings
 
 __all__ = ["main"]
 
@@ -142,14 +142,10 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     lo, hi = sweep.window_MHz
     points = _window_magic_detunings(probe.polarization_angle_deg, (lo, hi),
                                      irradiance_rel=probe.irradiance_rel)
-    # the dispersive sums of state_phase_table and differential_clock_shift,
-    # broadcast over the grid less the points within 0.2 Gamma of a resonance
     grid = np.linspace(lo, hi, sweep.n_points)
-    w_phi, r_phi = _phase_poles(cfg.cloud.od_resonant)
-    w_du, r_du = _clock_shift_poles(probe.polarization_angle_deg, probe.irradiance_rel)
-    grid = grid[np.abs(grid[:, None] - r_du).min(axis=1) > 0.2 * GAMMA_MHZ]
-    phases = np.sum(w_phi / (grid[:, None, None] - r_phi), axis=2)
-    du = np.sum(w_du / (grid[:, None] - r_du), axis=1)
+    grid = grid[clear_of_resonances(grid)]
+    phases = state_phase_table(grid, od=cfg.cloud.od_resonant)
+    du = differential_clock_shift(grid, probe.polarization_angle_deg, probe.irradiance_rel)
     write_csv(out / "phase_spectrum.csv", ["detuning_MHz", "phi_up_rad", "phi_down_rad"],
               np.column_stack([grid, phases[:, [IDX_UP, IDX_DOWN]]]).tolist())
     write_csv(out / "differential_shift.csv", ["detuning_MHz", "delta_shift_kHz"],

@@ -58,18 +58,17 @@ __all__ = [
 
 @dataclass
 class DensityMatrix:
-    """Ground-manifold state plus the lost-population reservoir."""
+    """Ground-manifold state of unit trace."""
 
     rho: np.ndarray
-    lost_population: float = 0.0
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (N_GROUND, N_GROUND):
             raise ValueError("rho must be 16x16")
-        total = float(np.trace(self.rho).real) + self.lost_population
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"trace + lost_population = {total} != 1")
+        trace = float(np.trace(self.rho).real)
+        if abs(trace - 1.0) > 1e-9:
+            raise ValueError(f"trace = {trace} != 1")
 
     @property
     def populations(self) -> np.ndarray:
@@ -340,9 +339,8 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
     states = traj.reshape(-1, N_GROUND, N_GROUND)
     _check_invariants(states, times)
 
-    initial_total = float(np.trace(rho0.rho).real) + rho0.lost_population
     pops = np.real(np.diagonal(states, axis1=1, axis2=2)).copy()
-    lost = initial_total - np.trace(states, axis1=1, axis2=2).real
+    lost = float(np.trace(rho0.rho).real) - np.trace(states, axis1=1, axis2=2).real
     signal = pops @ state_phases
     s3 = pops[:, IDX_UP] - pops[:, IDX_DOWN]
     return SimRecord(times_ms=times, signal_rad=signal, s3=s3,
@@ -370,7 +368,7 @@ def run_simulation(setup: RunSetup) -> SimRecord:
     h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G)
     jumps = (pumping_jump_operators(probe, total_rate_per_ms=setup.scattering_rate_per_ms)
              if setup.pumping_on else [])
-    phases = state_phase_table(probe, od=setup.cloud.od_resonant)
+    phases = state_phase_table(probe.detuning_MHz, od=setup.cloud.od_resonant)
     rho0 = setup.initial if setup.initial is not None else pure_state(3, 0)
     return evolve(rho0, h, jumps, setup.extra_loss_per_ms,
                   setup.t_span_ms, setup.dt_ms, state_phases=phases)

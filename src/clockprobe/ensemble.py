@@ -58,6 +58,11 @@ class InhomogeneityConfig:
             raise ValueError("rms fractions must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        for name in ("probe_irradiance_rms_frac", "mw_irradiance_rms_frac"):
+            lowest = 1.0 + getattr(self, name) * ndtri(0.5 / self.n_samples)
+            if not lowest > 0:  # the first of _stratified_factors
+                raise ValueError(f"{name} = {getattr(self, name):g}: the lowest of "
+                                 f"{self.n_samples} factors is {lowest:.3g} <= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -80,12 +85,8 @@ class MeasurementFigure:
 
 
 def _stratified_factors(rms_frac: float, n: int) -> np.ndarray:
-    """Deterministic Gaussian quantile midpoints, truncated above zero."""
-    if rms_frac == 0.0 or n == 1:
-        return np.ones(n)
-    q = (np.arange(n) + 0.5) / n
-    factors = 1.0 + rms_frac * ndtri(q)
-    return np.clip(factors, 1e-3, None)
+    """1 + rms_frac times the standard normal quantiles at (k + 1/2)/n, ascending."""
+    return 1.0 + rms_frac * ndtri((np.arange(n) + 0.5) / n)
 
 
 def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord:

@@ -44,8 +44,10 @@ __all__ = [
     "circular_polarization",
     "RESONANCES_MHZ",
     "nearest_resonance",
+    "clear_of_resonances",
     "excited_detunings_MHz",
     "check_off_resonance",
+    "pole_sum",
     "light_shift_matrix",
     "build_light_shift",
     "differential_clock_shift",
@@ -73,6 +75,7 @@ RESONANCES_MHZ = {
 _RESONANCES = np.array([[RESONANCES_MHZ[f"F={F} -> F'={Fe}"] for Fe in (3, 4)]
                         for F in (3, 4)])
 _RESONANCES.setflags(write=False)
+_MARGIN_MHZ = 0.2 * GAMMA_MHZ  # magic roots and spectra grids keep this far off
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def line_strengths(polarization: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     s[g, F'] = sum over e in F' of |sum_q eps_q a[g, e, q]|^2.  Every
     dispersive sum over the four D1 poles reads from this table as
-    sum_F' w s[g, F'] / (Delta - r[g, F']).
+    :func:`pole_sum` of weights w s[g, F'] and poles r[g, F'].
     """
     s = np.abs(amplitude_tensor() @ polarization) ** 2 @ np.eye(2)[_F_INDEX]
     return s, _RESONANCES[_F_INDEX]
@@ -176,10 +179,24 @@ def nearest_resonance(detuning_MHz: float) -> tuple[float, str, float]:
                for label, pos in RESONANCES_MHZ.items())
 
 
-def check_off_resonance(detuning_MHz: float) -> None:
-    distance, label, pos = nearest_resonance(detuning_MHz)
-    if distance <= 0.1 * GAMMA_MHZ:
-        raise ResonanceProximityError(detuning_MHz, pos, label)
+def clear_of_resonances(detuning_MHz) -> np.ndarray:
+    """Whether each detuning lies more than 0.2 Gamma from every D1 resonance."""
+    d = np.asarray(detuning_MHz, dtype=float)
+    return np.all(np.abs(d[..., None] - _RESONANCES.ravel()) > _MARGIN_MHZ, axis=-1)
+
+
+def check_off_resonance(detuning_MHz) -> None:
+    """Raise :class:`ResonanceProximityError` at the first detuning within 0.1 Gamma."""
+    for d in np.ravel(detuning_MHz).tolist():
+        distance, label, pos = nearest_resonance(d)
+        if distance <= 0.1 * GAMMA_MHZ:
+            raise ResonanceProximityError(d, pos, label)
+
+
+def pole_sum(weights: np.ndarray, poles: np.ndarray, detuning_MHz) -> np.ndarray:
+    """Sum of weights / (Delta - poles) over the last axis, Delta's shape in front."""
+    d = np.reshape(detuning_MHz, np.shape(detuning_MHz) + (1,) * np.ndim(poles))
+    return np.sum(weights / (d - poles), axis=-1)
 
 
 def excited_detunings_MHz(detuning_MHz: float) -> np.ndarray:
@@ -254,13 +271,13 @@ def build_light_shift(probe: ProbeConfig,
 
     f_k = np.array([1.0, 1.0, (3.0 * abs(polarization[1]) ** 2 - 1.0) / 2.0])
     xi = (GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel * f_k
-          * (_XI_WEIGHTS @ (1.0 / (probe.detuning_MHz - _RESONANCES[1]))))
+          * pole_sum(_XI_WEIGHTS, _RESONANCES[1], probe.detuning_MHz))
     return LightShiftOperator(v, scalar, vector, tensor, *xi.tolist())
 
 
 def _clock_shift_poles(theta_deg: float,
                        irradiance_rel: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w (kHz MHz) and poles r (MHz) of dU(Delta) = sum w / (Delta - r).
+    """Weights w (kHz MHz) and poles r (MHz) of dU(Delta) = :func:`pole_sum`.
 
     The clock rows of :func:`line_strengths`: one pole per D1 resonance.
     """
@@ -271,11 +288,11 @@ def _clock_shift_poles(theta_deg: float,
     return (pref * sign * s[clock]).ravel(), r[clock].ravel()
 
 
-def differential_clock_shift(probe: ProbeConfig) -> float:
-    """Differential light shift <4,0|V|4,0> - <3,0|V|3,0> in kHz."""
-    check_off_resonance(probe.detuning_MHz)
-    w, r = _clock_shift_poles(probe.polarization_angle_deg, probe.irradiance_rel)
-    return float(np.sum(w / (probe.detuning_MHz - r)))
+def differential_clock_shift(detuning_MHz, theta_deg: float = 45.0,
+                             irradiance_rel: float = 1.0) -> float | np.ndarray:
+    """Differential light shift <4,0|V|4,0> - <3,0|V|3,0> (kHz) at each detuning."""
+    check_off_resonance(detuning_MHz)
+    return pole_sum(*_clock_shift_poles(theta_deg, irradiance_rel), detuning_MHz)
 
 
 def dressed_clock_shift(probe: ProbeConfig, bias_field_G: float = 0.5) -> float:
@@ -302,14 +319,13 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
     The zeros of dU = sum w / (Delta - r) are the real roots of its
     numerator, a polynomial of degree at most 3.  Zero-weight poles are
     dropped first: they are removable (at theta = 0 the pi amplitude
-    |4,0> -> |4',0> vanishes) and would add a spurious root.  Roots within
-    0.2 Gamma of a resonance are discarded.  An empty list is a valid
+    |4,0> -> |4',0> vanishes) and would add a spurious root.  Roots not
+    :func:`clear_of_resonances` are discarded.  An empty list is a valid
     return.
     """
     lo, hi = sorted(window)
-    margin = 0.2 * GAMMA_MHZ
     for pos in RESONANCES_MHZ.values():
-        if lo + margin < pos < hi - margin:
+        if lo + _MARGIN_MHZ < pos < hi - _MARGIN_MHZ:
             raise ValueError(
                 f"window ({lo}, {hi}) MHz contains the resonance at {pos} MHz"
             )
@@ -317,7 +333,7 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
     w, r = w[w != 0.0], r[w != 0.0]
     numerator = sum(wk * np.poly(np.delete(r, k)) for k, wk in enumerate(w))
     roots = np.roots(numerator)
-    return [MagicPoint(float(d), theta_deg, float(np.sum(w / (d - r))))
-            for d in np.sort(roots[roots.imag == 0].real)
-            if lo <= d <= hi and nearest_resonance(d)[0] > margin]
+    roots = np.sort(roots[roots.imag == 0].real)
+    roots = roots[(lo <= roots) & (roots <= hi) & clear_of_resonances(roots)]
+    return [MagicPoint(float(d), theta_deg, float(pole_sum(w, r, d))) for d in roots]
 

@@ -89,7 +89,7 @@ def test_01_magic_detuning_location_and_count():
 def test_02_closed_form_phase_prefactor():
     t0 = time.perf_counter()
     midpoint = -EXCITED_HF_SPLITTING_MHZ / 2.0
-    full = state_phase_table(ProbeConfig(midpoint, 16.0, 45.0), od=1.0)[IDX_UP]
+    full = state_phase_table(midpoint, od=1.0)[IDX_UP]
     closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0)
     rel = abs(full - closed) / abs(closed)
     dt = time.perf_counter() - t0

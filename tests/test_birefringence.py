@@ -38,31 +38,30 @@ class TestPerStatePhase:
         # the multi-level phase at the inter-resonance midpoint must agree
         # with the closed-form collective expression to within the 2%
         # contribution the closed form neglects
-        probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        full = state_phase_table(probe, od=1.0)[IDX_UP]
+        full = state_phase_table(MIDPOINT, od=1.0)[IDX_UP]
         closed = collective_phase_eq1(PseudoSpin(1.0, 1.0), od=1.0)
         assert closed == pytest.approx(-(5.0 / 96.0) / 128.0 * 2.0, rel=1e-12)
         assert full == pytest.approx(closed, rel=0.02)
 
     def test_spin_down_small_at_midpoint(self):
-        probe = ProbeConfig(MIDPOINT, 16.0, 45.0)
-        phases = state_phase_table(probe)
+        phases = state_phase_table(MIDPOINT)
         assert abs(phases[IDX_DOWN]) < 0.1 * abs(phases[IDX_UP])
 
     def test_phase_linear_in_od(self):
-        probe = ProbeConfig(-400.0, 16.0, 45.0)
-        p1 = state_phase_table(probe, od=1.0)[IDX_UP]
-        p3 = state_phase_table(probe, od=3.0)[IDX_UP]
+        p1 = state_phase_table(-400.0, od=1.0)[IDX_UP]
+        p3 = state_phase_table(-400.0, od=3.0)[IDX_UP]
         assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
 
     def test_sign_flip_across_resonance(self):
-        left = state_phase_table(ProbeConfig(-40.0, 16.0, 45.0))[IDX_UP]
-        right = state_phase_table(ProbeConfig(40.0, 16.0, 45.0))[IDX_UP]
+        left = state_phase_table(-40.0)[IDX_UP]
+        right = state_phase_table(40.0)[IDX_UP]
         assert left * right < 0
 
     def test_raises_on_resonance(self):
         with pytest.raises(ResonanceProximityError):
-            state_phase_table(ProbeConfig(0.1, 16.0, 45.0))
+            state_phase_table(0.1)
+        with pytest.raises(ResonanceProximityError):
+            state_phase_table(np.array([-400.0, -1168.1, -300.0]))
 
     def test_table_matches_amplitude_sum(self):
         # oracle: sum over all 16 x 16 ground/excited pairs of the x- minus
@@ -72,14 +71,13 @@ class TestPerStatePhase:
         exc_z = a @ spherical_polarization(0.0)
         reg = state_registry()
         for det in (-1100.0, -584.0, -335.0, -60.0, 40.0, 8300.0, 9500.0):
-            probe = ProbeConfig(det, 16.0, 45.0)
             oracle = np.array([sum(
                 (abs(exc_x[g, e]) ** 2 - abs(exc_z[g, e]) ** 2)
                 / (det - RESONANCES_MHZ[f"F={gs.F} -> F'={es.F}"])
                 for e, es in enumerate(reg)) for g, gs in enumerate(reg)])
             oracle *= 2.5 / 2.0 * GAMMA_MHZ / 2.0
             # states whose x and z shifts cancel are zero up to round-off
-            np.testing.assert_allclose(state_phase_table(probe, od=2.5),
+            np.testing.assert_allclose(state_phase_table(det, od=2.5),
                                        oracle, rtol=1e-12,
                                        atol=1e-15 * np.abs(oracle).max())
 

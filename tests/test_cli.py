@@ -23,7 +23,7 @@ from clockprobe.errors import (
     NoBalanceError,
     ResonanceProximityError,
 )
-from clockprobe.lightshift import ProbeConfig, differential_clock_shift
+from clockprobe.lightshift import differential_clock_shift
 
 FAST_RABI = """\
 probe:
@@ -180,7 +180,7 @@ class TestCliRuns:
     def test_spectra_rows_match_per_point_calls(self, tmp_path, monkeypatch):
         # the grid starts within 0.2 Gamma of F=4 -> F'=3, so its first
         # point is dropped; every other row is one state_phase_table and
-        # one differential_clock_shift call
+        # one differential_clock_shift call, bit for bit
         rows = {}
         monkeypatch.setattr(cli, "write_csv", lambda path, columns, data:
                             rows.__setitem__(path.name, list(data)))
@@ -195,12 +195,10 @@ class TestCliRuns:
         assert [r[0] for r in rows["differential_shift.csv"]] == grid.tolist()
         for d, (_, up, down), (_, du) in zip(grid, rows["phase_spectrum.csv"],
                                              rows["differential_shift.csv"]):
-            probe = ProbeConfig(float(d), c.probe.irradiance_rel,
-                                c.probe.polarization_angle_deg)
-            phases = state_phase_table(probe, od=c.cloud.od_resonant)
-            assert up == pytest.approx(phases[IDX_UP], rel=1e-12)
-            assert down == pytest.approx(phases[IDX_DOWN], rel=1e-12)
-            assert du == pytest.approx(differential_clock_shift(probe), rel=1e-12)
+            phases = state_phase_table(d, od=c.cloud.od_resonant)
+            assert up == phases[IDX_UP] and down == phases[IDX_DOWN]
+            assert du == differential_clock_shift(d, c.probe.polarization_angle_deg,
+                                                  c.probe.irradiance_rel)
 
     def test_plot_scripts_emitted_when_enabled(self, tmp_path):
         cfg = write(tmp_path, "c.yaml",
@@ -350,6 +348,20 @@ class TestExitCodes:
             assert main(["rabi", *argv, "--out", str(out)]) == 2
             assert "inhomogeneity" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_spread_with_nonpositive_member_exits_2(self, tmp_path, capsys):
+        # at 0.6 rms and 16 members the lowest stratified probe factor is
+        # 1 + 0.6 ndtri(1/32) = -0.118: rejected, not clipped to a small
+        # positive irradiance
+        cfg = write(tmp_path, "c.yaml", "inhomogeneity:\n"
+                    "  probe_irradiance_rms_frac: 0.6\n"
+                    "simulation:\n  t_span_ms: 0.5\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-dephased", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "inhomogeneity" in err and "probe_irradiance_rms_frac" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_workers_exits_2_before_sweep(self, tmp_path, capsys,

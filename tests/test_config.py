@@ -6,6 +6,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from clockprobe.config import _BLOCK_TYPES, load_config
 from clockprobe.errors import ConfigError
@@ -54,6 +55,16 @@ def sweeps(draw):
             "mask_gamma": draw(non_negative)}
 
 
+@st.composite
+def inhomogeneities(draw):
+    # each spread keeps its lowest stratified factor 1 + rms ndtri(0.5/n) > 0
+    n = draw(st.integers(1, 10_000))
+    rms = reals(0.0, 1e6 if n == 1 else -0.99 / ndtri(0.5 / n))
+    return {"probe_irradiance_rms_frac": draw(rms),
+            "mw_irradiance_rms_frac": draw(rms),
+            "n_samples": n, "seed": draw(st.integers(0, 2**31 - 1))}
+
+
 VALID_BLOCKS = {
     "cloud": clouds(),
     "probe": st.fixed_dictionaries({
@@ -61,10 +72,7 @@ VALID_BLOCKS = {
         "polarization_angle_deg": reals(0.0, 180.0).filter(lambda t: t < 180.0)}),
     "microwave": st.fixed_dictionaries({"rabi_kHz": non_negative,
                                         "detuning_kHz": reals()}),
-    "inhomogeneity": st.fixed_dictionaries({
-        "probe_irradiance_rms_frac": non_negative,
-        "mw_irradiance_rms_frac": non_negative,
-        "n_samples": st.integers(1, 10_000), "seed": st.integers(0, 2**31 - 1)}),
+    "inhomogeneity": inhomogeneities(),
     "simulation": simulations(),
     "sweep": sweeps(),
     "output": st.fixed_dictionaries({

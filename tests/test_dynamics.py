@@ -45,8 +45,7 @@ class TestStates:
         bad = np.zeros((16, 16), dtype=complex)
         bad[0, 0] = 0.7
         with pytest.raises(ValueError):
-            DensityMatrix(bad, lost_population=0.0)
-        DensityMatrix(bad, lost_population=0.3)  # consistent with reservoir
+            DensityMatrix(bad)
 
 
 class TestHamiltonian:
@@ -223,6 +222,24 @@ class TestDissipativeOracle:
         assert sol.success and setup.extra_loss_per_ms > 0 and jumps
         pops = np.real(np.diagonal(sol.y.T.reshape(-1, 16, 16), axis1=1, axis2=2))
         assert np.abs(rec.populations - pops).max() <= 1e-10
+
+
+class TestPumpedSteadyState:
+    def test_long_span_reaches_null_vector_of_generator(self):
+        # microwave and loss off at the measurement operating point: the
+        # generator has a one-dimensional null space, and its slowest decay
+        # rate (7.5e-4 /ms) leaves e^-30 of the transient after 40 s
+        setup = replace(measurement_setup(), microwave=MicrowaveConfig(rabi_kHz=0.0),
+                        extra_loss_per_ms=0.0, t_span_ms=40000.0, dt_ms=1000.0)
+        h, jumps = operator_terms(setup)
+        _, sv, vh = np.linalg.svd(kron_liouvillian(h, jumps, 0.0))
+        assert sv[-1] < 1e-10 and sv[-2] > 1e-4
+        steady = vh[-1].conj().reshape(16, 16)
+        steady /= np.trace(steady)
+        rec = run_simulation(setup)
+        # measured 3.0e-10; a 1 % error in one jump rate moves the null
+        # vector by 2.3e-3
+        assert np.abs(rec.populations[-1] - np.real(np.diag(steady))).max() <= 1e-8
 
 
 class TestBiasFieldDecoupling:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from clockprobe.birefringence import projection_noise_snr
 from clockprobe.dynamics import MicrowaveConfig, RunSetup, rabi_frequency, run_simulation
@@ -49,10 +50,17 @@ class TestStratifiedFactors:
         assert np.std(f) == pytest.approx(0.15, rel=0.05)
 
     def test_factors_positive(self):
-        assert np.all(_stratified_factors(0.5, 32) > 0)
+        # a spread whose lowest factor would be <= 0 is rejected, so every
+        # accepted one gives positive, unclipped factors
+        with pytest.raises(ValueError, match="probe_irradiance_rms_frac"):
+            InhomogeneityConfig(0.5, n_samples=32)
+        with pytest.raises(ValueError, match="mw_irradiance_rms_frac"):
+            InhomogeneityConfig(0.0, 0.5, n_samples=32)
+        InhomogeneityConfig(0.45, 0.45, n_samples=32)
+        f = _stratified_factors(0.45, 32)
+        assert f.min() == 1.0 + 0.45 * ndtri(0.5 / 32) > 0
 
     def test_ndtri_bitwise_equal_to_norm_ppf(self):
-        from scipy.special import ndtri
         from scipy.stats import norm
 
         for n in range(1, 101):

@@ -144,6 +144,9 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> None:
                                      irradiance_rel=probe.irradiance_rel)
     grid = np.linspace(lo, hi, sweep.n_points)
     grid = grid[clear_of_resonances(grid)]
+    if grid.size == 0:
+        raise ConfigError(f"sweep.window_MHz: every grid point in ({lo}, {hi}) MHz "
+                          "lies within 0.2 Gamma of a D1 resonance")
     phases = state_phase_table(grid, od=cfg.cloud.od_resonant)
     du = differential_clock_shift(grid, probe.polarization_angle_deg, probe.irradiance_rel)
     write_csv(out / "phase_spectrum.csv", ["detuning_MHz", "phi_up_rad", "phi_down_rad"],

@@ -2,9 +2,12 @@
 
 The Hamiltonian is built in the frame rotating at the microwave drive
 frequency; the Liouvillian is then time independent and the evolution uses
-the exact exponential propagator at a fixed output step, so trace and
-positivity are preserved to machine precision and halving the step leaves
-every observable unchanged.
+the exact exponential propagator at a fixed output step, so positivity is
+preserved and halving the step leaves every observable unchanged.  The
+trace is not preserved to machine precision: with the loss channel off at
+the measurement operating point, ``lost`` (the trace drift) reaches
+1.4e-12 over 3 ms at 5 us steps and, where the error of the exponential of
+a large-norm generator shows, 1.7e-9 over 40 s at ``dt_ms = 1000``.
 
 Internal units: time in ms, Hamiltonian entries in MHz, rates in 1/ms.
 """

@@ -59,8 +59,8 @@ class InhomogeneityConfig:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         for name in ("probe_irradiance_rms_frac", "mw_irradiance_rms_frac"):
-            lowest = 1.0 + getattr(self, name) * ndtri(0.5 / self.n_samples)
-            if not lowest > 0:  # the first of _stratified_factors
+            lowest = _stratified_factors(getattr(self, name), self.n_samples)[0]
+            if not lowest > 0:
                 raise ValueError(f"{name} = {getattr(self, name):g}: the lowest of "
                                  f"{self.n_samples} factors is {lowest:.3g} <= 0")
         if self.seed < 0:

@@ -41,7 +41,6 @@ __all__ = [
     "amplitude_tensor",
     "line_strengths",
     "spherical_polarization",
-    "circular_polarization",
     "RESONANCES_MHZ",
     "nearest_resonance",
     "clear_of_resonances",
@@ -100,16 +99,9 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class LightShiftOperator:
-    """Hermitian 16x16 light-shift operator (MHz) and its irreducible parts.
-
-    ``total = scalar_part + vector_part + tensor_part`` holds to 1e-12
-    relative; the decomposition is per ground-F manifold.
-    """
+    """Hermitian 16x16 light-shift operator (MHz) and its closed-form xi's."""
 
     total: np.ndarray
-    scalar_part: np.ndarray
-    vector_part: np.ndarray
-    tensor_part: np.ndarray
     xi0_MHz: float
     xi1_MHz: float
     xi2_MHz: float
@@ -130,15 +122,6 @@ def spherical_polarization(theta_deg: float) -> np.ndarray:
     """
     th = math.radians(theta_deg)
     ex, ez = math.sin(th), math.cos(th)
-    return np.array([ex / math.sqrt(2.0), ez, -ex / math.sqrt(2.0)], dtype=complex)
-
-
-def circular_polarization(handedness: int = +1) -> np.ndarray:
-    """Spherical components of circular polarization (x +/- i z)/sqrt(2)."""
-    if handedness not in (+1, -1):
-        raise ValueError("handedness must be +1 or -1")
-    ex = 1.0 / math.sqrt(2.0)
-    ez = 1j * handedness / math.sqrt(2.0)
     return np.array([ex / math.sqrt(2.0), ez, -ex / math.sqrt(2.0)], dtype=complex)
 
 
@@ -204,43 +187,13 @@ def excited_detunings_MHz(detuning_MHz: float) -> np.ndarray:
     return detuning_MHz - _RESONANCES[_F_INDEX[:, None], _F_INDEX]
 
 
-@lru_cache(maxsize=8)
-def _spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f = (dim - 1) / 2.0
-    m = np.arange(-f, f + 1)
-    fz = np.diag(m)
-    raise_elem = np.sqrt(f * (f + 1) - m[:-1] * (m[:-1] + 1))
-    fplus = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        fplus[i + 1, i] = raise_elem[i]
-    fx = (fplus + fplus.T) / 2.0
-    fy = (fplus - fplus.T) / (2.0j)
-    return fx, fy, fz
-
-
-def _decompose_block(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim = v.shape[0]
-    fx, fy, fz = _spin_matrices(dim)
-    scalar = (np.trace(v).real / dim) * np.eye(dim)
-    vector = np.zeros_like(v)
-    for fi in (fx, fy, fz):
-        c = np.trace(v @ fi.conj().T) / np.trace(fi @ fi.conj().T)
-        vector = vector + c * fi
-    tensor = v - scalar - vector
-    return scalar, vector, tensor
-
-
-def light_shift_matrix(probe: ProbeConfig,
-                       polarization: np.ndarray | None = None) -> np.ndarray:
+def light_shift_matrix(probe: ProbeConfig) -> np.ndarray:
     """Hermitian 16x16 light-shift operator (MHz) of the probe.
 
-    ``polarization`` overrides the linear-theta polarization with an
-    arbitrary spherical-component vector (used for circular probes).
     Raises :class:`ResonanceProximityError` within 0.1 Gamma of any D1
     resonance, where the dispersive model diverges.
     """
-    if polarization is None:
-        polarization = spherical_polarization(probe.polarization_angle_deg)
+    polarization = spherical_polarization(probe.polarization_angle_deg)
     check_off_resonance(probe.detuning_MHz)
     exc = amplitude_tensor() @ polarization  # exc[g, e] = sum_q eps_q a[g, e, q]
     dets = excited_detunings_MHz(probe.detuning_MHz)
@@ -252,27 +205,20 @@ def light_shift_matrix(probe: ProbeConfig,
     return 0.5 * (v + v.conj().T)  # symmetrize away float round-off
 
 
-def build_light_shift(probe: ProbeConfig,
-                      polarization: np.ndarray | None = None) -> LightShiftOperator:
-    """:func:`light_shift_matrix` with its scalar/vector/tensor parts and xi's.
+def build_light_shift(probe: ProbeConfig) -> LightShiftOperator:
+    """:func:`light_shift_matrix` with its xi's.
 
     The xi's are closed F = 4 forms (Deutsch & Jessen, Opt. Commun. 283, 681
     (2010)): xi_K = (Gamma^2/8)(I/I_sat) N_K f_K sum_F' (-1)^F' {1 K 1; 4 F' 4}
     S_4F' / (Delta - r_4F') with f_0 = f_1 = 1 (xi1 is the sigma+ vector
     coupling) and f_2 = (3|eps_0|^2 - 1)/2 (the Fz^2 part of the tensor).
     """
-    if polarization is None:
-        polarization = spherical_polarization(probe.polarization_angle_deg)
-    v = light_shift_matrix(probe, polarization)
-
-    scalar, vector, tensor = (np.zeros_like(v) for _ in range(3))
-    for blk in _BLOCKS:
-        scalar[blk, blk], vector[blk, blk], tensor[blk, blk] = _decompose_block(v[blk, blk])
-
-    f_k = np.array([1.0, 1.0, (3.0 * abs(polarization[1]) ** 2 - 1.0) / 2.0])
+    v = light_shift_matrix(probe)
+    eps_0 = spherical_polarization(probe.polarization_angle_deg)[1]
+    f_k = np.array([1.0, 1.0, (3.0 * abs(eps_0) ** 2 - 1.0) / 2.0])
     xi = (GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel * f_k
           * pole_sum(_XI_WEIGHTS, _RESONANCES[1], probe.detuning_MHz))
-    return LightShiftOperator(v, scalar, vector, tensor, *xi.tolist())
+    return LightShiftOperator(v, *xi.tolist())
 
 
 def _clock_shift_poles(theta_deg: float,

@@ -318,6 +318,18 @@ class TestExitCodes:
         assert "sweep.window_MHz" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_spectra_grid_emptied_by_resonance_margin_exits_2(self, tmp_path, capsys):
+        # all five points lie within 0.91 MHz of F=4 -> F'=3 at -1168 MHz;
+        # the window check passes, since no resonance lies inside the
+        # margin-shrunk window, and the grid filter then drops every point
+        cfg = write(tmp_path, "c.yaml",
+                    "sweep:\n  window_MHz: [-1168.5, -1167.5]\n  n_points: 5\n")
+        out = tmp_path / "o"
+        assert main(["spectra", "--preset", "spectra", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "sweep.window_MHz" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
         from clockprobe import dynamics
 

@@ -1,21 +1,21 @@
-"""Light-shift operator, decomposition, magic frequencies, two-color balance."""
+"""Light-shift operator, closed-form xi's, magic frequencies, two-color balance."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from clockprobe.angular import dipole_element
-from clockprobe.atom import GAMMA_MHZ, IDX_DOWN, IDX_UP, state_registry
+from clockprobe.atom import F3_BLOCK, F4_BLOCK, GAMMA_MHZ, IDX_DOWN, IDX_UP, state_registry
 from clockprobe.birefringence import two_color_balance
 from clockprobe.errors import NoBalanceError, ResonanceProximityError
 from clockprobe.lightshift import (
     ProbeConfig,
+    amplitude_tensor,
     build_light_shift,
-    circular_polarization,
     differential_clock_shift,
     dressed_clock_shift,
+    excited_detunings_MHz,
     find_magic_detunings,
     light_shift_matrix,
     RESONANCES_MHZ,
@@ -81,66 +81,44 @@ class TestOperator:
         assert ratio == pytest.approx(2.0, rel=5e-3)
 
 
-class TestDecomposition:
-    def test_completeness_for_100_random_probes(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            det = float(rng.uniform(-1100, -60))
-            s = float(rng.uniform(0.5, 40))
-            theta = float(rng.uniform(0, 180))
-            op = build_light_shift(ProbeConfig(det, s, theta))
-            recon = op.scalar_part + op.vector_part + op.tensor_part
-            scale = np.abs(op.total).max()
-            assert np.abs(op.total - recon).max() <= 1e-12 * scale
+def spin_matrices(blk):
+    """Fx, Fy, Fz on one ground-F block of the state registry."""
+    m = np.array([st.mF for st in state_registry()[blk]], dtype=float)
+    f = (len(m) - 1) / 2.0
+    fplus = np.where(m[:, None] == m + 1, np.sqrt(f * (f + 1.0) - m * (m + 1.0)), 0.0)
+    return (fplus + fplus.T) / 2.0, (fplus - fplus.T) / 2j, np.diag(m)
 
+
+def projection(v, op):
+    """Coefficient of ``op`` in ``v`` under the trace inner product."""
+    return np.trace(v @ op.conj().T).real / np.trace(op @ op.conj().T).real
+
+
+class TestDecomposition:
     def test_vector_part_vanishes_for_linear_polarization(self):
         # xi1 is an atomic coefficient and stays finite; the operator's
-        # vector part carries the ellipticity factor and must vanish
+        # vector part carries the ellipticity factor and must vanish, so
+        # neither F block has a trace projection on Fx, Fy or Fz
         for theta in (0.0, 30.0, 45.0, 90.0, 120.0):
-            op = build_light_shift(ProbeConfig(-400.0, 16.0, theta))
-            assert np.abs(op.vector_part).max() < 1e-12
-            assert abs(op.xi1_MHz) > 0
-
-    def test_vector_part_nonzero_for_circular(self):
-        op = build_light_shift(ProbeConfig(-400.0, 16.0, 45.0),
-                               polarization=circular_polarization(+1))
-        assert np.abs(op.vector_part).max() > 1e-6
-        assert abs(op.xi1_MHz) > 1e-8
-
-    def test_vector_part_flips_with_handedness(self):
-        op_p = build_light_shift(ProbeConfig(-400.0, 16.0, 45.0),
-                                 polarization=circular_polarization(+1))
-        op_m = build_light_shift(ProbeConfig(-400.0, 16.0, 45.0),
-                                 polarization=circular_polarization(-1))
-        assert np.abs(op_p.vector_part + op_m.vector_part).max() < 1e-12
-
-    def test_scalar_part_is_identity_per_block(self):
-        op = build_light_shift(ProbeConfig(-300.0, 8.0, 60.0))
-        for blk in (slice(0, 7), slice(7, 16)):
-            s = op.scalar_part[blk, blk]
-            assert np.allclose(s, s[0, 0] * np.eye(s.shape[0]))
+            probe = ProbeConfig(-400.0, 16.0, theta)
+            v = light_shift_matrix(probe)
+            for blk in (F3_BLOCK, F4_BLOCK):
+                scalar = abs(np.trace(v[blk, blk]).real) / (blk.stop - blk.start)
+                for f in spin_matrices(blk):
+                    assert abs(projection(v[blk, blk], f)) <= 1e-12 * scalar
+            assert abs(build_light_shift(probe).xi1_MHz) > 0
 
 
-def trace_projection_xis(probe, polarization=None):
-    """xi0, xi1, xi2 by trace projection of the numeric F = 4 block.
+def circular_f4_block(probe, handedness):
+    """F = 4 block of the light shift of circular light (x + i h z)/sqrt(2).
 
-    xi0 is the scalar trace, xi2 the Fz^2 - <Fz^2> coefficient and xi1 the
-    Fy coefficient of the sigma+ operator at the same detuning and power.
+    Built here from the dipole amplitudes at the probe's detuning and
+    power: the library's operator takes linear polarization only.
     """
-    f4 = [i for i, st in enumerate(state_registry()) if st.F == 4]
-    m = np.array([state_registry()[i].mF for i in f4], dtype=float)
-    fz = np.diag(m)
-    fplus = np.zeros((9, 9))
-    for i, j in itertools.product(range(9), repeat=2):
-        if m[i] == m[j] + 1:
-            fplus[i, j] = math.sqrt(20.0 - m[j] * (m[j] + 1.0))
-    fy = (fplus - fplus.T) / 2j
-    q = fz @ fz - np.trace(fz @ fz) / 9.0 * np.eye(9)
-    v = light_shift_matrix(probe, polarization)[np.ix_(f4, f4)]
-    v_circ = light_shift_matrix(probe, circular_polarization(+1))[np.ix_(f4, f4)]
-    return (np.trace(v).real / 9.0,
-            np.trace(v_circ @ fy.conj().T).real / np.trace(fy @ fy.conj().T).real,
-            np.trace(v @ q).real / np.trace(q @ q).real)
+    eps = np.array([1.0, 1j * handedness * math.sqrt(2.0), -1.0]) / 2.0
+    exc = (amplitude_tensor() @ eps)[F4_BLOCK]
+    dets = excited_detunings_MHz(probe.detuning_MHz)[F4_BLOCK]
+    return GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel * (exc.conj() @ (exc / dets).T)
 
 
 class TestClosedFormXi:
@@ -150,18 +128,26 @@ class TestClosedFormXi:
         *(f"theta={t}" for t in (0, 20, 45, 54.7, 80, 90, 135, 179)),
         "sigma+", "sigma-"])
     def test_matches_trace_projections(self, pol):
-        # both D1 windows, linear probes and either circular handedness
+        # both D1 windows.  Linear probes: xi0 is the scalar trace and xi2
+        # the Fz^2 - <Fz^2> coefficient of the probe's F = 4 block, and xi1
+        # the Fy coefficient of the sigma+ block.  Circular light of either
+        # handedness h: its Fy coefficient is h xi1
+        _, fy, fz = spin_matrices(F4_BLOCK)
+        q = fz @ fz - np.trace(fz @ fz) / 9.0 * np.eye(9)
         for det in self.DETUNINGS:
             if pol.startswith("theta="):
-                probe = ProbeConfig(det, 7.0, float(pol[6:]))
-                eps = None
+                op = build_light_shift(ProbeConfig(det, 7.0, float(pol[6:])))
+                v = op.total[F4_BLOCK, F4_BLOCK]
+                got = (op.xi0_MHz, op.xi1_MHz, op.xi2_MHz)
+                oracle = (np.trace(v).real / 9.0,
+                          projection(circular_f4_block(ProbeConfig(det, 7.0), +1), fy),
+                          projection(v, q))
             else:
-                probe = ProbeConfig(det, 7.0, 45.0)
-                eps = circular_polarization(+1 if pol == "sigma+" else -1)
-            op = build_light_shift(probe, polarization=eps)
-            oracle = trace_projection_xis(probe, eps)
-            got = (op.xi0_MHz, op.xi1_MHz, op.xi2_MHz)
-            assert np.abs(np.subtract(got, oracle)).max() <= 1e-12 * abs(oracle[0])
+                h = +1 if pol == "sigma+" else -1
+                op = build_light_shift(ProbeConfig(det, 7.0))
+                got = (h * op.xi1_MHz,)
+                oracle = (projection(circular_f4_block(ProbeConfig(det, 7.0), h), fy),)
+            assert np.abs(np.subtract(got, oracle)).max() <= 1e-12 * abs(op.xi0_MHz)
 
     def test_one_operator_build(self, monkeypatch):
         from clockprobe import lightshift

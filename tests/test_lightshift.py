@@ -144,9 +144,10 @@ class TestClosedFormXi:
                           projection(v, q))
             else:
                 h = +1 if pol == "sigma+" else -1
-                op = build_light_shift(ProbeConfig(det, 7.0))
+                probe = ProbeConfig(det, 7.0)
+                op = build_light_shift(probe)
                 got = (h * op.xi1_MHz,)
-                oracle = (projection(circular_f4_block(ProbeConfig(det, 7.0), h), fy),)
+                oracle = (projection(circular_f4_block(probe, h), fy),)
             assert np.abs(np.subtract(got, oracle)).max() <= 1e-12 * abs(op.xi0_MHz)
 
     def test_one_operator_build(self, monkeypatch):

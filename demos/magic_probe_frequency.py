@@ -10,7 +10,7 @@ polarization.
 
 import numpy as np
 
-from clockprobe import (
+from clockprobe.lightshift import (
     ProbeConfig,
     differential_clock_shift,
     dressed_clock_shift,

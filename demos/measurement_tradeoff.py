@@ -14,16 +14,14 @@ figures peak sharply at the magic detuning: there the light shift is
 common-mode and the spread cannot dephase the ensemble.
 """
 
-from clockprobe import (
-    CloudConfig,
+from clockprobe.atom import CloudConfig
+from clockprobe.dynamics import MicrowaveConfig, RunSetup
+from clockprobe.ensemble import (
     InhomogeneityConfig,
-    MicrowaveConfig,
-    ProbeConfig,
-    RunSetup,
     calibrated_irradiance,
-    find_magic_detunings,
     sweep_measurement_strength,
 )
+from clockprobe.lightshift import ProbeConfig, find_magic_detunings
 
 magic = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz
 rate = 1.25  # photon scattering events per atom per ms

@@ -12,15 +12,13 @@ the fitted oscillation parameters for three situations:
 
 from dataclasses import replace
 
-from clockprobe import (
-    InhomogeneityConfig,
-    MicrowaveConfig,
+from clockprobe.dynamics import MicrowaveConfig, RunSetup
+from clockprobe.ensemble import InhomogeneityConfig, ensemble_average
+from clockprobe.fitting import fit_decaying_sinusoid
+from clockprobe.lightshift import (
     ProbeConfig,
-    RunSetup,
     dressed_clock_shift,
-    ensemble_average,
     find_magic_detunings,
-    fit_decaying_sinusoid,
 )
 
 magic = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz

@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .errors import ClockProbeError, ConfigError
 from .fitting import fit_decaying_sinusoid
-from .lightshift import ProbeConfig, dressed_clock_shift, nearest_resonance
+from .lightshift import ProbeConfig, dressed_clock_shift, resonance_distance
 
 __all__ = [
     "InhomogeneityConfig",
@@ -194,7 +194,7 @@ def sweep(point, detunings_MHz, mask_gamma: float) -> list[tuple]:
     """
     workers = _workers()
     grid = [float(d) for d in detunings_MHz]
-    masked = [nearest_resonance(d)[0] <= mask_gamma * GAMMA_MHZ for d in grid]
+    masked = (resonance_distance(grid).min(axis=-1) <= mask_gamma * GAMMA_MHZ).tolist()
     live = [d for d, m in zip(grid, masked) if not m]
     attempt = partial(_attempt, point)
     if workers == 1 or len(live) < 2:

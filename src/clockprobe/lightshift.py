@@ -42,7 +42,7 @@ __all__ = [
     "line_strengths",
     "spherical_polarization",
     "RESONANCES_MHZ",
-    "nearest_resonance",
+    "resonance_distance",
     "clear_of_resonances",
     "excited_detunings_MHz",
     "check_off_resonance",
@@ -74,6 +74,8 @@ RESONANCES_MHZ = {
 _RESONANCES = np.array([[RESONANCES_MHZ[f"F={F} -> F'={Fe}"] for Fe in (3, 4)]
                         for F in (3, 4)])
 _RESONANCES.setflags(write=False)
+_LABELS = tuple(RESONANCES_MHZ)
+_POSITIONS = np.array(list(RESONANCES_MHZ.values()))
 _MARGIN_MHZ = 0.2 * GAMMA_MHZ  # magic roots and spectra grids keep this far off
 
 
@@ -156,24 +158,24 @@ def line_strengths(polarization: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, _RESONANCES[_F_INDEX]
 
 
-def nearest_resonance(detuning_MHz: float) -> tuple[float, str, float]:
-    """(distance, label, position) of the D1 resonance nearest the detuning (MHz)."""
-    return min((abs(detuning_MHz - pos), label, pos)
-               for label, pos in RESONANCES_MHZ.items())
+def resonance_distance(detuning_MHz) -> np.ndarray:
+    """|Delta - r| (MHz) to each D1 resonance r, in RESONANCES_MHZ order, last axis."""
+    d = np.asarray(detuning_MHz, dtype=float)
+    return np.abs(d[..., None] - _POSITIONS)
 
 
 def clear_of_resonances(detuning_MHz) -> np.ndarray:
     """Whether each detuning lies more than 0.2 Gamma from every D1 resonance."""
-    d = np.asarray(detuning_MHz, dtype=float)
-    return np.all(np.abs(d[..., None] - _RESONANCES.ravel()) > _MARGIN_MHZ, axis=-1)
+    return np.all(resonance_distance(detuning_MHz) > _MARGIN_MHZ, axis=-1)
 
 
 def check_off_resonance(detuning_MHz) -> None:
     """Raise :class:`ResonanceProximityError` at the first detuning within 0.1 Gamma."""
-    for d in np.ravel(detuning_MHz).tolist():
-        distance, label, pos = nearest_resonance(d)
-        if distance <= 0.1 * GAMMA_MHZ:
-            raise ResonanceProximityError(d, pos, label)
+    d = np.ravel(detuning_MHz)
+    row, col = np.nonzero(resonance_distance(d) <= 0.1 * GAMMA_MHZ)
+    if row.size:
+        i, k = row[0], col[0]
+        raise ResonanceProximityError(float(d[i]), float(_POSITIONS[k]), _LABELS[k])
 
 
 def pole_sum(weights: np.ndarray, poles: np.ndarray, detuning_MHz) -> np.ndarray:

@@ -266,6 +266,11 @@ def test_09_numerical_hygiene(tmp_path):
     rec = run_simulation(setup)
     total = rec.populations.sum(axis=1) + rec.lost
     conservation = float(np.abs(total - 1.0).max()) / rec.times_ms[-1]
+    # trace + lost = 1 holds by construction; with the loss channel off the
+    # trace itself must stay at 1, so its drift is that of the propagator
+    lossless = run_simulation(replace(setup, extra_loss_per_ms=0.0))
+    trace = lossless.populations.sum(axis=1)
+    trace_drift = float(np.abs(trace - 1.0).max()) / lossless.times_ms[-1]
     positivity = float(rec.populations.min())
     fine = run_simulation(replace(setup, dt_ms=0.005))
     halving = float(np.abs(rec.s3 - fine.s3[::2]).max())
@@ -282,10 +287,11 @@ def test_09_numerical_hygiene(tmp_path):
         outs.append((out / "rabi_record.csv").read_bytes())
     identical = outs[0] == outs[1]
 
-    ok = (conservation < 1e-9 and positivity >= -1e-9
+    ok = (conservation < 1e-9 and trace_drift < 1e-9 and positivity >= -1e-9
           and halving < 1e-6 and identical)
     _report("09 numerical hygiene", ok,
-            f"trace+lost drift {conservation:.1e}/ms (< 1e-9), min population "
+            f"trace+lost drift {conservation:.1e}/ms (< 1e-9), loss-off trace "
+            f"drift {trace_drift:.1e}/ms (< 1e-9), min population "
             f"{positivity:.1e} (>= -1e-9), step-halving delta {halving:.1e} "
             f"(< 1e-6), same-seed CSVs byte-identical: {identical}")
 

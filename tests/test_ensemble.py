@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from clockprobe.atom import GAMMA_MHZ
 from clockprobe.birefringence import projection_noise_snr
 from clockprobe.dynamics import MicrowaveConfig, RunSetup, rabi_frequency, run_simulation
 from clockprobe.ensemble import (
@@ -18,11 +19,17 @@ from clockprobe.ensemble import (
     ensemble_average,
     generalized_rabi_kHz,
     operating_point,
+    sweep,
     sweep_measurement_strength,
 )
 from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scattering_rate_per_ms
 from clockprobe.errors import InvariantViolationError
-from clockprobe.lightshift import ProbeConfig, dressed_clock_shift, find_magic_detunings
+from clockprobe.lightshift import (
+    ProbeConfig,
+    dressed_clock_shift,
+    find_magic_detunings,
+    resonance_distance,
+)
 
 MAGIC = find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz
 
@@ -191,6 +198,17 @@ class TestSweep:
         assert good.pn_snr > 0
         # off the magic point the light shift detunes the drive strongly
         assert figures[2].omega_kHz > 5 * good.omega_kHz
+
+    def test_mask_reads_the_resonance_distance(self, monkeypatch):
+        monkeypatch.delenv("CLOCKPROBE_WORKERS", raising=False)
+        # exactly mask_gamma off is masked, just beyond it is computed
+        edge = -1168.0 + 2 * GAMMA_MHZ
+        grid = [-500.0, edge, edge + 1e-9, 9192.6]
+        rows = sweep(abs, grid, mask_gamma=2.0)
+        assert [masked for _, masked, _ in rows] == \
+            (resonance_distance(grid).min(axis=-1) <= 2 * GAMMA_MHZ).tolist() == \
+            [False, True, False, True]
+        assert rows[0] == (500.0, False, "")
 
     def test_pn_snr_is_eta_over_twice_root_n(self):
         setup = make_setup()

@@ -13,12 +13,15 @@ from clockprobe.lightshift import (
     ProbeConfig,
     amplitude_tensor,
     build_light_shift,
+    check_off_resonance,
+    clear_of_resonances,
     differential_clock_shift,
     dressed_clock_shift,
     excited_detunings_MHz,
     find_magic_detunings,
     light_shift_matrix,
     RESONANCES_MHZ,
+    resonance_distance,
     spherical_polarization,
 )
 
@@ -92,6 +95,31 @@ def spin_matrices(blk):
 def projection(v, op):
     """Coefficient of ``op`` in ``v`` under the trace inner product."""
     return np.trace(v @ op.conj().T).real / np.trace(op @ op.conj().T).real
+
+
+class TestResonanceRule:
+    def test_distance_broadcasts_in_table_order(self):
+        grid = np.array([[-700.0, 8.0e3], [0.05, -1168.2]])
+        expected = np.abs(grid[..., None] - np.array(list(RESONANCES_MHZ.values())))
+        assert np.array_equal(resonance_distance(grid), expected)
+        assert resonance_distance(-700.0).shape == (4,)
+
+    def test_clear_and_check_read_the_distance_at_their_margins(self):
+        # exactly 0.2 Gamma off is not clear; exactly 0.1 Gamma off raises
+        grid = np.array([0.2 * GAMMA_MHZ, 0.2 * GAMMA_MHZ + 1e-9, -0.1 * GAMMA_MHZ])
+        assert clear_of_resonances(grid).tolist() == [False, True, False]
+        check_off_resonance(grid[:2])
+        with pytest.raises(ResonanceProximityError):
+            check_off_resonance(grid[2])
+
+    def test_check_names_the_first_offender_and_its_resonance(self):
+        with pytest.raises(ResonanceProximityError) as info:
+            check_off_resonance([-500.0, -1168.2, 0.3])
+        err = info.value
+        assert (err.detuning_MHz, err.nearest_resonance_MHz, err.label) == \
+            (-1168.2, -1168.0, "F=4 -> F'=3")
+        assert str(err) == ("probe detuning -1168.2 MHz is within 0.1 Gamma of the "
+                            "F=4 -> F'=3 resonance at -1168 MHz")
 
 
 class TestDecomposition:

@@ -15,7 +15,7 @@ common-mode and the spread cannot dephase the ensemble.
 """
 
 from clockprobe.atom import CloudConfig
-from clockprobe.dynamics import MicrowaveConfig, RunSetup
+from clockprobe.dynamics import MicrowaveConfig, RunSetup, SimulationConfig
 from clockprobe.ensemble import (
     InhomogeneityConfig,
     calibrated_irradiance,
@@ -30,11 +30,8 @@ setup = RunSetup(
     probe=ProbeConfig(magic, calibrated_irradiance(magic, 45.0, rate), 45.0),
     microwave=MicrowaveConfig(rabi_kHz=2.0),
     cloud=CloudConfig(od_resonant=2.5),
-    scattering_rate_per_ms=rate,
-    extra_loss_per_ms=0.4,
-    pumping_on=True,
-    t_span_ms=3.0,
-    dt_ms=0.005,
+    simulation=SimulationConfig(t_span_ms=3.0, dt_ms=0.005, extra_loss_per_ms=0.4,
+                                scattering_rate_per_ms=rate),
 )
 inhomog = InhomogeneityConfig(0.15, 0.015, n_samples=16, seed=0)
 

@@ -12,7 +12,7 @@ the fitted oscillation parameters for three situations:
 
 from dataclasses import replace
 
-from clockprobe.dynamics import MicrowaveConfig, RunSetup
+from clockprobe.dynamics import MicrowaveConfig, RunSetup, SimulationConfig
 from clockprobe.ensemble import InhomogeneityConfig, ensemble_average
 from clockprobe.fitting import fit_decaying_sinusoid
 from clockprobe.lightshift import (
@@ -27,9 +27,7 @@ print(f"magic probe detuning: {magic:.2f} MHz\n")
 base = RunSetup(
     probe=ProbeConfig(magic, 16.0, 45.0),
     microwave=MicrowaveConfig(rabi_kHz=2.0),
-    pumping_on=True,
-    t_span_ms=3.0,
-    dt_ms=0.005,
+    simulation=SimulationConfig(t_span_ms=3.0, dt_ms=0.005),
 )
 none = InhomogeneityConfig(0.0, 0.0, 1, 0)
 
@@ -45,7 +43,7 @@ def describe(label, setup, inhomog, hint):
 
 describe("ideal cloud at the magic point", base, none, 2.0)
 
-dephased = replace(base, extra_loss_per_ms=0.4)
+dephased = replace(base, simulation=replace(base.simulation, extra_loss_per_ms=0.4))
 describe("with 1.5% microwave spread and (2.5 ms)^-1 atom loss",
          dephased, InhomogeneityConfig(0.0, 0.015, 16, 0), 2.0)
 

@@ -8,7 +8,8 @@ Subcommands::
     clockprobe measurement tau_d / eta^2 / SNR sweep at constant scattering rate
 
 All take ``--config FILE --out DIR [--seed N] [--preset NAME]``; ``--seed``
-sets ``inhomogeneity.seed``.  Every output CSV starts with the schema line
+sets ``inhomogeneity.seed``; the config file takes YAML 1.2 exponent
+floats such as ``5e-3``.  Every output CSV starts with the schema line
 ``# clockprobe v1`` and is written atomically (temp file + rename), so a
 failed run leaves no partial files.  Exit codes: 0 success; only a
 ClockProbeError gets another, 2 config error, 3 physics-domain error or
@@ -116,18 +117,8 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     When ``simulation.scattering_rate_per_ms`` is set, the probe irradiance
     is recalibrated to that rate, whether or not pumping is on.
     """
-    sim = cfg.simulation
-    return operating_point(RunSetup(
-        probe=cfg.probe,
-        microwave=cfg.microwave,
-        cloud=cfg.cloud,
-        extra_loss_per_ms=sim.extra_loss_per_ms,
-        scattering_rate_per_ms=sim.scattering_rate_per_ms,
-        pumping_on=sim.pumping,
-        initial=sim.initial_density_matrix(),
-        t_span_ms=sim.t_span_ms,
-        dt_ms=sim.dt_ms,
-    ), cfg.probe.detuning_MHz)
+    return operating_point(RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation),
+                           cfg.probe.detuning_MHz)
 
 
 def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
@@ -290,7 +281,8 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     write_csv(out / "measurement.csv", _MEASUREMENT_COLUMNS,
               _figure_rows(figures))
     if cfg.simulation.extra_loss_per_ms > 0:
-        no_loss = run_sweep(replace(setup, extra_loss_per_ms=0.0))
+        no_loss = run_sweep(replace(setup, simulation=replace(
+            setup.simulation, extra_loss_per_ms=0.0)))
         write_csv(out / "measurement_no_loss.csv", _MEASUREMENT_COLUMNS,
                   _figure_rows(no_loss))
 

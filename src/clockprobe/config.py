@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,20 +24,13 @@ from typing import Any
 import yaml
 
 from .atom import CloudConfig
-from .dynamics import (
-    DensityMatrix,
-    MicrowaveConfig,
-    clock_mixture,
-    pure_state,
-    step_count,
-)
+from .dynamics import MicrowaveConfig, SimulationConfig
 from .ensemble import InhomogeneityConfig
 from .errors import ConfigError
 from .lightshift import ProbeConfig, find_magic_detunings
 
 __all__ = [
     "RunConfig",
-    "SimulationConfig",
     "SweepConfig",
     "OutputConfig",
     "PRESETS",
@@ -47,33 +41,12 @@ __all__ = [
 MAGIC_SEARCH_WINDOW_MHZ = (-1100.0, -50.0)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    t_span_ms: float = 3.0
-    dt_ms: float = 0.005
-    extra_loss_per_ms: float = 0.0
-    scattering_rate_per_ms: float | None = None  # calibrate probe power when set
-    pumping: bool = True
-    initial_state: str = "3,0"  # "F,mF" or "mixture"
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 5e-3 (1.1 wants 5.0e-3)."""
 
-    def __post_init__(self):
-        step_count(self.t_span_ms, self.dt_ms)  # span must be a whole number of steps
-        if self.extra_loss_per_ms < 0:
-            raise ValueError("extra_loss_per_ms must be >= 0")
-        if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:
-            raise ValueError("scattering_rate_per_ms must be > 0")
-        self.initial_density_matrix()  # rejects a malformed initial_state on load
 
-    def initial_density_matrix(self) -> DensityMatrix:
-        if self.initial_state == "mixture":
-            return clock_mixture(0.5)
-        try:
-            f_str, m_str = str(self.initial_state).split(",")
-            return pure_state(int(f_str), int(m_str))
-        except ValueError as exc:
-            raise ValueError(
-                f"initial_state must be 'F,mF' or 'mixture', got {self.initial_state!r}"
-            ) from exc
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+.0123456789"))
 
 
 @dataclass(frozen=True)
@@ -269,7 +242,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = yaml.safe_load(path.read_text())
+            loaded = yaml.load(path.read_text(), Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         tree = _merge(tree, _validate_tree(loaded, str(path)))

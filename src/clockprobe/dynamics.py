@@ -15,6 +15,7 @@ Internal units: time in ms, Hamiltonian entries in MHz, rates in 1/ms.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "DensityMatrix",
     "MicrowaveConfig",
     "SimRecord",
+    "SimulationConfig",
     "RunSetup",
     "pumping_jump_operators",
     "scattering_rate_per_ms",
@@ -72,10 +74,6 @@ class DensityMatrix:
         trace = float(np.trace(self.rho).real)
         if abs(trace - 1.0) > 1e-9:
             raise ValueError(f"trace = {trace} != 1")
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho)).copy()
 
 
 def pure_state(F: int, mF: int) -> DensityMatrix:
@@ -123,18 +121,11 @@ class SimRecord:
         if np.any(np.diff(self.times_ms) <= 0):
             raise ValueError("times must be strictly increasing")
 
-    @property
-    def pop_F3(self) -> np.ndarray:
-        return self.populations[:, F3_BLOCK].sum(axis=1)
-
-    @property
-    def pop_F4(self) -> np.ndarray:
-        return self.populations[:, F4_BLOCK].sum(axis=1)
-
     def csv_rows(self):
         """Rows (time_s, signal_rad, s3, pop_F3, pop_F4, lost)."""
+        pops = self.populations
         return zip(self.times_ms * 1e-3, self.signal_rad, self.s3,
-                   self.pop_F3, self.pop_F4, self.lost)
+                   pops[:, F3_BLOCK].sum(axis=1), pops[:, F4_BLOCK].sum(axis=1), self.lost)
 
 
 def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None = None):
@@ -321,14 +312,21 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
     matrix exponential exp(L dt) once computed.  ``state_phases`` gives
     the per-state birefringent phase used for the signal; extrinsic loss
     drains the clock states uniformly into the lost-population reservoir.
-    Hermiticity and positivity are checked on every state, block by block;
-    the earliest violation raises :class:`InvariantViolationError`.  A
+    The generator is checked to change the trace only through that loss,
+    and Hermiticity and positivity on every state, block by block; a
+    violation raises :class:`InvariantViolationError`.  A
     negative (or NaN) loss rate raises ``ValueError``.
     """
     n_steps = step_count(t_span_ms, dt_ms)
     if not extra_loss_per_ms >= 0:
         raise ValueError(f"extra_loss_per_ms must be >= 0, got {extra_loss_per_ms:g}")
     lv = _liouvillian(hamiltonian, jumps, extra_loss_per_ms)
+    # vec(I)^T L = -gamma_loss vec(P)^T, P on the clock pair; rho[i, i] is row 17 i
+    drift = lv[::N_GROUND + 1].sum(axis=0)
+    drift[(N_GROUND + 1) * np.array([IDX_UP, IDX_DOWN])] += extra_loss_per_ms
+    if not np.abs(drift).max() <= 1e-12 * np.abs(lv).max():
+        raise InvariantViolationError("generator does not conserve the trace: "
+                                      f"max |vec(I)^T L + loss| = {np.abs(drift).max():g}")
     lv *= dt_ms
     prop = expm(lv)
     times = np.arange(n_steps + 1) * dt_ms
@@ -351,30 +349,60 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
 
 
 @dataclass(frozen=True)
+class SimulationConfig:
+    """The record's time window, loss channels and initial state."""
+
+    t_span_ms: float = 3.0
+    dt_ms: float = 0.005
+    extra_loss_per_ms: float = 0.0
+    scattering_rate_per_ms: float | None = None  # calibrate probe power when set
+    pumping: bool = True
+    initial_state: str = "3,0"  # "F,mF" or "mixture"
+
+    def __post_init__(self):
+        n_steps = step_count(self.t_span_ms, self.dt_ms)  # a whole number of steps
+        need = (n_steps + 1) * N_GROUND**2 * 16  # bytes of evolve's complex trajectory
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(f"t_span_ms / dt_ms = {n_steps} steps need {need / 2**30:.3g} "
+                             f"GiB, more than the {have / 2**30:.3g} GiB of physical memory")
+        if self.extra_loss_per_ms < 0:
+            raise ValueError("extra_loss_per_ms must be >= 0")
+        if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:
+            raise ValueError("scattering_rate_per_ms must be > 0")
+        self.initial_density_matrix()  # rejects a malformed initial_state on load
+
+    def initial_density_matrix(self) -> DensityMatrix:
+        if self.initial_state == "mixture":
+            return clock_mixture(0.5)
+        try:
+            f_str, m_str = str(self.initial_state).split(",")
+            return pure_state(int(f_str), int(m_str))
+        except ValueError as exc:
+            raise ValueError(
+                f"initial_state must be 'F,mF' or 'mixture', got {self.initial_state!r}"
+            ) from exc
+
+
+@dataclass(frozen=True)
 class RunSetup:
     """Everything needed for one master-equation run."""
 
     probe: ProbeConfig
     microwave: MicrowaveConfig = MicrowaveConfig()
     cloud: CloudConfig = CloudConfig()
-    extra_loss_per_ms: float = 0.0
-    scattering_rate_per_ms: float | None = None  # calibrated when set
-    pumping_on: bool = True
-    initial: DensityMatrix | None = None  # default |3,0>
-    t_span_ms: float = 3.0
-    dt_ms: float = 0.005
+    simulation: SimulationConfig = SimulationConfig()
 
 
 def run_simulation(setup: RunSetup) -> SimRecord:
     """Build Hamiltonian, jumps and signal phases for ``setup`` and evolve."""
-    probe = setup.probe
+    probe, sim = setup.probe, setup.simulation
     h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G)
-    jumps = (pumping_jump_operators(probe, total_rate_per_ms=setup.scattering_rate_per_ms)
-             if setup.pumping_on else [])
+    jumps = (pumping_jump_operators(probe, total_rate_per_ms=sim.scattering_rate_per_ms)
+             if sim.pumping else [])
     phases = state_phase_table(probe.detuning_MHz, od=setup.cloud.od_resonant)
-    rho0 = setup.initial if setup.initial is not None else pure_state(3, 0)
-    return evolve(rho0, h, jumps, setup.extra_loss_per_ms,
-                  setup.t_span_ms, setup.dt_ms, state_phases=phases)
+    return evolve(sim.initial_density_matrix(), h, jumps, sim.extra_loss_per_ms,
+                  sim.t_span_ms, sim.dt_ms, state_phases=phases)
 
 
 def rabi_frequency(record: SimRecord,

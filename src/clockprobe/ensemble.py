@@ -107,14 +107,15 @@ def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord
     rng = np.random.default_rng(inhomog.seed)
     mw_f = mw_f[rng.permutation(inhomog.n_samples)]
 
-    probe, mw, rate = setup.probe, setup.microwave, setup.scattering_rate_per_ms
+    probe, mw, sim = setup.probe, setup.microwave, setup.simulation
     fields = ("signal_rad", "s3", "populations", "lost")
     sums = None
     for pf, mf in zip(probe_f.tolist(), mw_f.tolist()):
         rec = run_simulation(replace(
             setup, probe=replace(probe, irradiance_rel=probe.irradiance_rel * pf),
             microwave=replace(mw, rabi_kHz=mw.rabi_kHz * mf),
-            scattering_rate_per_ms=None if rate is None else rate * pf))
+            simulation=sim if sim.scattering_rate_per_ms is None else replace(
+                sim, scattering_rate_per_ms=sim.scattering_rate_per_ms * pf)))
         if sums is None:
             times, sums = rec.times_ms, [getattr(rec, f).copy() for f in fields]
         else:
@@ -158,12 +159,12 @@ def operating_point(setup: RunSetup, detuning_MHz: float) -> RunSetup:
     """``setup`` with its probe at ``detuning_MHz``.
 
     This is the constant-scattering-rate rule: when
-    ``setup.scattering_rate_per_ms`` is set, the probe irradiance is
-    recalibrated so that the equal clock mixture scatters at that rate at
-    this detuning; otherwise the irradiance is kept.
+    ``setup.simulation.scattering_rate_per_ms`` is set, the probe
+    irradiance is recalibrated so that the equal clock mixture scatters at
+    that rate at this detuning; otherwise the irradiance is kept.
     """
     probe = replace(setup.probe, detuning_MHz=detuning_MHz)
-    rate = setup.scattering_rate_per_ms
+    rate = setup.simulation.scattering_rate_per_ms
     if rate is not None:
         probe = replace(probe, irradiance_rel=calibrated_irradiance(
             detuning_MHz, probe.polarization_angle_deg, rate))

@@ -40,4 +40,5 @@ class ConfigError(ClockProbeError):
 
 
 class InvariantViolationError(ClockProbeError):
-    """An evolved density matrix lost Hermiticity or positivity."""
+    """An evolved density matrix lost Hermiticity or positivity, or the
+    generator changed the trace other than through the loss channel."""

@@ -265,11 +265,12 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
     """All zero crossings of the differential light shift inside ``window``.
 
     The zeros of dU = sum w / (Delta - r) are the real roots of its
-    numerator, a polynomial of degree at most 3.  Zero-weight poles are
-    dropped first: they are removable (at theta = 0 the pi amplitude
+    numerator, a polynomial of degree at most 3, taken at unit irradiance
+    (dU is linear in it, and the numerator cannot overflow there); only
+    the residual is at ``irradiance_rel``.  Zero-weight poles are dropped
+    first: they are removable (at theta = 0 the pi amplitude
     |4,0> -> |4',0> vanishes) and would add a spurious root.  Roots not
-    :func:`clear_of_resonances` are discarded.  An empty list is a valid
-    return.
+    :func:`clear_of_resonances` are discarded.  An empty list is valid.
     """
     lo, hi = sorted(window)
     for pos in RESONANCES_MHZ.values():
@@ -277,11 +278,13 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
             raise ValueError(
                 f"window ({lo}, {hi}) MHz contains the resonance at {pos} MHz"
             )
-    w, r = _clock_shift_poles(theta_deg, irradiance_rel)
+    w, r = _clock_shift_poles(theta_deg, 1.0)
     w, r = w[w != 0.0], r[w != 0.0]
     numerator = sum(wk * np.poly(np.delete(r, k)) for k, wk in enumerate(w))
     roots = np.roots(numerator)
     roots = np.sort(roots[roots.imag == 0].real)
     roots = roots[(lo <= roots) & (roots <= hi) & clear_of_resonances(roots)]
-    return [MagicPoint(float(d), theta_deg, float(pole_sum(w, r, d))) for d in roots]
+    w_at, r_at = _clock_shift_poles(theta_deg, irradiance_rel)
+    return [MagicPoint(float(d), theta_deg, float(pole_sum(w_at, r_at, d)))
+            for d in roots]
 

@@ -34,7 +34,7 @@ from clockprobe.cli import main
 from clockprobe.dynamics import (
     MicrowaveConfig,
     RunSetup,
-    clock_mixture,
+    SimulationConfig,
     rabi_frequency,
     run_simulation,
 )
@@ -125,7 +125,7 @@ def test_04_chevron_matches_generalized_rabi():
     for det in grid:
         probe = ProbeConfig(det, 16.0, 45.0)
         setup = RunSetup(probe=probe, microwave=MicrowaveConfig(rabi_kHz=2.0),
-                         pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
+                         simulation=SimulationConfig(t_span_ms=3.0, dt_ms=0.005))
         du = dressed_clock_shift(probe, bias_field_G=0.5)
         analytic = math.hypot(2.0, du)
         omega = rabi_frequency(run_simulation(setup), freq_hint_kHz=analytic)
@@ -144,8 +144,9 @@ def test_04_chevron_matches_generalized_rabi():
 def _clock_leakage(bias_G: float) -> float:
     setup = RunSetup(probe=ProbeConfig(MAGIC, 8.0, 45.0),
                      microwave=MicrowaveConfig(rabi_kHz=0.0),
-                     pumping_on=False, initial=clock_mixture(0.5),
-                     t_span_ms=5.0, dt_ms=0.01)
+                     simulation=SimulationConfig(t_span_ms=5.0, dt_ms=0.01,
+                                                 pumping=False,
+                                                 initial_state="mixture"))
     setup = replace(setup, cloud=replace(setup.cloud, bias_field_G=bias_G))
     rec = run_simulation(setup)
     clock = rec.populations[:, IDX_UP] + rec.populations[:, IDX_DOWN]
@@ -168,8 +169,9 @@ def test_06_decay_time_scaling():
         s_cal = calibrated_irradiance(MAGIC, 45.0, rate)
         setup = RunSetup(probe=ProbeConfig(MAGIC, s_cal, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=5.0),
-                         scattering_rate_per_ms=rate, pumping_on=True,
-                         t_span_ms=min(5.0, 3.2 / rate), dt_ms=0.005)
+                         simulation=SimulationConfig(
+                             t_span_ms=min(5.0, 3.2 / rate), dt_ms=0.005,
+                             scattering_rate_per_ms=rate))
         products.append(decay_time(run_simulation(setup), freq_hint_kHz=5.0)
                         * rate)
     prop_dev = float(np.abs(products - np.mean(products)).max()
@@ -183,8 +185,9 @@ def test_06_decay_time_scaling():
         s_cal = calibrated_irradiance(MAGIC, 45.0, rate)
         setup = RunSetup(probe=ProbeConfig(MAGIC, s_cal, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=5.0),
-                         scattering_rate_per_ms=rate, extra_loss_per_ms=0.4,
-                         pumping_on=True, t_span_ms=6.0, dt_ms=0.01)
+                         simulation=SimulationConfig(
+                             t_span_ms=6.0, dt_ms=0.01, extra_loss_per_ms=0.4,
+                             scattering_rate_per_ms=rate))
         inv_tau.append(1.0 / decay_time(run_simulation(setup),
                                         freq_hint_kHz=5.0))
     slope, intercept = np.polyfit(rates, inv_tau, 1)
@@ -202,8 +205,9 @@ def _strength_sweep(grid, probe_rms):
     setup = RunSetup(probe=ProbeConfig(MAGIC, s_cal, 45.0),
                      microwave=MicrowaveConfig(rabi_kHz=2.0),
                      cloud=CloudConfig(od_resonant=2.5),
-                     scattering_rate_per_ms=1.25, extra_loss_per_ms=0.4,
-                     pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
+                     simulation=SimulationConfig(t_span_ms=3.0, dt_ms=0.005,
+                                                 extra_loss_per_ms=0.4,
+                                                 scattering_rate_per_ms=1.25))
     n = 16 if (probe_rms or 0.015) else 1
     inh = InhomogeneityConfig(probe_rms, 0.015, n_samples=n, seed=0)
     figs = sweep_measurement_strength(grid, setup, inh)
@@ -259,20 +263,20 @@ def test_08_projection_noise_snr_scaling(sweep_with_spread):
 
 
 def test_09_numerical_hygiene(tmp_path):
+    sim = SimulationConfig(t_span_ms=3.0, dt_ms=0.01, extra_loss_per_ms=0.4)
     setup = RunSetup(probe=ProbeConfig(MAGIC, 16.0, 45.0),
-                     microwave=MicrowaveConfig(rabi_kHz=2.0),
-                     extra_loss_per_ms=0.4, pumping_on=True,
-                     t_span_ms=3.0, dt_ms=0.01)
+                     microwave=MicrowaveConfig(rabi_kHz=2.0), simulation=sim)
     rec = run_simulation(setup)
     total = rec.populations.sum(axis=1) + rec.lost
     conservation = float(np.abs(total - 1.0).max()) / rec.times_ms[-1]
     # trace + lost = 1 holds by construction; with the loss channel off the
     # trace itself must stay at 1, so its drift is that of the propagator
-    lossless = run_simulation(replace(setup, extra_loss_per_ms=0.0))
+    lossless = run_simulation(replace(
+        setup, simulation=replace(sim, extra_loss_per_ms=0.0)))
     trace = lossless.populations.sum(axis=1)
     trace_drift = float(np.abs(trace - 1.0).max()) / lossless.times_ms[-1]
     positivity = float(rec.populations.min())
-    fine = run_simulation(replace(setup, dt_ms=0.005))
+    fine = run_simulation(replace(setup, simulation=replace(sim, dt_ms=0.005)))
     halving = float(np.abs(rec.s3 - fine.s3[::2]).max())
 
     cfg = tmp_path / "c.yaml"

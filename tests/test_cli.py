@@ -14,7 +14,8 @@ from clockprobe import cli
 from clockprobe.atom import IDX_DOWN, IDX_UP
 from clockprobe.birefringence import state_phase_table
 from clockprobe.cli import SCHEMA_LINE, main
-from clockprobe.config import PRESETS, SimulationConfig, load_config
+from clockprobe.config import PRESETS, load_config
+from clockprobe.dynamics import SimulationConfig
 from clockprobe.ensemble import calibrated_irradiance
 from clockprobe.errors import (
     ConfigError,
@@ -97,7 +98,7 @@ class TestConfigLoading:
                                       "  scattering_rate_per_ms: 1.25\n")
         cfg = load_config(p, preset="rabi-ideal")
         setup = cli.build_setup(cfg)
-        assert not setup.pumping_on
+        assert not setup.simulation.pumping
         assert setup.probe.irradiance_rel == calibrated_irradiance(
             cfg.probe.detuning_MHz, 45.0, 1.25)
 
@@ -147,14 +148,16 @@ class TestConfigLoading:
 
 
 class TestCliRuns:
-    def test_rabi_writes_schema_and_data(self, tmp_path):
-        cfg = write(tmp_path, "c.yaml", FAST_RABI)
+    def test_rabi_writes_schema_and_data(self, tmp_path, run_plot_script):
+        cfg = write(tmp_path, "c.yaml", FAST_RABI.replace("plot_scripts: false",
+                                                          "plot_scripts: true"))
         out = tmp_path / "out"
         assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 0
         text = (out / "rabi_record.csv").read_text().splitlines()
         assert text[0] == SCHEMA_LINE
         assert text[1].split(",")[0] == "time_s"
         assert len(text) == 2 + 101  # header lines + samples
+        run_plot_script(out / "plot_rabi.py", "rabi.png")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write(tmp_path, "c.yaml", FAST_RABI)
@@ -200,13 +203,27 @@ class TestCliRuns:
             assert du == differential_clock_shift(d, c.probe.polarization_angle_deg,
                                                   c.probe.irradiance_rel)
 
-    def test_plot_scripts_emitted_when_enabled(self, tmp_path):
+    def test_plot_scripts_emitted_when_enabled(self, tmp_path, run_plot_script):
         cfg = write(tmp_path, "c.yaml",
                     FAST_SPECTRA.replace("plot_scripts: false",
                                          "plot_scripts: true"))
         out = tmp_path / "out"
         assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "plot_spectra.py").exists()
+        run_plot_script(out / "plot_spectra.py", "spectra.png")
+
+    def test_spectra_magic_search_at_extreme_irradiance(self, tmp_path):
+        # dU is linear in the irradiance, so the roots do not depend on it;
+        # at 1e300 I_sat the root numerator used to overflow to inf
+        found = []
+        for irradiance in ("1.0", "1.0e+300"):
+            cfg = write(tmp_path, "c.yaml", FAST_SPECTRA.replace(
+                "-335.0\n", f"-335.0\n  irradiance_rel: {irradiance}\n"))
+            out = tmp_path / irradiance
+            assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 0
+            with open(out / "magic_points.csv", newline="") as fh:
+                found.append([r["detuning_MHz"] for r in csv.DictReader(
+                    line for line in fh if not line.startswith("#"))])
+        assert len(found[0]) == 1 and found[0] == found[1]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_chevron_small_grid(self, tmp_path, monkeypatch, workers):
@@ -296,6 +313,17 @@ class TestExitCodes:
                                       f"simulation:\n  initial_state: '{state}'\n"))
         assert main(["rabi", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_record_larger_than_memory_exits_2(self, tmp_path, capsys):
+        # 2e11 steps of 5 us: the trajectory alone would take 745 TiB
+        cfg = write(tmp_path, "c.yaml", "simulation:\n  t_span_ms: 1000000000.0\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'simulation'" in err and "t_span_ms / dt_ms" in err
+        assert "physical memory" in err
+        assert not out.exists()
 
     def test_span_not_a_multiple_of_step_exits_2(self, tmp_path):
         with pytest.raises(ValueError, match="not a multiple"):
@@ -424,6 +452,24 @@ class TestIllTypedConfig:
         assert main([command, "--preset", preset, "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exponent_floats_load(self, tmp_path):
+        # YAML 1.2 floats: YAML 1.1 needs a dot and a signed exponent
+        p = write(tmp_path, "c.yaml",
+                  FAST_RABI.replace("dt_ms: 0.01", "dt_ms: 5e-3").replace(
+                      "irradiance_rel: 16.0", "irradiance_rel: 1.0e9"))
+        cfg = load_config(p)
+        assert cfg.simulation.dt_ms == 0.005
+        assert type(cfg.probe.irradiance_rel) is float
+        assert cfg.probe.irradiance_rel == 1e9
+
+    def test_non_numeric_float_still_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.yaml", "simulation:\n  dt_ms: 5e-3ms\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "simulation.dt_ms" in capsys.readouterr().err
         assert not out.exists()
 
     def test_int_for_a_float_field_loads_as_given(self, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from clockprobe import dynamics
 from clockprobe.atom import IDX_DOWN, IDX_UP, state_index
 from clockprobe.cli import build_setup
 from clockprobe.config import load_config
@@ -18,6 +19,7 @@ from clockprobe.dynamics import (
     DensityMatrix,
     MicrowaveConfig,
     RunSetup,
+    SimulationConfig,
     _check_invariants,
     _liouvillian,
     build_hamiltonian,
@@ -35,11 +37,10 @@ from clockprobe.lightshift import ProbeConfig
 
 class TestStates:
     def test_pure_state_and_mixture(self):
-        rho = pure_state(3, 0)
-        assert rho.populations[IDX_DOWN] == 1.0
-        mix = clock_mixture(0.25)
-        assert mix.populations[IDX_UP] == 0.25
-        assert mix.populations[IDX_DOWN] == 0.75
+        assert pure_state(3, 0).rho[IDX_DOWN, IDX_DOWN] == 1.0
+        mix = np.diag(clock_mixture(0.25).rho).real
+        assert mix[IDX_UP] == 0.25
+        assert mix[IDX_DOWN] == 0.75
 
     def test_trace_validation(self):
         bad = np.zeros((16, 16), dtype=complex)
@@ -119,8 +120,8 @@ class TestPumping:
     def test_population_leaves_clock_manifold_under_pumping(self):
         setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=0.0),
-                         pumping_on=True, initial=clock_mixture(1.0),
-                         t_span_ms=2.0, dt_ms=0.005)
+                         simulation=SimulationConfig(t_span_ms=2.0, dt_ms=0.005,
+                                                     initial_state="4,0"))
         rec = run_simulation(setup)
         clock_pop = rec.populations[:, IDX_UP] + rec.populations[:, IDX_DOWN]
         assert clock_pop[-1] < clock_pop[0]
@@ -131,8 +132,8 @@ class TestConservation:
     def _record(self, extra_loss):
         setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=2.0),
-                         extra_loss_per_ms=extra_loss, pumping_on=True,
-                         t_span_ms=3.0, dt_ms=0.005)
+                         simulation=SimulationConfig(t_span_ms=3.0, dt_ms=0.005,
+                                                     extra_loss_per_ms=extra_loss))
         return run_simulation(setup)
 
     def test_trace_plus_lost_conserved(self):
@@ -152,10 +153,10 @@ class TestConservation:
     def test_step_halving_leaves_observables_unchanged(self):
         setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=2.0),
-                         extra_loss_per_ms=0.4, pumping_on=True,
-                         t_span_ms=1.0, dt_ms=0.01)
+                         simulation=SimulationConfig(t_span_ms=1.0, dt_ms=0.01,
+                                                     extra_loss_per_ms=0.4))
         coarse = run_simulation(setup)
-        fine = run_simulation(replace(setup, dt_ms=0.005))
+        fine = run_simulation(with_simulation(setup, dt_ms=0.005))
         assert np.abs(coarse.s3 - fine.s3[::2]).max() < 1e-6
         assert np.abs(coarse.signal_rad - fine.signal_rad[::2]).max() < 1e-6
 
@@ -167,11 +168,12 @@ class TestLossBalance:
         # by a cumulative trapezoid sum whose error scales as dt^2; unlike
         # trace + lost = 1 this fails for a wrong loss term
         setup = measurement_setup()
-        rec = run_simulation(replace(setup, dt_ms=dt_ms))
+        rec = run_simulation(with_simulation(setup, dt_ms=dt_ms))
         clock = rec.populations[:, IDX_UP] + rec.populations[:, IDX_DOWN]
         steps = 0.5 * (clock[1:] + clock[:-1]) * np.diff(rec.times_ms)
-        balance = setup.extra_loss_per_ms * np.concatenate([[0.0], np.cumsum(steps)])
-        assert setup.extra_loss_per_ms == 0.4 and rec.lost[-1] > 0.3
+        loss = setup.simulation.extra_loss_per_ms
+        balance = loss * np.concatenate([[0.0], np.cumsum(steps)])
+        assert loss == 0.4 and rec.lost[-1] > 0.3
         assert np.abs(rec.lost - balance).max() <= bound
 
 
@@ -200,11 +202,12 @@ class TestDissipativeOracle:
         # 16 x 16 ODE d rho = K rho + rho K^dagger + sum r A rho A^dagger,
         # with K = -i omega - (sum r A^dagger A + gamma_loss P) / 2,
         # integrated by DOP853 with no Liouville-space generator
-        setup = replace(measurement_setup(), t_span_ms=0.5)
+        setup = with_simulation(measurement_setup(), t_span_ms=0.5)
+        sim = setup.simulation
         h, jumps = operator_terms(setup)
         p = np.zeros((16, 16))
         p[IDX_UP, IDX_UP] = p[IDX_DOWN, IDX_DOWN] = 1.0
-        k = -2j * np.pi * 1e3 * h - 0.5 * setup.extra_loss_per_ms * p
+        k = -2j * np.pi * 1e3 * h - 0.5 * sim.extra_loss_per_ms * p
         for op, rate in jumps:
             k -= 0.5 * rate * op.conj().T @ op
 
@@ -217,9 +220,9 @@ class TestDissipativeOracle:
 
         rec = run_simulation(setup)
         rho0 = pure_state(3, 0).rho
-        sol = solve_ivp(rhs, (0.0, setup.t_span_ms), rho0.ravel(), method="DOP853",
+        sol = solve_ivp(rhs, (0.0, sim.t_span_ms), rho0.ravel(), method="DOP853",
                         t_eval=rec.times_ms, rtol=1e-10, atol=1e-14)
-        assert sol.success and setup.extra_loss_per_ms > 0 and jumps
+        assert sol.success and sim.extra_loss_per_ms > 0 and jumps
         pops = np.real(np.diagonal(sol.y.T.reshape(-1, 16, 16), axis1=1, axis2=2))
         assert np.abs(rec.populations - pops).max() <= 1e-10
 
@@ -229,8 +232,9 @@ class TestPumpedSteadyState:
         # microwave and loss off at the measurement operating point: the
         # generator has a one-dimensional null space, and its slowest decay
         # rate (7.5e-4 /ms) leaves e^-30 of the transient after 40 s
-        setup = replace(measurement_setup(), microwave=MicrowaveConfig(rabi_kHz=0.0),
-                        extra_loss_per_ms=0.0, t_span_ms=40000.0, dt_ms=1000.0)
+        setup = with_simulation(measurement_setup(), extra_loss_per_ms=0.0,
+                                t_span_ms=40000.0, dt_ms=1000.0)
+        setup = replace(setup, microwave=MicrowaveConfig(rabi_kHz=0.0))
         h, jumps = operator_terms(setup)
         _, sv, vh = np.linalg.svd(kron_liouvillian(h, jumps, 0.0))
         assert sv[-1] < 1e-10 and sv[-2] > 1e-4
@@ -251,8 +255,9 @@ class TestBiasFieldDecoupling:
         # equal clock mixture under the probe alone
         setup = RunSetup(probe=ProbeConfig(-335.0, 8.0, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=0.0),
-                         pumping_on=False, initial=clock_mixture(0.5),
-                         t_span_ms=t_span, dt_ms=0.01)
+                         simulation=SimulationConfig(t_span_ms=t_span, dt_ms=0.01,
+                                                     pumping=False,
+                                                     initial_state="mixture"))
         setup = replace(setup, cloud=replace(setup.cloud, bias_field_G=bias_G))
         rec = run_simulation(setup)
         clock = rec.populations[:, IDX_UP] + rec.populations[:, IDX_DOWN]
@@ -268,7 +273,7 @@ class TestBiasFieldDecoupling:
 class TestRecord:
     def test_csv_rows_schema(self):
         setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
-                         t_span_ms=0.1, dt_ms=0.01)
+                         simulation=SimulationConfig(t_span_ms=0.1, dt_ms=0.01))
         rec = run_simulation(setup)
         rows = list(rec.csv_rows())
         assert len(rows) == len(rec.times_ms)
@@ -346,6 +351,30 @@ class TestInvariantChecks:
                            match=re.escape("positivity violated at t = 0.01 ms")):
             evolve(pure_state(3, 0), h, [(op, -1.0)], 0.0, 0.1, 0.01)
 
+    @pytest.mark.parametrize("term", ["anticommutator", "jump", "loss"])
+    def test_generator_changing_the_trace_fails(self, monkeypatch, term):
+        # a 1 % error in one term of the generator makes the trace change
+        # other than through the loss channel: evolve refuses it at once
+        h, jumps, loss = magic_terms(0.4)
+        eye = np.eye(16)
+
+        def skewed(h, jumps, loss):
+            lv = _liouvillian(h, jumps, loss)
+            for op, rate in jumps:
+                opd = op.conj().T @ op
+                if term == "anticommutator":
+                    lv -= 0.005 * rate * (np.kron(opd, eye) + np.kron(eye, opd.T))
+                elif term == "jump":
+                    lv += 0.01 * rate * np.kron(op, op.conj())
+            if term == "loss":
+                p = np.diag(np.isin(np.arange(16), [IDX_UP, IDX_DOWN]) * 1.0)
+                lv -= 0.005 * loss * (np.kron(p, eye) + np.kron(eye, p))
+            return lv
+
+        monkeypatch.setattr(dynamics, "_liouvillian", skewed)
+        with pytest.raises(InvariantViolationError, match="does not conserve the trace"):
+            evolve(pure_state(3, 0), h, jumps, loss, 0.1, 0.01)
+
     def test_span_not_a_multiple_of_step_rejected(self):
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(ValueError, match="not a multiple"):
@@ -357,11 +386,13 @@ class TestInvariantChecks:
             evolve(pure_state(3, 0), h, [], -0.4, 1.0, 0.01)
 
     def test_run_simulation_rejects_negative_loss_rate(self):
-        # without the check the trace grows past 1 and lost goes negative
-        setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
-                         extra_loss_per_ms=-0.4, t_span_ms=1.0, dt_ms=0.005)
+        # without the check the trace grows past 1 and lost goes negative;
+        # the run's SimulationConfig rejects the rate before any evolution
         with pytest.raises(ValueError, match="extra_loss_per_ms"):
-            run_simulation(setup)
+            run_simulation(RunSetup(
+                probe=ProbeConfig(-335.0, 16.0, 45.0),
+                simulation=SimulationConfig(t_span_ms=1.0, dt_ms=0.005,
+                                            extra_loss_per_ms=-0.4)))
 
 
 def kron_liouvillian(h, jumps, extra_loss_per_ms):
@@ -386,10 +417,15 @@ def measurement_setup():
     return build_setup(load_config(preset="measurement"))
 
 
+def with_simulation(setup, **changes):
+    """``setup`` with the given SimulationConfig fields replaced."""
+    return replace(setup, simulation=replace(setup.simulation, **changes))
+
+
 def operator_terms(setup):
     h = build_hamiltonian(setup.probe, setup.microwave, setup.cloud.bias_field_G)
     jumps = pumping_jump_operators(
-        setup.probe, total_rate_per_ms=setup.scattering_rate_per_ms)
+        setup.probe, total_rate_per_ms=setup.simulation.scattering_rate_per_ms)
     return h, jumps
 
 

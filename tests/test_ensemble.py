@@ -9,7 +9,13 @@ from scipy.special import ndtri
 
 from clockprobe.atom import GAMMA_MHZ
 from clockprobe.birefringence import projection_noise_snr
-from clockprobe.dynamics import MicrowaveConfig, RunSetup, rabi_frequency, run_simulation
+from clockprobe.dynamics import (
+    MicrowaveConfig,
+    RunSetup,
+    SimulationConfig,
+    rabi_frequency,
+    run_simulation,
+)
 from clockprobe.ensemble import (
     InhomogeneityConfig,
     MeasurementFigure,
@@ -39,11 +45,9 @@ def make_setup(detuning=MAGIC, rate=1.25, mw_kHz=2.0, loss=0.0, t_span=3.0):
     return RunSetup(
         probe=ProbeConfig(detuning, s_cal, 45.0),
         microwave=MicrowaveConfig(rabi_kHz=mw_kHz),
-        extra_loss_per_ms=loss,
-        scattering_rate_per_ms=rate,
-        pumping_on=True,
-        t_span_ms=t_span,
-        dt_ms=0.005,
+        simulation=SimulationConfig(t_span_ms=t_span, dt_ms=0.005,
+                                    extra_loss_per_ms=loss,
+                                    scattering_rate_per_ms=rate),
     )
 
 
@@ -95,7 +99,8 @@ class TestEnsembleAverage:
         members = [run_simulation(replace(
             setup, probe=replace(setup.probe, irradiance_rel=setup.probe.irradiance_rel * p),
             microwave=replace(setup.microwave, rabi_kHz=2.0 * m),
-            scattering_rate_per_ms=1.25 * p)) for p, m in zip(probe_f, mw_f)]
+            simulation=replace(setup.simulation, scattering_rate_per_ms=1.25 * p)))
+            for p, m in zip(probe_f, mw_f)]
         avg = ensemble_average(setup, inh)
         for field in ("signal_rad", "s3", "populations", "lost"):
             a, b = (getattr(r, field) for r in members)
@@ -139,10 +144,12 @@ class TestOperatingPoint:
         assert point.probe.detuning_MHz == det
         assert point.probe.irradiance_rel == calibrated_irradiance(
             det, 45.0, 1.25)
-        assert point.scattering_rate_per_ms == 1.25
+        assert point.simulation.scattering_rate_per_ms == 1.25
 
     def test_keeps_the_irradiance_without_a_rate(self):
-        setup = replace(make_setup(), scattering_rate_per_ms=None)
+        setup = make_setup()
+        setup = replace(setup, simulation=replace(setup.simulation,
+                                                  scattering_rate_per_ms=None))
         point = operating_point(setup, -600.0)
         assert point.probe == replace(setup.probe, detuning_MHz=-600.0)
 
@@ -157,7 +164,7 @@ class TestGeneralizedRabi:
         setup = RunSetup(probe=ProbeConfig(detuning_MHz, 16.0, 45.0),
                          microwave=MicrowaveConfig(rabi_kHz=2.0,
                                                    detuning_kHz=drive_det_kHz),
-                         pumping_on=True, t_span_ms=3.0, dt_ms=0.005)
+                         simulation=SimulationConfig(t_span_ms=3.0, dt_ms=0.005))
         du = dressed_clock_shift(setup.probe, bias_field_G=setup.cloud.bias_field_G)
         expected = math.hypot(2.0, du - drive_det_kHz)
         assert generalized_rabi_kHz(setup) == pytest.approx(expected, rel=1e-12)

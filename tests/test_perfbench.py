@@ -31,9 +31,10 @@ def test_every_traced_layer_resolves():
 
 
 @pytest.mark.parametrize("name", ["measurement-sweep", "chevron-scan"])
-def test_seed0_outputs_match_reference(tmp_path, name):
+def test_seed0_outputs_match_reference(tmp_path, name, run_plot_script):
     """The CLI run of a gated workload at the reference seed matches the
-    reference CSVs within the benchmark's tolerance.
+    reference CSVs within the benchmark's tolerance, and its plot script
+    reads them.
 
     BLAS runs on one thread, as in the benchmark: the last digits of the
     outputs depend on the thread count.
@@ -54,3 +55,5 @@ def test_seed0_outputs_match_reference(tmp_path, name):
     outcome = workloads.check_run(workload, out, res.returncode,
                                   PERFBENCH / "reference" / name)
     assert outcome.problems == [], res.stderr
+    command = workload.command
+    run_plot_script(out / f"plot_{command}.py", f"{command}.png")

@@ -242,7 +242,9 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
 
 
 _CHEVRON_PLOT = """\
-c = np.genfromtxt("chevron.csv", delimiter=",", names=True, skip_header=1)
+# usecols: the error column's text may hold a quoted comma
+c = np.genfromtxt("chevron.csv", delimiter=",", names=True, skip_header=1,
+                  usecols=range(3))
 m = np.genfromtxt("magic_vs_theta.csv", delimiter=",", names=True, skip_header=1)
 fig, (a, b) = plt.subplots(1, 2, figsize=(9, 4))
 a.plot(c["detuning_MHz"], c["omega_kHz"], "o", ms=3, label="simulated")
@@ -319,7 +321,9 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
 
 
 _MEASUREMENT_PLOT = """\
-m = np.genfromtxt("measurement.csv", delimiter=",", names=True, skip_header=1)
+# usecols: the error column's text may hold a quoted comma
+m = np.genfromtxt("measurement.csv", delimiter=",", names=True, skip_header=1,
+                  usecols=range(5))
 fig, (a, b) = plt.subplots(2, 1, sharex=True)
 a.plot(m["detuning_MHz"], m["tau_d_ms"], "o-", ms=3)
 a.set_ylabel("tau_d (ms)")
@@ -327,7 +331,7 @@ b.plot(m["detuning_MHz"], m["eta_sq"], "o-", ms=3)
 b.set_xlabel("probe detuning (MHz)"); b.set_ylabel("eta^2"); b.set_yscale("log")
 try:
     n = np.genfromtxt("measurement_no_loss.csv", delimiter=",", names=True,
-                      skip_header=1)
+                      skip_header=1, usecols=range(5))
     a.plot(n["detuning_MHz"], n["tau_d_ms"], "--")
     b.plot(n["detuning_MHz"], n["eta_sq"], "--")
 except OSError:

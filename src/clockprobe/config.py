@@ -45,8 +45,10 @@ class _Loader(yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 floats such as 5e-3 (1.1 wants 5.0e-3)."""
 
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+.0123456789"))
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,7 @@ PRESETS: dict[str, dict[str, Any]] = {
     },
 }
 
-_BLOCK_TYPES = {
-    "cloud": CloudConfig,
-    "probe": ProbeConfig,
-    "microwave": MicrowaveConfig,
-    "inhomogeneity": InhomogeneityConfig,
-    "simulation": SimulationConfig,
-    "sweep": SweepConfig,
-    "output": OutputConfig,
-}
+_BLOCK_TYPES = typing.get_type_hints(RunConfig)  # block name -> its dataclass
 
 
 def _merge(base: dict, override: dict) -> dict:

@@ -125,7 +125,8 @@ class SimRecord:
         """Rows (time_s, signal_rad, s3, pop_F3, pop_F4, lost)."""
         pops = self.populations
         return zip(self.times_ms * 1e-3, self.signal_rad, self.s3,
-                   pops[:, F3_BLOCK].sum(axis=1), pops[:, F4_BLOCK].sum(axis=1), self.lost)
+                   pops[:, F3_BLOCK].sum(axis=1), pops[:, F4_BLOCK].sum(axis=1),
+                   self.lost)
 
 
 def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None = None):
@@ -325,8 +326,9 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
     drift = lv[::N_GROUND + 1].sum(axis=0)
     drift[(N_GROUND + 1) * np.array([IDX_UP, IDX_DOWN])] += extra_loss_per_ms
     if not np.abs(drift).max() <= 1e-12 * np.abs(lv).max():
-        raise InvariantViolationError("generator does not conserve the trace: "
-                                      f"max |vec(I)^T L + loss| = {np.abs(drift).max():g}")
+        raise InvariantViolationError(
+            "generator does not conserve the trace: "
+            f"max |vec(I)^T L + gamma_loss vec(P)^T| = {np.abs(drift).max():g}")
     lv *= dt_ms
     prop = expm(lv)
     times = np.arange(n_steps + 1) * dt_ms
@@ -364,8 +366,9 @@ class SimulationConfig:
         need = (n_steps + 1) * N_GROUND**2 * 16  # bytes of evolve's complex trajectory
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
-            raise ValueError(f"t_span_ms / dt_ms = {n_steps} steps need {need / 2**30:.3g} "
-                             f"GiB, more than the {have / 2**30:.3g} GiB of physical memory")
+            raise ValueError(
+                f"t_span_ms / dt_ms = {n_steps} steps need {need / 2**30:.3g} GiB, "
+                f"more than the {have / 2**30:.3g} GiB of physical memory")
         if self.extra_loss_per_ms < 0:
             raise ValueError("extra_loss_per_ms must be >= 0")
         if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:

@@ -253,7 +253,8 @@ sweep:
 
     @staticmethod
     def _unmasked_chevron(tmp_path, window):
-        cfg = write(tmp_path, "c.yaml", FAST_RABI + f"""\
+        cfg = write(tmp_path, "c.yaml", FAST_RABI.replace(
+            "plot_scripts: false", "plot_scripts: true") + f"""\
 sweep:
   window_MHz: {window}
   n_points: 2
@@ -278,7 +279,8 @@ sweep:
         assert math.isnan(float(rows[1]["omega_kHz"]))
         assert math.isnan(float(rows[1]["omega_analytic_kHz"]))
 
-    def test_chevron_fit_above_nyquist_is_an_error_row(self, tmp_path):
+    def test_chevron_fit_above_nyquist_is_an_error_row(self, tmp_path,
+                                                       run_plot_script):
         # at -1000 MHz the record oscillates at 53.8 kHz, above the 50 kHz
         # Nyquist limit of dt_ms = 0.01: an error row, not the FFT guess
         rows = self._unmasked_chevron(tmp_path, [-1000.0, -0.1])
@@ -286,6 +288,8 @@ sweep:
             "fitted frequency 53.8079 kHz outside (0, Nyquist)"
         assert math.isnan(float(rows[0]["omega_kHz"]))
         assert "within 0.1 Gamma" in rows[1]["error"]
+        # the quoted comma of the first error must not break the plot script
+        run_plot_script(tmp_path / "out" / "plot_chevron.py", "chevron.png")
 
 
 class TestExitCodes:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import (
-    EXCITED_HF_SPLITTING_MHZ,
     GAMMA_MHZ,
     I_SAT_W_M2,
     IDX_DOWN,
@@ -33,27 +32,13 @@ from .lightshift import (
 )
 
 __all__ = [
-    "PseudoSpin",
     "state_phase_table",
-    "collective_phase_eq1",
     "photon_flux_per_s",
     "snr_eta",
     "projection_noise_snr",
     "TwoColorSolution",
     "two_color_balance",
 ]
-
-
-@dataclass(frozen=True)
-class PseudoSpin:
-    """Collective clock pseudo-spin for closed-form expressions (S = N)."""
-
-    s_total: float
-    s3: float
-
-    def __post_init__(self):
-        if abs(self.s3) > self.s_total * (1 + 1e-12):
-            raise ValueError("|S3| must not exceed S")
 
 
 def state_phase_table(detuning_MHz, od: float = 1.0) -> np.ndarray:
@@ -68,18 +53,6 @@ def state_phase_table(detuning_MHz, od: float = 1.0) -> np.ndarray:
     s_x, r = line_strengths(spherical_polarization(90.0))
     s_z, _ = line_strengths(spherical_polarization(0.0))
     return pole_sum(od / 2.0 * (GAMMA_MHZ / 2.0) * (s_x - s_z), r, detuning_MHz)
-
-
-def collective_phase_eq1(spin: PseudoSpin, od: float) -> float:
-    """Closed-form collective phase at the inter-resonance midpoint.
-
-    Valid for a probe tuned exactly halfway between the F=4 -> F'=3,4
-    transitions (Delta/Gamma = -128), neglecting the spin-down state.
-    """
-    if od <= 0:
-        raise ValueError("od must be > 0")
-    det_over_gamma = -(EXCITED_HF_SPLITTING_MHZ / 2.0) / GAMMA_MHZ
-    return (5.0 / 96.0) * (od / det_over_gamma) * (spin.s3 + spin.s_total) / spin.s_total
 
 
 def aperture_factors(cloud: CloudConfig) -> tuple[float, float]:

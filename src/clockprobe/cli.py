@@ -138,6 +138,7 @@ def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
 
 
 def cmd_spectra(cfg: RunConfig, out: Path) -> None:
+    """Phase spectra, differential shift, magic points."""
     sweep, probe = cfg.sweep, cfg.probe
     lo, hi = sweep.window_MHz
     points = _window_magic_detunings(probe.polarization_angle_deg, (lo, hi),
@@ -179,6 +180,7 @@ fig.savefig("spectra.png", dpi=150)
 
 
 def cmd_rabi(cfg: RunConfig, out: Path) -> None:
+    """One (ensemble-averaged) Rabi record."""
     record = ensemble_average(build_setup(cfg), cfg.inhomogeneity)
     write_csv(out / "rabi_record.csv",
               ["time_s", "signal_rad", "s3", "pop_F3", "pop_F4", "lost"],
@@ -211,6 +213,7 @@ def _chevron_point(setup: RunSetup, inhomog, det: float) -> tuple[float, float]:
 
 
 def cmd_chevron(cfg: RunConfig, out: Path) -> None:
+    """Rabi frequency vs detuning + magic detuning vs angle."""
     sw = cfg.sweep
     setup = build_setup(cfg)
     lo, hi = sw.window_MHz
@@ -271,6 +274,7 @@ _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
 
 
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
+    """tau_d / eta^2 / SNR sweep at constant scattering rate."""
     setup = build_setup(cfg)
     lo, hi = cfg.sweep.window_MHz
     magic = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))

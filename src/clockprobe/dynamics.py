@@ -150,10 +150,8 @@ def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None =
     gamma_per_ms = 2.0 * math.pi * GAMMA_MHZ * 1e3
     rate = gamma_per_ms * probe.irradiance_rel / 8.0
     if total_rate_per_ms is not None:
-        reference_rho = clock_mixture(0.5).rho
-        r_ref = sum(
-            float(np.trace(op.conj().T @ op @ reference_rho).real) for op in ops
-        ) * rate
+        r_ref = scattering_rate_per_ms([(op, 1.0) for op in ops],
+                                       clock_mixture(0.5).rho) * rate
         rate *= total_rate_per_ms / r_ref
     return [(op, rate) for op in ops]
 
@@ -408,12 +406,11 @@ def run_simulation(setup: RunSetup) -> SimRecord:
                   sim.t_span_ms, sim.dt_ms, state_phases=phases)
 
 
-def rabi_frequency(record: SimRecord,
-                   freq_hint_kHz: float | None = None) -> float:
+def rabi_frequency(record: SimRecord, freq_hint_kHz: float) -> float:
     """Dominant oscillation frequency (kHz) of the record's s3.
 
-    Least-squares fit of a decaying sinusoid; raises
-    :class:`FitFailureError` when the oscillation amplitude is below 5x
+    Least-squares fit of a decaying sinusoid started at ``freq_hint_kHz``;
+    raises :class:`FitFailureError` when the oscillation amplitude is below 5x
     the fit residual.
     """
     return fit_decaying_sinusoid(record.times_ms, record.s3,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .atom import GAMMA_MHZ
-from .birefringence import snr_eta
+from .birefringence import projection_noise_snr, snr_eta
 from .dynamics import (
     RunSetup,
     SimRecord,
@@ -125,7 +125,7 @@ def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord
     return SimRecord(times, *(total / n for total in sums))
 
 
-def decay_time(record: SimRecord, freq_hint_kHz: float | None = None) -> float:
+def decay_time(record: SimRecord, freq_hint_kHz: float) -> float:
     """1/e time (ms) of the fitted envelope of the polarimeter signal."""
     return fit_decaying_sinusoid(record.times_ms, record.signal_rad,
                                  freq_hint_kHz=freq_hint_kHz).tau_ms
@@ -216,8 +216,8 @@ def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
     tau_ms = decay_time(rec, freq_hint_kHz=hint)
     omega = rabi_frequency(rec, freq_hint_kHz=hint)
     eta = snr_eta(point.probe, setup.cloud, tau_ms * 1e-3, detection_efficiency)
-    # projection_noise_snr(...), without evaluating snr_eta a second time
-    pn = eta / (2.0 * math.sqrt(setup.cloud.atom_number))
+    pn = projection_noise_snr(setup.cloud, point.probe, tau_ms * 1e-3,
+                              detection_efficiency)
     return MeasurementFigure(det, tau_ms, omega, eta, pn)
 
 

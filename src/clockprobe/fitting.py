@@ -5,8 +5,9 @@ Model: y(t) = c0 + c1 * exp(-t/tau_bg) + A * exp(-(t/tau)^beta) * cos(2 pi f t +
 The stretched-exponential envelope covers both pumping-limited decay
 (beta ~ 1) and inhomogeneous dephasing (beta > 1); its 1/e time is tau
 for any beta.  The exponential background absorbs the optical-pumping
-drift of the record.  Initial guesses come from an FFT peak (or an
-explicit frequency hint) and a Hilbert envelope.
+drift of the record.  The caller supplies the starting frequency; the
+other initial guesses come from a moving-average background and a
+Hilbert envelope.
 """
 
 from __future__ import annotations
@@ -81,41 +82,31 @@ def _analytic_signal(y: np.ndarray) -> np.ndarray:
     return ifft(spec)
 
 
-def _spectral_guess(t: np.ndarray, y: np.ndarray) -> float:
-    dt = t[1] - t[0]
-    yd = y - np.polyval(np.polyfit(t, y, 2), t)
-    spec = np.abs(np.fft.rfft(yd * np.hanning(len(yd))))
-    freqs = np.fft.rfftfreq(len(yd), dt)
-    spec[0] = 0.0
-    return float(freqs[int(np.argmax(spec))])
-
-
 def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
-                          freq_hint_kHz: float | None = None) -> SinusoidFit:
+                          freq_hint_kHz: float) -> SinusoidFit:
     """Fit a decaying sinusoid; frequency returned in kHz for t in ms.
 
-    ``freq_hint_kHz`` seeds the frequency instead of the FFT peak, which
-    is needed when a small oscillation rides on a large pumping drift.
-    Raises :class:`FitFailureError`, never falls back to the initial guess,
-    when no oscillation is resolvable, the fit does not converge or leaves
+    ``freq_hint_kHz`` is the starting frequency, for example the analytic
+    generalized Rabi frequency; a start near the answer is what lets a
+    small oscillation on a large pumping drift be fitted.  Raises
+    :class:`FitFailureError`, never falls back to the initial guess, when
+    the record is shorter than 16 samples or than 3 periods at the hint
+    (so for a hint <= 0 or NaN), the fit does not converge or leaves
     (0, Nyquist), or the amplitude is below ``MIN_AMP_OVER_RESIDUAL`` x residual.
     """
     t = np.asarray(t_ms, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(t) < 16:
         raise FitFailureError("record too short to fit")
-    f0 = freq_hint_kHz if freq_hint_kHz is not None else _spectral_guess(t, y)
-    if f0 <= 0:
-        raise FitFailureError("no spectral peak found")
-    if f0 * (t[-1] - t[0]) < 3.0:
+    if not freq_hint_kHz * (t[-1] - t[0]) >= 3.0:  # a NaN hint fails here too
         raise FitFailureError(
-            f"record holds < 3 oscillation periods at {f0:g} kHz"
+            f"record holds < 3 oscillation periods at {freq_hint_kHz:g} kHz"
         )
     dt = t[1] - t[0]
     nyquist = 0.5 / dt
     # background from a one-period moving average so the oscillation
     # itself cannot contaminate the drift estimate
-    window = int(np.clip(round(1.0 / (f0 * dt)), 1, len(t) // 4))
+    window = int(np.clip(round(1.0 / (freq_hint_kHz * dt)), 1, len(t) // 4))
     bg = _fit_background(t, _moving_average(y, window))
     yd = y - _background(t, *bg)
 
@@ -124,7 +115,8 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
     # crude envelope time from the first drop below amp0/e, else span
     below = np.nonzero(env < amp0 / np.e)[0]
     tau0 = float(t[below[0]]) if len(below) and below[0] > 0 else float(t[-1])
-    p0 = [bg[0], bg[1], max(abs(bg[2]), t[-1] / 4.0), amp0, tau0, 1.0, f0, 0.0]
+    p0 = [bg[0], bg[1], max(abs(bg[2]), t[-1] / 4.0), amp0, tau0, 1.0,
+          freq_hint_kHz, 0.0]
     try:
         with warnings.catch_warnings():
             # undamped records leave the envelope parameters unconstrained

@@ -24,8 +24,6 @@ from clockprobe.atom import (
     state_registry,
 )
 from clockprobe.birefringence import (
-    PseudoSpin,
-    collective_phase_eq1,
     projection_noise_snr,
     state_phase_table,
     two_color_balance,
@@ -50,6 +48,7 @@ from clockprobe.lightshift import (
     dressed_clock_shift,
     find_magic_detunings,
 )
+from closed_forms import PseudoSpin, collective_phase_eq1
 
 LOWER_WINDOW = (-1100.0, -50.0)
 MAGIC = find_magic_detunings(45.0, LOWER_WINDOW)[0].detuning_MHz

@@ -14,9 +14,7 @@ from clockprobe.atom import (
     state_registry,
 )
 from clockprobe.birefringence import (
-    PseudoSpin,
     aperture_factors,
-    collective_phase_eq1,
     photon_flux_per_s,
     projection_noise_snr,
     snr_eta,
@@ -29,6 +27,7 @@ from clockprobe.lightshift import (
     RESONANCES_MHZ,
     spherical_polarization,
 )
+from closed_forms import PseudoSpin, collective_phase_eq1
 
 MIDPOINT = -EXCITED_HF_SPLITTING_MHZ / 2.0  # -584 MHz
 

@@ -535,3 +535,18 @@ def test_cli_import_skips_scipy_stats_and_signal():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert res.stdout.strip() == "[]"
+
+
+def test_help_describes_every_command(capsys, monkeypatch):
+    # a wide terminal, so that no description wraps onto a second line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    described = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, text = line.strip().partition(" ")
+        if name in cli._COMMANDS:
+            described[name] = text.strip()
+    assert described == {name: fn.__doc__ for name, fn in cli._COMMANDS.items()}
+    assert all(described.values())

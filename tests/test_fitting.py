@@ -25,13 +25,14 @@ def synth(f_kHz, tau_ms, beta=1.0, amp=1.0, offset=0.0, bg_amp=0.0,
 
 class TestRecovery:
     def test_plain_decaying_sinusoid(self):
-        fit = fit_decaying_sinusoid(T, synth(2.0, 1.2))
+        fit = fit_decaying_sinusoid(T, synth(2.0, 1.2), freq_hint_kHz=1.85)
         assert fit.freq_kHz == pytest.approx(2.0, rel=1e-4)
         assert fit.tau_ms == pytest.approx(1.2, rel=1e-3)
         assert fit.beta == pytest.approx(1.0, rel=1e-2)
 
     def test_stretched_envelope(self):
-        fit = fit_decaying_sinusoid(T, synth(3.0, 0.8, beta=2.0))
+        fit = fit_decaying_sinusoid(T, synth(3.0, 0.8, beta=2.0),
+                                    freq_hint_kHz=3.2)
         assert fit.freq_kHz == pytest.approx(3.0, rel=1e-4)
         assert fit.tau_ms == pytest.approx(0.8, rel=1e-2)
         assert fit.beta == pytest.approx(2.0, rel=0.05)
@@ -39,7 +40,7 @@ class TestRecovery:
     def test_with_background_drift_and_noise(self):
         y = synth(2.5, 1.0, amp=0.3, offset=0.2, bg_amp=0.8, bg_tau=0.7,
                   noise=0.01)
-        fit = fit_decaying_sinusoid(T, y)
+        fit = fit_decaying_sinusoid(T, y, freq_hint_kHz=2.35)
         assert fit.freq_kHz == pytest.approx(2.5, rel=1e-2)
         assert fit.tau_ms == pytest.approx(1.0, rel=0.1)
 
@@ -50,18 +51,20 @@ class TestRecovery:
         assert fit.freq_kHz == pytest.approx(30.0, rel=1e-3)
 
     def test_undamped(self):
-        fit = fit_decaying_sinusoid(T, synth(4.0, 1e9))
+        fit = fit_decaying_sinusoid(T, synth(4.0, 1e9), freq_hint_kHz=3.7)
         assert fit.freq_kHz == pytest.approx(4.0, rel=1e-6)
 
 
 class TestFailures:
     def test_too_short_record(self):
         with pytest.raises(FitFailureError):
-            fit_decaying_sinusoid(T[:8], synth(2.0, 1.0)[:8])
+            fit_decaying_sinusoid(T[:8], synth(2.0, 1.0)[:8], freq_hint_kHz=1.85)
 
     def test_too_few_periods(self):
-        with pytest.raises(FitFailureError, match="periods"):
-            fit_decaying_sinusoid(T, synth(0.5, 5.0))
+        # a hint <= 0 or NaN fails here too
+        for hint in (0.47, 0.0, float("nan")):
+            with pytest.raises(FitFailureError, match="periods"):
+                fit_decaying_sinusoid(T, synth(0.5, 5.0), freq_hint_kHz=hint)
 
     def test_pure_noise_rejected(self):
         y = RNG.normal(0, 1.0, len(T))

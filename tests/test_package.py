@@ -1,6 +1,6 @@
-"""Package surface: every name a module exports exists, modules use only
-each other's public names, importing the package loads nothing, and the
-CLI pins BLAS before numpy loads."""
+"""Package surface: every name a module exports exists and a program path
+uses it, modules use only each other's public names, importing the
+package loads nothing, and the CLI pins BLAS before numpy loads."""
 
 import ast
 import importlib
@@ -14,6 +14,16 @@ from pathlib import Path
 import clockprobe
 
 ROOT = Path(__file__).resolve().parents[1]
+# The program paths: the package itself, the CLI, the demos and the benchmark.
+PROGRAM_DIRS = ("src", "demos", "perfbench")
+# Exported names that no program path uses, each with the reason it stays.
+UNUSED_EXPORTS = {
+    "birefringence.two_color_balance":
+        "a library feature that acceptance 10 tests; no CLI command runs it",
+    "lightshift.build_light_shift":
+        "perfbench/tracer.py wraps it by name for the lightshift.build_light_shift.s "
+        "metric, until that metric is pointed at light_shift_matrix",
+}
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 # Records the BLAS variables at the moment numpy is first imported, then
 # runs the code under test and prints what was recorded and what is left.
@@ -57,6 +67,50 @@ def test_every_all_entry_resolves():
         missing += [f"{module.__name__}.{n}" for n in module.__all__
                     if not hasattr(module, n)]
     assert missing == []
+
+
+def _identifiers(tree: ast.AST, outside: tuple = ()) -> set[str]:
+    """Names and attribute names read in ``tree``.  A read inside the ``def``
+    or ``class`` of the same name (recursion, a method naming its class) does
+    not count, and neither do assignments, imports or strings."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        inside = outside
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = outside + (node.name,)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        found |= _identifiers(node, inside) - set(inside)
+    return found
+
+
+def _unused_exports() -> set[str]:
+    used = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            used |= _identifiers(ast.parse(path.read_text(), str(path)))
+    unused = set()
+    for info in pkgutil.iter_modules(clockprobe.__path__):
+        module = importlib.import_module(f"clockprobe.{info.name}")
+        unused |= {f"{info.name}.{n}" for n in module.__all__ if n not in used}
+    return unused
+
+
+def test_every_export_has_a_program_use():
+    # A name only the tests reach belongs in the tests.  An allowlisted name
+    # that gains a use or leaves __all__ fails too, so the list stays exact.
+    unused = _unused_exports()
+    assert sorted(unused - UNUSED_EXPORTS.keys()) == [], "exported, used by no program"
+    assert sorted(UNUSED_EXPORTS.keys() - unused) == [], "allowlisted, but used or gone"
+
+
+def test_identifiers_skip_the_own_definition_and_strings():
+    tree = ast.parse("def f(n):\n    return f(n - 1) + g(n)\n"
+                     "class C:\n    def copy(self):\n        return C()\n"
+                     "x = obj.attr\nfrom m import h\nwrap('k')\n")
+    assert _identifiers(tree) == {"n", "g", "obj", "attr", "wrap"}
 
 
 def test_no_module_imports_a_private_name_of_another():

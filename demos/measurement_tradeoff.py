@@ -14,12 +14,15 @@ figures peak sharply at the magic detuning: there the light shift is
 common-mode and the spread cannot dephase the ensemble.
 """
 
+from functools import partial
+
 from clockprobe.atom import CloudConfig
 from clockprobe.dynamics import MicrowaveConfig, RunSetup, SimulationConfig
 from clockprobe.ensemble import (
     InhomogeneityConfig,
     calibrated_irradiance,
-    sweep_measurement_strength,
+    measurement_figure,
+    sweep,
 )
 from clockprobe.lightshift import ProbeConfig, find_magic_detunings
 
@@ -39,8 +42,10 @@ grid = [-635.0, -485.0, -385.0, -345.0, magic, -325.0, -285.0, -185.0]
 print(f"constant scattering rate ({1 / rate:.1f} ms)^-1, "
       f"magic detuning {magic:.1f} MHz\n")
 print(f"{'detuning (MHz)':>15} {'tau_d (ms)':>11} {'eta^2':>10} {'pn_snr':>8}")
-for fig in sweep_measurement_strength(grid, setup, inhomog):
-    if fig.masked or fig.error:
+# ideal detection (efficiency 1); points within 5 linewidths of a resonance masked
+figure = partial(measurement_figure, setup, inhomog, 1.0)
+for fig, masked, error in sweep(figure, grid, mask_gamma=5.0):
+    if masked or error:
         continue
     print(f"{fig.detuning_MHz:15.1f} {fig.tau_d_ms:11.3f} "
           f"{fig.eta_sq:10.3g} {fig.pn_snr:8.3f}")

@@ -42,16 +42,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
 
 import numpy as np
 
-from .atom import IDX_DOWN, IDX_UP
-from .birefringence import projection_noise_snr, state_phase_table
+from .atom import F3_BLOCK, F4_BLOCK, IDX_DOWN, IDX_UP
+from .birefringence import state_phase_table
 from .config import RunConfig, load_config
 from .dynamics import RunSetup, rabi_frequency
 from .ensemble import (
     ensemble_average,
     generalized_rabi_kHz,
+    measurement_figure,
     operating_point,
     sweep,
-    sweep_measurement_strength,
 )
 from .errors import ClockProbeError, ConfigError, FitFailureError
 from .lightshift import clear_of_resonances, differential_clock_shift, find_magic_detunings
@@ -121,6 +121,15 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                            cfg.probe.detuning_MHz)
 
 
+def _sweep_rows(point, grid: list[float], mask_gamma: float,
+                n_values: int) -> list[tuple]:
+    """``(detuning, *point(det), masked, error)`` for each :func:`sweep`
+    outcome; a masked or failed point gets ``n_values`` NaNs."""
+    nan = (math.nan,) * n_values
+    return [(det, *(values or nan), int(masked), error)
+            for det, (values, masked, error) in zip(grid, sweep(point, grid, mask_gamma))]
+
+
 def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
                             **kwargs) -> list:
     """Magic detunings in the sweep window, searched before any sweep runs.
@@ -181,10 +190,13 @@ fig.savefig("spectra.png", dpi=150)
 
 def cmd_rabi(cfg: RunConfig, out: Path) -> None:
     """One (ensemble-averaged) Rabi record."""
-    record = ensemble_average(build_setup(cfg), cfg.inhomogeneity)
+    rec = ensemble_average(build_setup(cfg), cfg.inhomogeneity)
+    pops = rec.populations
     write_csv(out / "rabi_record.csv",
               ["time_s", "signal_rad", "s3", "pop_F3", "pop_F4", "lost"],
-              record.csv_rows())
+              zip(rec.times_ms * 1e-3, rec.signal_rad, rec.s3,
+                  pops[:, F3_BLOCK].sum(axis=1), pops[:, F4_BLOCK].sum(axis=1),
+                  rec.lost))
     if cfg.output.plot_scripts:
         _write_plot_script(out / "plot_rabi.py", _RABI_PLOT)
 
@@ -204,18 +216,19 @@ fig.savefig("rabi.png", dpi=150)
 # ---------------------------------------------------------------- chevron
 
 
-def _chevron_point(setup: RunSetup, inhomog, det: float) -> tuple[float, float]:
-    """Simulated and analytic Rabi frequency (kHz) at one detuning."""
+def _chevron_point(setup: RunSetup, inhomog,
+                   det: float) -> tuple[float, float, float]:
+    """Simulated and analytic Rabi frequency (kHz) at one detuning, and
+    their relative residual."""
     point = operating_point(setup, det)
     analytic = generalized_rabi_kHz(point)
-    record = ensemble_average(point, inhomog)
-    return rabi_frequency(record, freq_hint_kHz=analytic), analytic
+    omega = rabi_frequency(ensemble_average(point, inhomog), freq_hint_kHz=analytic)
+    return omega, analytic, abs(omega - analytic) / analytic
 
 
 def cmd_chevron(cfg: RunConfig, out: Path) -> None:
     """Rabi frequency vs detuning + magic detuning vs angle."""
     sw = cfg.sweep
-    setup = build_setup(cfg)
     lo, hi = sw.window_MHz
     thetas = np.linspace(sw.theta_min_deg, sw.theta_max_deg, sw.n_theta)
     theta_rows = []
@@ -227,16 +240,14 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
         else:
             theta_rows.append((float(th), math.nan, 0))
 
-    grid = [float(d) for d in np.linspace(lo, hi, sw.n_points)]
+    # each sweep point places the probe itself; probe.detuning_MHz goes unread
+    setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
     point = partial(_chevron_point, setup, cfg.inhomogeneity)
-    rows = []
-    for d, (res, masked, error) in zip(grid, sweep(point, grid, sw.mask_gamma)):
-        omega, analytic = res or (math.nan, math.nan)
-        rows.append((d, omega, analytic, abs(omega - analytic) / analytic,
-                     int(masked), error))
     write_csv(out / "chevron.csv",
               ["detuning_MHz", "omega_kHz", "omega_analytic_kHz",
-               "rel_residual", "masked", "error"], rows)
+               "rel_residual", "masked", "error"],
+              _sweep_rows(point, np.linspace(lo, hi, sw.n_points).tolist(),
+                          sw.mask_gamma, 3))
     write_csv(out / "magic_vs_theta.csv",
               ["polarization_angle_deg", "magic_detuning_MHz", "found"],
               theta_rows)
@@ -263,10 +274,11 @@ fig.tight_layout(); fig.savefig("chevron.png", dpi=150)
 # ------------------------------------------------------------ measurement
 
 
-def _figure_rows(figures):
-    for f in figures:
-        yield (f.detuning_MHz, f.tau_d_ms, f.omega_kHz, f.eta, f.eta_sq,
-               f.pn_snr, int(f.masked), f.error)
+def _measurement_point(setup: RunSetup, inhomog, detection_efficiency: float,
+                       det: float) -> tuple[float, ...]:
+    """tau_d, Omega, eta, eta^2 and projection-noise SNR at one detuning."""
+    f = measurement_figure(setup, inhomog, detection_efficiency, det)
+    return f.tau_d_ms, f.omega_kHz, f.eta, f.eta_sq, f.pn_snr
 
 
 _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
@@ -275,49 +287,41 @@ _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
 
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     """tau_d / eta^2 / SNR sweep at constant scattering rate."""
-    setup = build_setup(cfg)
+    setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
     lo, hi = cfg.sweep.window_MHz
     magic = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))
-    grid = np.linspace(lo, hi, cfg.sweep.n_points)
+    grid = np.linspace(lo, hi, cfg.sweep.n_points).tolist()
 
-    run_sweep = partial(sweep_measurement_strength, grid,
-                        inhomog=cfg.inhomogeneity, mask_gamma=cfg.sweep.mask_gamma,
-                        detection_efficiency=cfg.output.detection_efficiency)
-    figures = run_sweep(setup)
-    write_csv(out / "measurement.csv", _MEASUREMENT_COLUMNS,
-              _figure_rows(figures))
+    def run_sweep(setup: RunSetup) -> list[tuple]:
+        point = partial(_measurement_point, setup, cfg.inhomogeneity,
+                        cfg.output.detection_efficiency)
+        return _sweep_rows(point, grid, cfg.sweep.mask_gamma, 5)
+
+    rows = run_sweep(setup)
+    write_csv(out / "measurement.csv", _MEASUREMENT_COLUMNS, rows)
     if cfg.simulation.extra_loss_per_ms > 0:
-        no_loss = run_sweep(replace(setup, simulation=replace(
-            setup.simulation, extra_loss_per_ms=0.0)))
         write_csv(out / "measurement_no_loss.csv", _MEASUREMENT_COLUMNS,
-                  _figure_rows(no_loss))
+                  run_sweep(replace(setup, simulation=replace(
+                      setup.simulation, extra_loss_per_ms=0.0))))
 
-    ok = [f for f in figures if not f.masked and not f.error]
+    ok = [row for row in rows if not row[-2] and not row[-1]]  # not masked, no error
     summary_rows = []
     if magic:
         summary_rows.append(("magic_detuning_MHz", magic[0].detuning_MHz))
     if ok:
-        peak_tau = max(ok, key=lambda f: f.tau_d_ms)
-        peak_eta = max(ok, key=lambda f: f.eta_sq)
-        summary_rows += [
-            ("tau_d_peak_detuning_MHz", peak_tau.detuning_MHz),
-            ("tau_d_peak_ms", peak_tau.tau_d_ms),
-            ("eta_sq_peak_detuning_MHz", peak_eta.detuning_MHz),
-            ("eta_sq_peak", peak_eta.eta_sq),
-            ("pn_snr_at_eta_sq_peak", peak_eta.pn_snr),
-        ]
+        det_tau, tau_peak, *_ = max(ok, key=lambda row: row[1])
+        det_eta, _, _, _, eta_sq_peak, pn_peak, _, _ = max(ok, key=lambda row: row[4])
         # extrapolation to OD = 1e3 at fixed geometry: atom number and
         # phase both scale with OD, so the SNR scales as sqrt(OD)
-        cloud = cfg.cloud
-        scale = 1e3 / cloud.od_resonant
-        big = replace(cloud, od_resonant=1e3, atom_number=cloud.atom_number * scale)
-        probe = operating_point(setup, peak_eta.detuning_MHz).probe
-        pn_big = projection_noise_snr(
-            big, probe, peak_eta.tau_d_ms * 1e-3,
-            detection_efficiency=cfg.output.detection_efficiency)
+        ratio = math.sqrt(1e3 / cfg.cloud.od_resonant)
         summary_rows += [
-            ("pn_snr_od_1000", pn_big),
-            ("pn_snr_ratio_od_1000", pn_big / peak_eta.pn_snr),
+            ("tau_d_peak_detuning_MHz", det_tau),
+            ("tau_d_peak_ms", tau_peak),
+            ("eta_sq_peak_detuning_MHz", det_eta),
+            ("eta_sq_peak", eta_sq_peak),
+            ("pn_snr_at_eta_sq_peak", pn_peak),
+            ("pn_snr_od_1000", pn_peak * ratio),
+            ("pn_snr_ratio_od_1000", ratio),
         ]
     write_csv(out / "summary.csv", ["quantity", "value"], summary_rows)
     if cfg.output.plot_scripts:

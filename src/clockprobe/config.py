@@ -23,8 +23,8 @@ from typing import Any
 
 import yaml
 
-from .atom import CloudConfig
-from .dynamics import MicrowaveConfig, SimulationConfig
+from .atom import N_GROUND, CloudConfig
+from .dynamics import MicrowaveConfig, SimulationConfig, check_fits_in_memory
 from .ensemble import InhomogeneityConfig
 from .errors import ConfigError
 from .lightshift import ProbeConfig, find_magic_detunings
@@ -68,6 +68,13 @@ class SweepConfig:
             raise ValueError("window_MHz must be (low, high) with low < high")
         if self.n_points < 2 or self.n_theta < 2:
             raise ValueError("n_points and n_theta must be >= 2")
+        for key in ("n_points", "n_theta"):
+            n = getattr(self, key)  # the largest grid array: spectra's (n, 16) phases
+            check_fits_in_memory(n * N_GROUND * 8, f"{key} = {n} grid points")
+        for key in ("theta_min_deg", "theta_max_deg"):
+            if not 0.0 <= getattr(self, key) < 180.0:
+                raise ValueError(f"{key} must satisfy 0 <= theta < 180 deg, as "
+                                 "probe.polarization_angle_deg does")
         if self.mask_gamma < 0:
             raise ValueError("mask_gamma must be >= 0")
 

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .atom import (
-    F3_BLOCK,
     F4_BLOCK,
     GAMMA_MHZ,
     IDX_DOWN,
@@ -54,6 +53,7 @@ __all__ = [
     "scattering_rate_per_ms",
     "build_hamiltonian",
     "step_count",
+    "check_fits_in_memory",
     "evolve",
     "run_simulation",
     "rabi_frequency",
@@ -120,13 +120,6 @@ class SimRecord:
             raise ValueError("populations shape mismatch")
         if np.any(np.diff(self.times_ms) <= 0):
             raise ValueError("times must be strictly increasing")
-
-    def csv_rows(self):
-        """Rows (time_s, signal_rad, s3, pop_F3, pop_F4, lost)."""
-        pops = self.populations
-        return zip(self.times_ms * 1e-3, self.signal_rad, self.s3,
-                   pops[:, F3_BLOCK].sum(axis=1), pops[:, F4_BLOCK].sum(axis=1),
-                   self.lost)
 
 
 def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None = None):
@@ -258,6 +251,15 @@ def step_count(t_span_ms: float, dt_ms: float) -> int:
     return n_steps
 
 
+def check_fits_in_memory(need_bytes: int, what: str) -> None:
+    """Raise ValueError naming ``what`` when an array of ``need_bytes``
+    exceeds the physical memory, before anything allocates it."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need_bytes > have:
+        raise ValueError(f"{what} need {need_bytes / 2**30:.3g} GiB, more than the "
+                         f"{have / 2**30:.3g} GiB of physical memory")
+
+
 # States per block of the invariant checks: the checks' temporaries stay
 # this size whatever the record length.
 _CHECK_BLOCK = 64
@@ -361,12 +363,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         n_steps = step_count(self.t_span_ms, self.dt_ms)  # a whole number of steps
-        need = (n_steps + 1) * N_GROUND**2 * 16  # bytes of evolve's complex trajectory
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(
-                f"t_span_ms / dt_ms = {n_steps} steps need {need / 2**30:.3g} GiB, "
-                f"more than the {have / 2**30:.3g} GiB of physical memory")
+        # bytes of evolve's complex trajectory
+        check_fits_in_memory((n_steps + 1) * N_GROUND**2 * 16,
+                             f"t_span_ms / dt_ms = {n_steps} steps")
         if self.extra_loss_per_ms < 0:
             raise ValueError("extra_loss_per_ms must be >= 0")
         if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:

@@ -41,8 +41,8 @@ __all__ = [
     "calibrated_irradiance",
     "generalized_rabi_kHz",
     "operating_point",
+    "measurement_figure",
     "sweep",
-    "sweep_measurement_strength",
 ]
 
 
@@ -76,8 +76,6 @@ class MeasurementFigure:
     omega_kHz: float
     eta: float
     pn_snr: float
-    masked: bool = False
-    error: str = ""
 
     @property
     def eta_sq(self) -> float:
@@ -207,9 +205,12 @@ def sweep(point, detunings_MHz, mask_gamma: float) -> list[tuple]:
     return [(None, True, "") if m else next(done) for m in masked]
 
 
-def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
-                        detection_efficiency: float,
-                        det: float) -> MeasurementFigure:
+def measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
+                       detection_efficiency: float,
+                       det: float) -> MeasurementFigure:
+    """Fitted tau_d and Omega, eta and projection-noise SNR of the ensemble
+    at :func:`operating_point` ``(setup, det)``; ``det`` comes last, so that
+    a ``partial`` of the rest is a :func:`sweep` point."""
     point = operating_point(setup, det)
     hint = generalized_rabi_kHz(point)
     rec = ensemble_average(point, inhomog)
@@ -219,22 +220,3 @@ def _measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
     pn = projection_noise_snr(setup.cloud, point.probe, tau_ms * 1e-3,
                               detection_efficiency)
     return MeasurementFigure(det, tau_ms, omega, eta, pn)
-
-
-def sweep_measurement_strength(detunings_MHz, setup: RunSetup,
-                               inhomog: InhomogeneityConfig,
-                               mask_gamma: float = 5.0,
-                               detection_efficiency: float = 1.0,
-                               ) -> list[MeasurementFigure]:
-    """tau_d, Omega, eta^2 and projection-noise SNR over a detuning grid.
-
-    Each point is :func:`operating_point` of ``setup`` (so at the setup's
-    scattering rate, when one is set); the ensemble average is run, and
-    the oscillation fit yields tau_d and Omega.  Masking, per-point
-    failures and worker processes are those of :func:`sweep`.
-    """
-    grid = [float(d) for d in detunings_MHz]
-    figure = partial(_measurement_figure, setup, inhomog, detection_efficiency)
-    return [fig or MeasurementFigure(det, *[math.nan] * 4, masked=masked,
-                                     error=error)
-            for det, (fig, masked, error) in zip(grid, sweep(figure, grid, mask_gamma))]

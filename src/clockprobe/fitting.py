@@ -38,15 +38,15 @@ class SinusoidFit:
     residual_rms: float
 
 
-def _model(t, c0, c1, tau_bg, amp, tau, beta, f, phi):
-    bg = c0 + c1 * np.exp(-t / abs(tau_bg))
-    with np.errstate(over="ignore"):
-        z = np.clip((t / abs(tau)) ** abs(beta), 0.0, 700.0)
-    return bg + amp * np.exp(-z) * np.cos(2.0 * np.pi * f * t + phi)
-
-
 def _background(t, c0, c1, tau_bg):
     return c0 + c1 * np.exp(-t / abs(tau_bg))
+
+
+def _model(t, c0, c1, tau_bg, amp, tau, beta, f, phi):
+    with np.errstate(over="ignore"):
+        z = np.clip((t / abs(tau)) ** abs(beta), 0.0, 700.0)
+    return (_background(t, c0, c1, tau_bg)
+            + amp * np.exp(-z) * np.cos(2.0 * np.pi * f * t + phi))
 
 
 def _fit_background(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ loosened to force a pass.
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from clockprobe.ensemble import (
     InhomogeneityConfig,
     calibrated_irradiance,
     decay_time,
-    sweep_measurement_strength,
+    measurement_figure,
+    sweep,
 )
 from clockprobe.lightshift import (
     RESONANCES_MHZ,
@@ -209,8 +211,8 @@ def _strength_sweep(grid, probe_rms):
                                                  scattering_rate_per_ms=1.25))
     n = 16 if (probe_rms or 0.015) else 1
     inh = InhomogeneityConfig(probe_rms, 0.015, n_samples=n, seed=0)
-    figs = sweep_measurement_strength(grid, setup, inh)
-    return [f for f in figs if not f.masked and not f.error]
+    outcomes = sweep(partial(measurement_figure, setup, inh, 1.0), grid, 5.0)
+    return [fig for fig, masked, error in outcomes if not masked and not error]
 
 
 SWEEP_GRID = [-635.0, -485.0, -385.0, -345.0, MAGIC, -325.0, -285.0, -185.0]

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from clockprobe import cli
-from clockprobe.atom import IDX_DOWN, IDX_UP
+from clockprobe.atom import F3_BLOCK, F4_BLOCK, IDX_DOWN, IDX_UP
 from clockprobe.birefringence import state_phase_table
 from clockprobe.cli import SCHEMA_LINE, main
 from clockprobe.config import PRESETS, load_config
-from clockprobe.dynamics import SimulationConfig
+from clockprobe.dynamics import SimulationConfig, run_simulation
 from clockprobe.ensemble import calibrated_irradiance
 from clockprobe.errors import (
     ConfigError,
@@ -159,6 +159,26 @@ class TestCliRuns:
         assert len(text) == 2 + 101  # header lines + samples
         run_plot_script(out / "plot_rabi.py", "rabi.png")
 
+    def test_rabi_record_columns(self, tmp_path, monkeypatch):
+        # one member: the rows are the record's own values, bit for bit
+        written = {}
+        monkeypatch.setattr(cli, "write_csv", lambda path, columns, data:
+                            written.__setitem__(path.name, (columns, list(data))))
+        cfg = write(tmp_path, "c.yaml", FAST_RABI.replace("t_span_ms: 1.0",
+                                                          "t_span_ms: 0.1"))
+        assert main(["rabi", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        columns, rows = written["rabi_record.csv"]
+        assert columns == ["time_s", "signal_rad", "s3", "pop_F3", "pop_F4", "lost"]
+        rec = run_simulation(cli.build_setup(load_config(cfg)))
+        pops = rec.populations
+        assert rows == list(zip(rec.times_ms * 1e-3, rec.signal_rad, rec.s3,
+                                pops[:, F3_BLOCK].sum(axis=1),
+                                pops[:, F4_BLOCK].sum(axis=1), rec.lost))
+        t, sig, s3, p3, p4, lost = rows[0]
+        assert len(rows) == 11 and t == 0.0
+        assert p3 == pytest.approx(1.0)
+        assert p3 + p4 + lost == pytest.approx(1.0, abs=1e-12)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write(tmp_path, "c.yaml", FAST_RABI)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -292,6 +312,36 @@ sweep:
         run_plot_script(tmp_path / "out" / "plot_chevron.py", "chevron.png")
 
 
+class TestSweepsPlaceEveryPoint:
+    """The chevron and measurement sweeps place each point's probe
+    themselves, so the probe.detuning_MHz they do not read cannot fail
+    them, even on the F=4 -> F'=4 resonance."""
+
+    @staticmethod
+    def _rows_at(tmp_path, command, detuning, extra):
+        cfg = write(tmp_path, f"{detuning}.yaml",
+                    f"probe:\n  detuning_MHz: {detuning}\n" + extra
+                    + "output:\n  plot_scripts: false\n")
+        out = tmp_path / detuning
+        assert main([command, "--preset", command, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("command,extra", [
+        ("measurement", "inhomogeneity:\n  n_samples: 2\n"
+                        "sweep:\n  window_MHz: [-345.0, -325.0]\n  n_points: 2\n"),
+        ("chevron", "simulation:\n  scattering_rate_per_ms: 1.25\n"
+                    "sweep:\n  window_MHz: [-700.0, -200.0]\n  n_points: 2\n"
+                    "  n_theta: 2\n"),
+    ], ids=["measurement", "chevron"])
+    def test_on_resonance_probe_detuning_exits_0(self, tmp_path, command, extra):
+        on_resonance = self._rows_at(tmp_path, command, "0.0", extra)
+        table = on_resonance[f"{command}.csv"].decode().splitlines()
+        assert [row.split(",")[-2:] for row in table[2:]] == [["0", ""]] * 2
+        # the outputs do not depend on the unread detuning at all
+        assert on_resonance == self._rows_at(tmp_path, command, "magic", extra)
+
+
 class TestExitCodes:
     def test_bad_preset_exits_2(self, tmp_path):
         assert main(["rabi", "--preset", "nope",
@@ -405,6 +455,35 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "inhomogeneity" in err and "probe_irradiance_rms_frac" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,preset,key", [
+        ("spectra", "spectra", "n_points"), ("chevron", "chevron", "n_theta")])
+    def test_grid_larger_than_memory_exits_2(self, tmp_path, capsys, command,
+                                             preset, key):
+        # 1e15 points: spectra's (n, 16) phase table alone would take 114 PiB
+        cfg = write(tmp_path, "c.yaml", f"sweep:\n  {key}: 1000000000000000\n")
+        out = tmp_path / "o"
+        assert main([command, "--preset", preset, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'sweep'" in err and f"{key} = 1000000000000000" in err
+        assert "physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("angles,key", [
+        ("  theta_min_deg: 200.0\n  theta_max_deg: 400.0\n", "theta_min_deg"),
+        ("  theta_max_deg: 180.0\n", "theta_max_deg"),
+        ("  theta_min_deg: -10.0\n", "theta_min_deg"),
+    ], ids=["200-400", "max-180", "min-negative"])
+    def test_angle_outside_probe_range_exits_2(self, tmp_path, capsys, angles, key):
+        # the same 0 <= theta < 180 deg that probe.polarization_angle_deg takes
+        cfg = write(tmp_path, "c.yaml", "sweep:\n" + angles)
+        out = tmp_path / "o"
+        assert main(["chevron", "--preset", "chevron", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'sweep'" in err and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["abc", "0"])

@@ -271,19 +271,6 @@ class TestBiasFieldDecoupling:
         assert self._leakage(0.0) > 1e-2
 
 
-class TestRecord:
-    def test_csv_rows_schema(self):
-        setup = RunSetup(probe=ProbeConfig(-335.0, 16.0, 45.0),
-                         simulation=SimulationConfig(t_span_ms=0.1, dt_ms=0.01))
-        rec = run_simulation(setup)
-        rows = list(rec.csv_rows())
-        assert len(rows) == len(rec.times_ms)
-        t, sig, s3, p3, p4, lost = rows[0]
-        assert t == 0.0
-        assert p3 == pytest.approx(1.0)
-        assert p3 + p4 + lost == pytest.approx(1.0, abs=1e-12)
-
-
 def plain_step_loop(rho0, h, jumps, loss, t_span_ms, dt_ms):
     """Reference trajectory: one matvec per step, states kept as 16x16."""
     prop = expm(_liouvillian(h, jumps, loss) * dt_ms)
@@ -394,6 +381,76 @@ class TestInvariantChecks:
                 probe=ProbeConfig(-335.0, 16.0, 45.0),
                 simulation=SimulationConfig(t_span_ms=1.0, dt_ms=0.005,
                                             extra_loss_per_ms=-0.4)))
+
+
+class _Generator(Exception):
+    """Carries the generator out of ``run_simulation`` before any expm."""
+
+
+def generator_of(setup: RunSetup, monkeypatch) -> np.ndarray:
+    """The Lindblad generator that ``run_simulation(setup)`` builds."""
+    build = dynamics._liouvillian
+
+    def capture(*args):
+        raise _Generator(build(*args))
+
+    monkeypatch.setattr(dynamics, "_liouvillian", capture)
+    with pytest.raises(_Generator) as caught:
+        run_simulation(setup)
+    return caught.value.args[0]
+
+
+def projected_choi(lv: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) L(|i><j|), projected off the maximally
+    entangled vector sum_i |ii> / 4."""
+    n = 16
+    # lv[16 a + b, 16 i + j] = L(|i><j|)[a, b] is choi[16 i + a, 16 j + b]
+    choi = lv.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+    omega = np.eye(n).reshape(-1) / 4.0
+    off = np.eye(n * n) - np.outer(omega, omega)
+    return off @ choi @ off
+
+
+# (detuning MHz, theta deg, pumping, extra loss /ms, scattering rate /ms):
+# both inter-resonance windows, with pumping and the loss each on and off
+CCP_POINTS = [
+    (-700.0, 45.0, True, 0.0, None),
+    (-335.0, 45.0, True, 0.4, 1.25),
+    (-150.0, 90.0, False, 0.4, None),
+    (-60.0, 10.0, True, 0.0, None),
+    (-500.0, 170.0, False, 0.0, None),
+    (8222.3, 45.0, True, 0.4, None),
+    (8600.0, 135.0, False, 0.0, None),
+    (9000.0, 60.0, True, 0.4, 1.25),
+]
+
+
+class TestConditionalCompletePositivity:
+    """L generates a completely positive semigroup exactly when its Choi
+    matrix, projected off the maximally entangled vector, is Hermitian and
+    positive semidefinite (Gorini, Kossakowski & Sudarshan 1976; Lindblad
+    1976; Wolf & Cirac 2008)."""
+
+    @pytest.mark.parametrize("det,theta,pumping,loss,rate", CCP_POINTS)
+    def test_projected_choi_is_positive(self, monkeypatch, det, theta, pumping,
+                                        loss, rate):
+        setup = RunSetup(ProbeConfig(det, 16.0, theta),
+                         MicrowaveConfig(rabi_kHz=2.0, detuning_kHz=0.3),
+                         simulation=SimulationConfig(t_span_ms=0.005, dt_ms=0.005,
+                                                     extra_loss_per_ms=loss,
+                                                     pumping=pumping,
+                                                     scattering_rate_per_ms=rate))
+        lv = generator_of(setup, monkeypatch)
+        choi = projected_choi(lv)
+        scale = np.abs(lv).max()
+        assert np.abs(choi - choi.conj().T).max() <= 1e-12 * scale
+        w = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
+        if pumping:
+            assert w.min() >= -1e-9 * w.max()
+        else:
+            # the Hamiltonian and the loss act as K rho + rho K^dagger,
+            # which the projection removes entirely
+            assert np.abs(w).max() <= 1e-12 * scale
 
 
 def kron_liouvillian(h, jumps, extra_loss_per_ms):

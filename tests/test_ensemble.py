@@ -1,7 +1,9 @@
 """Inhomogeneity averaging, decay-time extraction, calibrated sweeps."""
 
+import dataclasses
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,9 +26,9 @@ from clockprobe.ensemble import (
     decay_time,
     ensemble_average,
     generalized_rabi_kHz,
+    measurement_figure,
     operating_point,
     sweep,
-    sweep_measurement_strength,
 )
 from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scattering_rate_per_ms
 from clockprobe.errors import InvariantViolationError
@@ -186,25 +188,29 @@ class TestDecayPhysics:
 
 
 class TestMeasurementFigure:
-    def test_masked_point_skips_validation(self):
-        f = MeasurementFigure(-10.0, math.nan, math.nan, math.nan, math.nan,
-                              masked=True)
-        assert f.masked
+    def test_figure_holds_only_figures_of_merit(self):
+        # whether a point was masked or failed is sweep's outcome, not a figure
+        assert [f.name for f in dataclasses.fields(MeasurementFigure)] == \
+            ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta", "pn_snr"]
+
+
+def _figures(setup, inhomog, grid):
+    return sweep(partial(measurement_figure, setup, inhomog, 1.0), grid, 5.0)
 
 
 class TestSweep:
     def test_sweep_masks_near_resonance_and_fills_figures(self):
         setup = make_setup(t_span=3.0)
         inh = InhomogeneityConfig(0.0, 0.0, 1, 0)
-        figures = sweep_measurement_strength([-10.0, MAGIC, -500.0], setup, inh)
-        assert figures[0].masked
-        good = figures[1]
-        assert not good.masked and not good.error
+        outcomes = _figures(setup, inh, [-10.0, MAGIC, -500.0])
+        assert outcomes[0] == (None, True, "")
+        good, masked, error = outcomes[1]
+        assert not masked and not error
         assert good.omega_kHz == pytest.approx(2.0, rel=0.01)
         assert good.eta_sq == pytest.approx(good.eta**2)
         assert good.pn_snr > 0
         # off the magic point the light shift detunes the drive strongly
-        assert figures[2].omega_kHz > 5 * good.omega_kHz
+        assert outcomes[2][0].omega_kHz > 5 * good.omega_kHz
 
     def test_mask_reads_the_resonance_distance(self, monkeypatch):
         monkeypatch.delenv("CLOCKPROBE_WORKERS", raising=False)
@@ -219,8 +225,7 @@ class TestSweep:
 
     def test_pn_snr_is_eta_over_twice_root_n(self):
         setup = make_setup()
-        (fig,) = sweep_measurement_strength(
-            [MAGIC], setup, InhomogeneityConfig(0.0, 0.0, 1, 0))
+        fig = measurement_figure(setup, InhomogeneityConfig(0.0, 0.0, 1, 0), 1.0, MAGIC)
         pn = projection_noise_snr(setup.cloud, operating_point(setup, MAGIC).probe,
                                   fig.tau_d_ms * 1e-3)
         assert fig.pn_snr == fig.eta / (2.0 * math.sqrt(setup.cloud.atom_number)) == pn
@@ -232,6 +237,6 @@ class TestSweep:
             raise InvariantViolationError("positivity violated at t = 0.01 ms")
 
         monkeypatch.setattr(ensemble, "run_simulation", violate)
-        figures = sweep_measurement_strength(
-            [MAGIC, -500.0], make_setup(), InhomogeneityConfig(0.0, 0.0, 1, 0))
-        assert [f.error for f in figures] == ["positivity violated at t = 0.01 ms"] * 2
+        outcomes = _figures(make_setup(), InhomogeneityConfig(0.0, 0.0, 1, 0),
+                            [MAGIC, -500.0])
+        assert outcomes == [(None, False, "positivity violated at t = 0.01 ms")] * 2

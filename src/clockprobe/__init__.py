@@ -7,7 +7,7 @@ Library layout:
 - :mod:`clockprobe.lightshift` — light-shift operator, closed-form xi's, magic points
 - :mod:`clockprobe.birefringence` — phase spectra, SNR figures, two-color balance
 - :mod:`clockprobe.dynamics` — 16-level Lindblad evolution with microwave drive
-- :mod:`clockprobe.fitting` — decaying-sinusoid extraction of frequency and decay
+- :mod:`clockprobe.fitting` — decaying-sinusoid fit, Rabi frequency and decay time
 - :mod:`clockprobe.ensemble` — inhomogeneity averaging and the detuning sweep driver
 - :mod:`clockprobe.config` / :mod:`clockprobe.cli` — YAML configs and the CLI
 """

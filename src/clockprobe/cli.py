@@ -45,7 +45,7 @@ import numpy as np
 from .atom import F3_BLOCK, F4_BLOCK, IDX_DOWN, IDX_UP
 from .birefringence import state_phase_table
 from .config import RunConfig, load_config
-from .dynamics import RunSetup, rabi_frequency
+from .dynamics import RunSetup
 from .ensemble import (
     ensemble_average,
     generalized_rabi_kHz,
@@ -54,6 +54,7 @@ from .ensemble import (
     sweep,
 )
 from .errors import ClockProbeError, ConfigError, FitFailureError
+from .fitting import rabi_frequency
 from .lightshift import clear_of_resonances, differential_clock_shift, find_magic_detunings
 
 __all__ = ["main"]
@@ -130,19 +131,6 @@ def _sweep_rows(point, grid: list[float], mask_gamma: float,
             for det, (values, masked, error) in zip(grid, sweep(point, grid, mask_gamma))]
 
 
-def _window_magic_detunings(theta_deg: float, window: tuple[float, float],
-                            **kwargs) -> list:
-    """Magic detunings in the sweep window, searched before any sweep runs.
-
-    A window that spans a resonance is a config error, so it fails before
-    any point is computed or any CSV is written.
-    """
-    try:
-        return find_magic_detunings(theta_deg, window, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"sweep.window_MHz: {exc}") from exc
-
-
 # ---------------------------------------------------------------- spectra
 
 
@@ -150,8 +138,8 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     """Phase spectra, differential shift, magic points."""
     sweep, probe = cfg.sweep, cfg.probe
     lo, hi = sweep.window_MHz
-    points = _window_magic_detunings(probe.polarization_angle_deg, (lo, hi),
-                                     irradiance_rel=probe.irradiance_rel)
+    points = find_magic_detunings(probe.polarization_angle_deg, (lo, hi),
+                                  irradiance_rel=probe.irradiance_rel)
     grid = np.linspace(lo, hi, sweep.n_points)
     grid = grid[clear_of_resonances(grid)]
     if grid.size == 0:
@@ -233,8 +221,8 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
     thetas = np.linspace(sw.theta_min_deg, sw.theta_max_deg, sw.n_theta)
     theta_rows = []
     for th in thetas:
-        pts = _window_magic_detunings(float(th), (lo, hi),
-                                      irradiance_rel=cfg.probe.irradiance_rel)
+        pts = find_magic_detunings(float(th), (lo, hi),
+                                   irradiance_rel=cfg.probe.irradiance_rel)
         if pts:
             theta_rows.append((float(th), pts[0].detuning_MHz, 1))
         else:
@@ -289,7 +277,7 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     """tau_d / eta^2 / SNR sweep at constant scattering rate."""
     setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
     lo, hi = cfg.sweep.window_MHz
-    magic = _window_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))
+    magic = find_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))
     grid = np.linspace(lo, hi, cfg.sweep.n_points).tolist()
 
     def run_sweep(setup: RunSetup) -> list[tuple]:

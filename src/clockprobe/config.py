@@ -27,7 +27,7 @@ from .atom import N_GROUND, CloudConfig
 from .dynamics import MicrowaveConfig, SimulationConfig, check_fits_in_memory
 from .ensemble import InhomogeneityConfig
 from .errors import ConfigError
-from .lightshift import ProbeConfig, find_magic_detunings
+from .lightshift import ProbeConfig, check_window_clear, find_magic_detunings
 
 __all__ = [
     "RunConfig",
@@ -66,6 +66,7 @@ class SweepConfig:
         lo, hi = self.window_MHz
         if not lo < hi:
             raise ValueError("window_MHz must be (low, high) with low < high")
+        check_window_clear(self.window_MHz, "sweep.window_MHz")
         if self.n_points < 2 or self.n_theta < 2:
             raise ValueError("n_points and n_theta must be >= 2")
         for key in ("n_points", "n_theta"):

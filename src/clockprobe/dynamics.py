@@ -33,7 +33,6 @@ from .atom import (
 )
 from .birefringence import state_phase_table
 from .errors import InvariantViolationError
-from .fitting import fit_decaying_sinusoid
 from .lightshift import (
     ProbeConfig,
     amplitude_tensor,
@@ -56,7 +55,6 @@ __all__ = [
     "check_fits_in_memory",
     "evolve",
     "run_simulation",
-    "rabi_frequency",
     "pure_state",
     "clock_mixture",
 ]
@@ -403,14 +401,3 @@ def run_simulation(setup: RunSetup) -> SimRecord:
     phases = state_phase_table(probe.detuning_MHz, od=setup.cloud.od_resonant)
     return evolve(sim.initial_density_matrix(), h, jumps, sim.extra_loss_per_ms,
                   sim.t_span_ms, sim.dt_ms, state_phases=phases)
-
-
-def rabi_frequency(record: SimRecord, freq_hint_kHz: float) -> float:
-    """Dominant oscillation frequency (kHz) of the record's s3.
-
-    Least-squares fit of a decaying sinusoid started at ``freq_hint_kHz``;
-    raises :class:`FitFailureError` when the oscillation amplitude is below 5x
-    the fit residual.
-    """
-    return fit_decaying_sinusoid(record.times_ms, record.s3,
-                                 freq_hint_kHz=freq_hint_kHz).freq_kHz

@@ -23,21 +23,20 @@ from .birefringence import projection_noise_snr, snr_eta
 from .dynamics import (
     RunSetup,
     SimRecord,
+    check_fits_in_memory,
     pumping_jump_operators,
-    rabi_frequency,
     run_simulation,
     scattering_rate_per_ms,
     clock_mixture,
 )
 from .errors import ClockProbeError, ConfigError
-from .fitting import fit_decaying_sinusoid
+from .fitting import decay_time, rabi_frequency
 from .lightshift import ProbeConfig, dressed_clock_shift, resonance_distance
 
 __all__ = [
     "InhomogeneityConfig",
     "MeasurementFigure",
     "ensemble_average",
-    "decay_time",
     "calibrated_irradiance",
     "generalized_rabi_kHz",
     "operating_point",
@@ -58,6 +57,8 @@ class InhomogeneityConfig:
             raise ValueError("rms fractions must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        # ensemble_average's probe and microwave factors and their pairing
+        check_fits_in_memory(3 * 8 * self.n_samples, f"n_samples = {self.n_samples}")
         for name in ("probe_irradiance_rms_frac", "mw_irradiance_rms_frac"):
             lowest = _stratified_factors(getattr(self, name), self.n_samples)[0]
             if not lowest > 0:
@@ -121,12 +122,6 @@ def ensemble_average(setup: RunSetup, inhomog: InhomogeneityConfig) -> SimRecord
                 total += getattr(rec, f)
     n = inhomog.n_samples
     return SimRecord(times, *(total / n for total in sums))
-
-
-def decay_time(record: SimRecord, freq_hint_kHz: float) -> float:
-    """1/e time (ms) of the fitted envelope of the polarimeter signal."""
-    return fit_decaying_sinusoid(record.times_ms, record.signal_rad,
-                                 freq_hint_kHz=freq_hint_kHz).tau_ms
 
 
 def generalized_rabi_kHz(setup: RunSetup) -> float:

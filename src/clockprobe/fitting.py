@@ -7,7 +7,8 @@ The stretched-exponential envelope covers both pumping-limited decay
 for any beta.  The exponential background absorbs the optical-pumping
 drift of the record.  The caller supplies the starting frequency; the
 other initial guesses come from a moving-average background and a
-Hilbert envelope.
+Hilbert envelope.  :func:`rabi_frequency` and :func:`decay_time` read
+the two fitted quantities of a simulated record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import FitFailureError
 
-__all__ = ["SinusoidFit", "fit_decaying_sinusoid"]
+__all__ = ["SinusoidFit", "fit_decaying_sinusoid", "rabi_frequency", "decay_time"]
 
 # A fit whose oscillation amplitude is below this multiple of its residual
 # rms resolves no oscillation.
@@ -137,3 +138,15 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
             f"{MIN_AMP_OVER_RESIDUAL}x residual {fit.residual_rms:g}"
         )
     return fit
+
+
+def rabi_frequency(record, freq_hint_kHz: float) -> float:
+    """Fitted oscillation frequency (kHz) of a record's ``s3`` over its ``times_ms``."""
+    return fit_decaying_sinusoid(record.times_ms, record.s3,
+                                 freq_hint_kHz=freq_hint_kHz).freq_kHz
+
+
+def decay_time(record, freq_hint_kHz: float) -> float:
+    """Fitted envelope 1/e time (ms) of a record's ``signal_rad`` over its ``times_ms``."""
+    return fit_decaying_sinusoid(record.times_ms, record.signal_rad,
+                                 freq_hint_kHz=freq_hint_kHz).tau_ms

@@ -44,6 +44,7 @@ __all__ = [
     "RESONANCES_MHZ",
     "resonance_distance",
     "clear_of_resonances",
+    "check_window_clear",
     "excited_detunings_MHz",
     "check_off_resonance",
     "pole_sum",
@@ -169,6 +170,16 @@ def clear_of_resonances(detuning_MHz) -> np.ndarray:
     return np.all(resonance_distance(detuning_MHz) > _MARGIN_MHZ, axis=-1)
 
 
+def check_window_clear(window: tuple[float, float], name: str = "window") -> None:
+    """Raise ``ValueError`` naming ``name`` when a D1 resonance lies inside the
+    detuning window by more than the 0.2 Gamma margin."""
+    lo, hi = sorted(window)
+    for pos in RESONANCES_MHZ.values():
+        if lo + _MARGIN_MHZ < pos < hi - _MARGIN_MHZ:
+            raise ValueError(
+                f"{name} ({lo}, {hi}) MHz contains the resonance at {pos} MHz")
+
+
 def check_off_resonance(detuning_MHz) -> None:
     """Raise :class:`ResonanceProximityError` at the first detuning within 0.1 Gamma."""
     d = np.ravel(detuning_MHz)
@@ -267,19 +278,18 @@ def find_magic_detunings(theta_deg: float, window: tuple[float, float],
     The zeros of dU = sum w / (Delta - r) are the real roots of its
     numerator, a polynomial of degree at most 3, taken at unit irradiance
     (dU is linear in it, and the numerator cannot overflow there); only
-    the residual is at ``irradiance_rel``.  Zero-weight poles are dropped
-    first: they are removable (at theta = 0 the pi amplitude
-    |4,0> -> |4',0> vanishes) and would add a spurious root.  Roots not
-    :func:`clear_of_resonances` are discarded.  An empty list is valid.
+    the residual is at ``irradiance_rel``.  Poles of weight below 1e-12
+    of the largest are dropped first: they are removable (at theta = 0 the
+    pi amplitude |4,0> -> |4',0> vanishes), and near theta = 0 a weight of
+    ~1e-320 overflows the numerator's roots.  Roots not
+    :func:`clear_of_resonances` are discarded.  An empty list is valid;
+    a window that fails :func:`check_window_clear` raises ``ValueError``.
     """
+    check_window_clear(window)
     lo, hi = sorted(window)
-    for pos in RESONANCES_MHZ.values():
-        if lo + _MARGIN_MHZ < pos < hi - _MARGIN_MHZ:
-            raise ValueError(
-                f"window ({lo}, {hi}) MHz contains the resonance at {pos} MHz"
-            )
     w, r = _clock_shift_poles(theta_deg, 1.0)
-    w, r = w[w != 0.0], r[w != 0.0]
+    keep = np.abs(w) > 1e-12 * np.abs(w).max()
+    w, r = w[keep], r[keep]
     numerator = sum(wk * np.poly(np.delete(r, k)) for k, wk in enumerate(w))
     roots = np.roots(numerator)
     roots = np.sort(roots[roots.imag == 0].real)

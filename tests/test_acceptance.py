@@ -34,16 +34,15 @@ from clockprobe.dynamics import (
     MicrowaveConfig,
     RunSetup,
     SimulationConfig,
-    rabi_frequency,
     run_simulation,
 )
 from clockprobe.ensemble import (
     InhomogeneityConfig,
     calibrated_irradiance,
-    decay_time,
     measurement_figure,
     sweep,
 )
+from clockprobe.fitting import decay_time, rabi_frequency
 from clockprobe.lightshift import (
     RESONANCES_MHZ,
     ProbeConfig,

@@ -5,10 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clockprobe import cli
 from clockprobe.atom import F3_BLOCK, F4_BLOCK, IDX_DOWN, IDX_UP
@@ -25,6 +29,7 @@ from clockprobe.errors import (
     ResonanceProximityError,
 )
 from clockprobe.lightshift import differential_clock_shift
+from test_config import VALID_BLOCKS
 
 FAST_RABI = """\
 probe:
@@ -400,6 +405,15 @@ class TestExitCodes:
         assert "sweep.window_MHz" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_window_spanning_resonance_exits_2_for_rabi(self, tmp_path, capsys):
+        # rabi sweeps nothing, but the window rule holds at load for every
+        # command
+        cfg = write(tmp_path, "c.yaml", FAST_RABI + "sweep:\n  window_MHz: [-300, 100]\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep.window_MHz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectra_grid_emptied_by_resonance_margin_exits_2(self, tmp_path, capsys):
         # all five points lie within 0.91 MHz of F=4 -> F'=3 at -1168 MHz;
         # the window check passes, since no resonance lies inside the
@@ -585,6 +599,102 @@ def test_plain_value_error_gets_no_exit_code(tmp_path, monkeypatch):
     cfg = write(tmp_path, "c.yaml", FAST_RABI)
     with pytest.raises(ValueError, match="a bug"):
         main(["rabi", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+# Exit-code fuzz: config trees that are valid, or valid but for one or two
+# broken entries, run through main() in-process.  The valid blocks are those
+# of tests/test_config.py, except that a rabi record has at most 8 steps and
+# 3 members.  The broken values include sizes far beyond any machine's
+# memory, which must fail at load, but never a size near it.
+_JUNK = st.sampled_from([
+    math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300, -1e300, 1e-300, -1, 0,
+    10**15, -(10**15), True, None, "", "abc", "magic", "3,9", [1.0],
+    [1.0, 2.0, 3.0], {"a": 1}])
+
+
+@st.composite
+def _short_simulations(draw):
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    return {**draw(VALID_BLOCKS["simulation"]), "t_span_ms": dt * draw(st.integers(1, 8)),
+            "dt_ms": dt}
+
+
+def _blocks(*names, **others):
+    return st.fixed_dictionaries({**{n: VALID_BLOCKS[n] for n in names}, **others})
+
+
+FUZZ_TREES = {
+    "spectra": _blocks("probe", "cloud", "output", "sweep"),
+    "rabi": _blocks("probe", "cloud", "output", "microwave",
+                    simulation=_short_simulations(),
+                    inhomogeneity=st.fixed_dictionaries({
+                        "probe_irradiance_rms_frac": st.floats(0.0, 0.2),
+                        "mw_irradiance_rms_frac": st.floats(0.0, 0.05),
+                        "n_samples": st.integers(1, 3)})),
+}
+
+
+@st.composite
+def _broken(draw, trees):
+    """A valid tree with up to two entries broken: a junk value or block, an
+    unknown key or block, or a missing required key."""
+    tree = draw(trees)
+    for _ in range(draw(st.integers(0, 2))):
+        blocks = sorted(b for b, values in tree.items() if isinstance(values, dict)
+                        and values)
+        block = draw(st.sampled_from(blocks))
+        how = draw(st.sampled_from(["junk", "junk", "junk", "junk block",
+                                    "unknown key", "unknown block", "no detuning"]))
+        if how == "junk":
+            key = draw(st.sampled_from(sorted(tree[block])))
+            tree[block][key] = draw(_JUNK)
+        elif how == "junk block":
+            tree[block] = draw(_JUNK)
+        elif how == "unknown key":
+            tree[block]["bogus"] = 1.0
+        elif how == "unknown block":
+            tree["bogus"] = {}
+        elif isinstance(tree["probe"], dict):
+            tree["probe"].pop("detuning_MHz", None)
+    return tree
+
+
+class TestExitCodeFuzz:
+    def _exit_code(self, command, tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.yaml"
+            cfg.write_text(yaml.safe_dump(tree))
+            return main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(tree=_broken(FUZZ_TREES["spectra"]))
+    def test_spectra_exits_with_a_contract_code(self, tree):
+        assert self._exit_code("spectra", tree) in (0, 2, 3, 4)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(tree=_broken(FUZZ_TREES["rabi"]))
+    def test_rabi_exits_with_a_contract_code(self, tree):
+        assert self._exit_code("rabi", tree) in (0, 2, 3, 4)
+
+    def test_oversized_ensemble_exits_2_at_load(self, tmp_path, capsys):
+        # 1e15 members: the factor arrays would need petabytes
+        cfg = write(tmp_path, "c.yaml", FAST_RABI.replace(
+            "  n_samples: 1\n", "  n_samples: 1000000000000000\n"))
+        out = tmp_path / "o"
+        assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_magic_at_near_zero_angle_exits_2(self, tmp_path, capsys):
+        # no root exists at theta -> 0; a subnormal weight used to end the
+        # magic search in an uncaught LinAlgError
+        cfg = write(tmp_path, "c.yaml", FAST_RABI.replace(
+            "detuning_MHz: -335.0", "detuning_MHz: magic").replace(
+            "polarization_angle_deg: 45.0", "polarization_angle_deg: 1.0e-158"))
+        out = tmp_path / "o"
+        assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no differential-shift zero" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAtomicWrite:

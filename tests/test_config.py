@@ -10,6 +10,7 @@ from scipy.special import ndtri
 
 from clockprobe.config import _BLOCK_TYPES, load_config
 from clockprobe.errors import ConfigError
+from clockprobe.lightshift import RESONANCES_MHZ
 
 SETTINGS = settings(max_examples=50, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -44,10 +45,17 @@ def simulations(draw):
                 [f"{f},{m}" for f in (3, 4) for m in range(-f, f + 1)]))}
 
 
+# A sweep window may not span a D1 resonance: it lies in one of the gaps
+# between them, or beyond the outermost out to 1e6 MHz.
+GAP_EDGES = [-1e6, *sorted(RESONANCES_MHZ.values()), 1e6]
+
+
 @st.composite
 def sweeps(draw):
-    lo = draw(reals())
-    return {"window_MHz": [lo, lo + draw(reals(1e-3, 1e4))],
+    gap = draw(st.integers(0, len(GAP_EDGES) - 2))
+    lo = draw(reals(GAP_EDGES[gap], GAP_EDGES[gap + 1] - 1e-3))
+    width = draw(reals(1e-3, min(1e4, GAP_EDGES[gap + 1] - lo)))
+    return {"window_MHz": [lo, lo + width],
             "n_points": draw(st.integers(2, 10_000)),
             "theta_min_deg": draw(reals(0.0, 180.0)),
             "theta_max_deg": draw(reals(0.0, 180.0)),

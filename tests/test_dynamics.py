@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from clockprobe import dynamics
-from clockprobe.atom import IDX_DOWN, IDX_UP, state_index
+from clockprobe.atom import IDX_DOWN, IDX_UP, CloudConfig, state_index
 from clockprobe.cli import build_setup
 from clockprobe.config import load_config
 from clockprobe.dynamics import (
@@ -27,12 +27,12 @@ from clockprobe.dynamics import (
     evolve,
     pumping_jump_operators,
     pure_state,
-    rabi_frequency,
     run_simulation,
     scattering_rate_per_ms,
 )
 from clockprobe.errors import InvariantViolationError
-from clockprobe.lightshift import ProbeConfig
+from clockprobe.fitting import rabi_frequency
+from clockprobe.lightshift import RESONANCES_MHZ, ProbeConfig
 
 
 class TestStates:
@@ -197,35 +197,83 @@ class TestUnitaryOracle:
             assert np.abs(pops - exact).max() <= 1e-11, t
 
 
+def lindblad_ode_populations(setup, times_ms, rho0=None):
+    """Populations of the 16 x 16 ODE d rho = K rho + rho K^dagger +
+    sum r A rho A^dagger, with K = -i omega - (sum r A^dagger A + gamma_loss P)
+    / 2, integrated by DOP853 from ``rho0`` (default: the setup's initial
+    state): no Liouville-space generator."""
+    sim = setup.simulation
+    h, jumps = operator_terms(setup)
+    jumps = jumps if sim.pumping else []
+    p = np.zeros((16, 16))
+    p[IDX_UP, IDX_UP] = p[IDX_DOWN, IDX_DOWN] = 1.0
+    k = -2j * np.pi * 1e3 * h - 0.5 * sim.extra_loss_per_ms * p
+    for op, rate in jumps:
+        k -= 0.5 * rate * op.conj().T @ op
+
+    def rhs(_, y):
+        rho = y.reshape(16, 16)
+        drho = k @ rho + rho @ k.conj().T
+        for op, rate in jumps:
+            drho += rate * op @ rho @ op.conj().T
+        return drho.ravel()
+
+    if rho0 is None:
+        rho0 = sim.initial_density_matrix().rho
+    sol = solve_ivp(rhs, (0.0, times_ms[-1]), rho0.ravel(), method="DOP853",
+                    t_eval=times_ms, rtol=1e-10, atol=1e-14)
+    assert sol.success
+    return np.real(np.diagonal(sol.y.T.reshape(-1, 16, 16), axis1=1, axis2=2))
+
+
+# Detunings clear of the D1 resonances by 100 MHz, in the lower window
+# (F'=3 to F'=4) or the upper one (F=3 -> F'=3 to F=3 -> F'=4).
+ORACLE_DETUNINGS = (st.floats(-1068.0, -100.0)
+                    | st.floats(RESONANCES_MHZ["F=3 -> F'=3"] + 100.0,
+                                RESONANCES_MHZ["F=3 -> F'=4"] - 100.0))
+
+
+_PSI = np.array([1.0, 1j]) @ np.random.default_rng(0).normal(size=(2, 16))
+COMPLEX_STATE = DensityMatrix(np.outer(_PSI, _PSI.conj()) / np.vdot(_PSI, _PSI).real)
+
+
 class TestDissipativeOracle:
     def test_populations_match_lindblad_ode(self):
-        # pumping and loss on, at the measurement operating point: the
-        # 16 x 16 ODE d rho = K rho + rho K^dagger + sum r A rho A^dagger,
-        # with K = -i omega - (sum r A^dagger A + gamma_loss P) / 2,
-        # integrated by DOP853 with no Liouville-space generator
+        # pumping and loss on, at the measurement operating point
         setup = with_simulation(measurement_setup(), t_span_ms=0.5)
-        sim = setup.simulation
-        h, jumps = operator_terms(setup)
-        p = np.zeros((16, 16))
-        p[IDX_UP, IDX_UP] = p[IDX_DOWN, IDX_DOWN] = 1.0
-        k = -2j * np.pi * 1e3 * h - 0.5 * sim.extra_loss_per_ms * p
-        for op, rate in jumps:
-            k -= 0.5 * rate * op.conj().T @ op
-
-        def rhs(_, y):
-            rho = y.reshape(16, 16)
-            drho = k @ rho + rho @ k.conj().T
-            for op, rate in jumps:
-                drho += rate * op @ rho @ op.conj().T
-            return drho.ravel()
-
         rec = run_simulation(setup)
-        rho0 = pure_state(3, 0).rho
-        sol = solve_ivp(rhs, (0.0, sim.t_span_ms), rho0.ravel(), method="DOP853",
-                        t_eval=rec.times_ms, rtol=1e-10, atol=1e-14)
-        assert sol.success and sim.extra_loss_per_ms > 0 and jumps
-        pops = np.real(np.diagonal(sol.y.T.reshape(-1, 16, 16), axis1=1, axis2=2))
+        assert setup.simulation.extra_loss_per_ms > 0 and operator_terms(setup)[1]
+        pops = lindblad_ode_populations(setup, rec.times_ms)
         assert np.abs(rec.populations - pops).max() <= 1e-10
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(detuning=ORACLE_DETUNINGS, theta=st.floats(0.0, 179.0),
+           irradiance=st.floats(0.5, 16.0), bias_G=st.floats(0.0, 0.5),
+           chi_kHz=st.floats(0.0, 10.0), delta_kHz=st.floats(-5.0, 5.0),
+           pumping=st.booleans(), loss=st.sampled_from([0.0, 0.4, 2.0]))
+    def test_random_operating_points_match_lindblad_ode(
+            self, detuning, theta, irradiance, bias_G, chi_kHz, delta_kHz,
+            pumping, loss):
+        # 10 steps of 5 us.  Over 60 random draws the two paths differed by
+        # up to 2.7e-10, from the ODE's rtol; a time-reversed commutator
+        # moves the complex state's populations by 1.8e-4
+        setup = RunSetup(
+            probe=ProbeConfig(detuning, irradiance, theta),
+            microwave=MicrowaveConfig(rabi_kHz=chi_kHz, detuning_kHz=delta_kHz),
+            cloud=CloudConfig(bias_field_G=bias_G),
+            simulation=SimulationConfig(t_span_ms=0.05, dt_ms=0.005, pumping=pumping,
+                                        extra_loss_per_ms=loss))
+        rec = run_simulation(setup)
+        pops = lindblad_ode_populations(setup, rec.times_ms)
+        assert np.abs(rec.populations - pops).max() <= 1e-9
+        # H and the jumps are real, so from a real state a time-reversed
+        # commutator (a valid Lindbladian too) gives the conjugate state
+        # and the same populations; a complex state breaks that symmetry
+        h, jumps = operator_terms(setup)
+        jumps = jumps if pumping else []
+        rec = evolve(COMPLEX_STATE, h, jumps, loss, 0.05, 0.005)
+        pops = lindblad_ode_populations(setup, rec.times_ms, COMPLEX_STATE.rho)
+        assert np.abs(rec.populations - pops).max() <= 1e-9
 
 
 class TestPumpedSteadyState:

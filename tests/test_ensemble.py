@@ -15,7 +15,6 @@ from clockprobe.dynamics import (
     MicrowaveConfig,
     RunSetup,
     SimulationConfig,
-    rabi_frequency,
     run_simulation,
 )
 from clockprobe.ensemble import (
@@ -23,7 +22,6 @@ from clockprobe.ensemble import (
     MeasurementFigure,
     _stratified_factors,
     calibrated_irradiance,
-    decay_time,
     ensemble_average,
     generalized_rabi_kHz,
     measurement_figure,
@@ -32,6 +30,7 @@ from clockprobe.ensemble import (
 )
 from clockprobe.dynamics import clock_mixture, pumping_jump_operators, scattering_rate_per_ms
 from clockprobe.errors import InvariantViolationError
+from clockprobe.fitting import decay_time, rabi_frequency
 from clockprobe.lightshift import (
     ProbeConfig,
     dressed_clock_shift,

@@ -235,6 +235,11 @@ class TestMagicDetunings:
     def test_no_root_for_pure_pi_polarization(self):
         assert find_magic_detunings(0.0, (-1100.0, -50.0)) == []
 
+    def test_near_zero_angle_has_no_root(self):
+        # the F'=4 weight of |4,0> is ~1e-320 here; kept, it overflowed the
+        # numerator's companion matrix and raised LinAlgError
+        assert find_magic_detunings(1e-158, (-1100.0, -50.0)) == []
+
     def test_upper_window_has_root(self):
         points = find_magic_detunings(45.0, (8100.0, 9100.0))
         assert len(points) == 1

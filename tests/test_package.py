@@ -130,6 +130,66 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(siblings) > 5 and found == []
 
 
+# The intra-package import graph: each module and the siblings it imports.
+# The engine sits below the fit, the sweeps and the front end, and the fit
+# reads records by their fields, so it needs nothing but the errors.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "angular": set(),
+    "atom": set(),
+    "errors": set(),
+    "fitting": {"errors"},
+    "lightshift": {"angular", "atom", "errors"},
+    "birefringence": {"atom", "errors", "lightshift"},
+    "dynamics": {"atom", "birefringence", "errors", "lightshift"},
+    "ensemble": {"atom", "birefringence", "dynamics", "errors", "fitting", "lightshift"},
+    "config": {"atom", "dynamics", "ensemble", "errors", "lightshift"},
+    "cli": {"atom", "birefringence", "config", "dynamics", "ensemble", "errors",
+            "fitting", "lightshift"},
+}
+
+
+def _sibling_imports() -> dict[str, set[str]]:
+    """Each package module and the sibling modules it imports, relatively
+    (``from .x import y``, ``from . import x``) or as ``clockprobe.x``."""
+    package = Path(clockprobe.__file__).parent
+    siblings = {p.stem for p in package.glob("*.py")}
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if node.level == 1:
+                    found |= {parts[0]} if node.module else {a.name for a in node.names}
+                elif node.level == 0 and parts[0] == "clockprobe":
+                    found |= set(parts[1:2]) or {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {a.name.split(".")[1] for a in node.names
+                          if a.name.startswith("clockprobe.")}
+        graph[path.stem] = found & siblings
+    return graph
+
+
+def test_import_graph_is_layered():
+    graph = _sibling_imports()
+    assert graph["dynamics"].isdisjoint({"fitting", "ensemble", "config", "cli"})
+    assert graph["fitting"] <= {"errors"}
+    assert graph == IMPORT_GRAPH
+
+
+def test_sibling_imports_see_every_import_form(tmp_path, monkeypatch):
+    package = tmp_path / "clockprobe"
+    package.mkdir()
+    (package / "a.py").write_text("from .b import x\nfrom . import c\n"
+                                  "import clockprobe.d\nfrom clockprobe import e\n"
+                                  "from clockprobe.f import y\nimport numpy\n")
+    for name in "bcdef":
+        (package / f"{name}.py").write_text("")
+    monkeypatch.setattr(clockprobe, "__file__", str(package / "__init__.py"))
+    assert _sibling_imports()["a"] == set("bcdef")
+
+
 def test_package_import_loads_no_numpy():
     assert _fresh("import clockprobe")["numpy_loaded"] is False
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GroundState",
     "CloudConfig",
     "state_registry",
     "state_index",
     "zeeman_hamiltonian",
     "N_GROUND",
+    "MAX_BIAS_FIELD_G",
     "F3_BLOCK",
     "F4_BLOCK",
     "IDX_DOWN",
@@ -52,35 +52,28 @@ G_F = {3: -0.25, 4: 0.25}  # ground hyperfine g-factors
 ZEEMAN_MHZ_PER_G = 1.399624  # Bohr magneton / h
 WAVELENGTH_NM = 894.6
 PHOTON_ENERGY_J = 6.62607015e-34 * 2.99792458e8 / (WAVELENGTH_NM * 1e-9)  # h c / lambda
+# Largest bias field of the linear Zeeman model.  The Breit-Rabi parameter
+# x = g_J muB B / dE_hfs = 2.80 MHz/G * B / 9192.6 MHz sets the size of the
+# neglected terms: the quadratic one is 15 x / 8 of the linear one on the
+# m = +-1 levels.  At x = 0.1, B = 328 G, that is a fifth, and past it the
+# linear model no longer describes the levels.
+MAX_BIAS_FIELD_G = 0.1 * GROUND_HF_SPLITTING_MHZ / (2.0025 * ZEEMAN_MHZ_PER_G)
 
 
-@dataclass(frozen=True)
-class GroundState:
-    """One 6S1/2 sublevel |F, mF> with F in {3, 4}."""
-
-    F: int
-    mF: int
-
-    def __post_init__(self):
-        if self.F not in (3, 4):
-            raise ValueError(f"ground F must be 3 or 4, got {self.F}")
-        if abs(self.mF) > self.F:
-            raise ValueError(f"|mF| > F: F = {self.F}, mF = {self.mF}")
-
-
-def state_registry() -> tuple[GroundState, ...]:
-    """The 16 ground sublevels: F=3 block (mF = -3..+3) then F=4 (mF = -4..+4)."""
-    return tuple(
-        GroundState(F, m) for F in (3, 4) for m in range(-F, F + 1)
-    )
+def state_registry() -> tuple[tuple[int, int], ...]:
+    """The 16 ground sublevels (F, mF): F=3 block (mF = -3..+3) then F=4 (mF = -4..+4)."""
+    return tuple((F, m) for F in (3, 4) for m in range(-F, F + 1))
 
 
 def state_index(F: int, mF: int) -> int:
     """Index of |F, mF> in the registry (bijection onto 0..15)."""
-    st = GroundState(F, mF)  # validates
-    if st.F == 3:
-        return st.mF + 3
-    return F4_BLOCK.start + st.mF + 4
+    if F not in (3, 4):
+        raise ValueError(f"ground F must be 3 or 4, got {F}")
+    if abs(mF) > F:
+        raise ValueError(f"|mF| > F: F = {F}, mF = {mF}")
+    if F == 3:
+        return mF + 3
+    return F4_BLOCK.start + mF + 4
 
 
 IDX_DOWN = state_index(3, 0)  # |3,0>, pseudo-spin down
@@ -99,10 +92,12 @@ class CloudConfig:
 
     def __post_init__(self):
         for name in ("atom_number", "cloud_radius_mm", "od_resonant", "probe_radius_mm"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.bias_field_G < 0:
-            raise ValueError("bias_field_G must be >= 0")
+        if not 0 <= self.bias_field_G <= MAX_BIAS_FIELD_G:
+            raise ValueError(f"cloud.bias_field_G = {self.bias_field_G:g} G is outside "
+                             f"[0, {MAX_BIAS_FIELD_G:.0f}] G, the range of the linear "
+                             "Zeeman model")
         if self.probe_radius_mm <= self.cloud_radius_mm:
             warnings.warn(
                 "probe 1/e radius does not exceed the cloud radius; the "
@@ -121,6 +116,6 @@ def zeeman_hamiltonian(bias_field_G: float) -> np.ndarray:
     if bias_field_G < 0:
         raise ValueError("bias field must be >= 0")
     diag = np.array(
-        [G_F[st.F] * st.mF * ZEEMAN_MHZ_PER_G * bias_field_G for st in state_registry()]
+        [G_F[F] * mF * ZEEMAN_MHZ_PER_G * bias_field_G for F, mF in state_registry()]
     )
     return np.diag(diag)

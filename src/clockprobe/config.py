@@ -76,7 +76,7 @@ class SweepConfig:
             if not 0.0 <= getattr(self, key) < 180.0:
                 raise ValueError(f"{key} must satisfy 0 <= theta < 180 deg, as "
                                  "probe.polarization_angle_deg does")
-        if self.mask_gamma < 0:
+        if not self.mask_gamma >= 0:
             raise ValueError("mask_gamma must be >= 0")
 
 

@@ -43,7 +43,6 @@ from .lightshift import (
 )
 
 __all__ = [
-    "DensityMatrix",
     "MicrowaveConfig",
     "SimRecord",
     "SimulationConfig",
@@ -59,32 +58,19 @@ __all__ = [
     "clock_mixture",
 ]
 
-@dataclass
-class DensityMatrix:
-    """Ground-manifold state of unit trace."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (N_GROUND, N_GROUND):
-            raise ValueError("rho must be 16x16")
-        trace = float(np.trace(self.rho).real)
-        if abs(trace - 1.0) > 1e-9:
-            raise ValueError(f"trace = {trace} != 1")
-
-
-def pure_state(F: int, mF: int) -> DensityMatrix:
+def pure_state(F: int, mF: int) -> np.ndarray:
+    """The 16x16 density matrix of |F, mF>."""
     rho = np.zeros((N_GROUND, N_GROUND), dtype=complex)
     rho[state_index(F, mF), state_index(F, mF)] = 1.0
-    return DensityMatrix(rho)
+    return rho
 
 
-def clock_mixture(p_up: float = 0.5) -> DensityMatrix:
+def clock_mixture(p_up: float = 0.5) -> np.ndarray:
+    """The 16x16 density matrix of |4,0> with weight p_up and |3,0> with 1 - p_up."""
     rho = np.zeros((N_GROUND, N_GROUND), dtype=complex)
     rho[IDX_UP, IDX_UP] = p_up
     rho[IDX_DOWN, IDX_DOWN] = 1.0 - p_up
-    return DensityMatrix(rho)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -95,8 +81,10 @@ class MicrowaveConfig:
     detuning_kHz: float = 0.0  # drive minus unshifted clock frequency
 
     def __post_init__(self):
-        if self.rabi_kHz < 0:
+        if not self.rabi_kHz >= 0:
             raise ValueError("rabi_kHz must be >= 0")
+        if not math.isfinite(self.detuning_kHz):
+            raise ValueError("detuning_kHz must be finite")
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None =
     rate = gamma_per_ms * probe.irradiance_rel / 8.0
     if total_rate_per_ms is not None:
         r_ref = scattering_rate_per_ms([(op, 1.0) for op in ops],
-                                       clock_mixture(0.5).rho) * rate
+                                       clock_mixture(0.5)) * rate
         rate *= total_rate_per_ms / r_ref
     return [(op, rate) for op in ops]
 
@@ -238,7 +226,7 @@ def _liouvillian(h: np.ndarray, jumps, extra_loss_per_ms: float) -> np.ndarray:
 
 def step_count(t_span_ms: float, dt_ms: float) -> int:
     """Number of output steps; the span must be a whole multiple of the step."""
-    if dt_ms <= 0 or t_span_ms <= 0:
+    if not (dt_ms > 0 and t_span_ms > 0):
         raise ValueError("t_span_ms and dt_ms must be > 0")
     ratio = t_span_ms / dt_ms
     n_steps = round(ratio)
@@ -302,10 +290,10 @@ def _check_invariants(states: np.ndarray, times: np.ndarray) -> None:
             )
 
 
-def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
-           extra_loss_per_ms: float, t_span_ms: float, dt_ms: float,
+def evolve(rho0: np.ndarray, hamiltonian: np.ndarray, jumps, sim: SimulationConfig,
            state_phases: np.ndarray | None = None) -> SimRecord:
-    """Propagate the master equation and synthesize the polarimeter record.
+    """Propagate the master equation from the 16x16 state ``rho0`` over the
+    window of ``sim`` and synthesize the polarimeter record.
 
     The Liouvillian is constant, so each output step applies the exact
     matrix exponential exp(L dt) once computed.  ``state_phases`` gives
@@ -313,35 +301,39 @@ def evolve(rho0: DensityMatrix, hamiltonian: np.ndarray, jumps,
     drains the clock states uniformly into the lost-population reservoir.
     The generator is checked to change the trace only through that loss,
     and Hermiticity and positivity on every state, block by block; a
-    violation raises :class:`InvariantViolationError`.  A
-    negative (or NaN) loss rate raises ``ValueError``.
+    violation raises :class:`InvariantViolationError`.  A ``rho0`` of
+    another shape or of trace other than 1 raises ``ValueError`` first.
     """
-    n_steps = step_count(t_span_ms, dt_ms)
-    if not extra_loss_per_ms >= 0:
-        raise ValueError(f"extra_loss_per_ms must be >= 0, got {extra_loss_per_ms:g}")
-    lv = _liouvillian(hamiltonian, jumps, extra_loss_per_ms)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (N_GROUND, N_GROUND):
+        raise ValueError("rho must be 16x16")
+    trace = float(np.trace(rho0).real)
+    if abs(trace - 1.0) > 1e-9:
+        raise ValueError(f"trace = {trace} != 1")
+    lv = _liouvillian(hamiltonian, jumps, sim.extra_loss_per_ms)
     # vec(I)^T L = -gamma_loss vec(P)^T, P on the clock pair; rho[i, i] is row 17 i
     drift = lv[::N_GROUND + 1].sum(axis=0)
-    drift[(N_GROUND + 1) * np.array([IDX_UP, IDX_DOWN])] += extra_loss_per_ms
+    drift[(N_GROUND + 1) * np.array([IDX_UP, IDX_DOWN])] += sim.extra_loss_per_ms
     if not np.abs(drift).max() <= 1e-12 * np.abs(lv).max():
         raise InvariantViolationError(
             "generator does not conserve the trace: "
             f"max |vec(I)^T L + gamma_loss vec(P)^T| = {np.abs(drift).max():g}")
-    lv *= dt_ms
+    lv *= sim.dt_ms
     prop = expm(lv)
-    times = np.arange(n_steps + 1) * dt_ms
+    n_steps = round(sim.t_span_ms / sim.dt_ms)  # a whole number, SimulationConfig checks
+    times = np.arange(n_steps + 1) * sim.dt_ms
     if state_phases is None:
         state_phases = np.zeros(N_GROUND)
 
     traj = np.empty((n_steps + 1, N_GROUND * N_GROUND), dtype=complex)
-    traj[0] = rho0.rho.reshape(-1)
+    traj[0] = rho0.reshape(-1)
     for i in range(n_steps):
         traj[i + 1] = prop @ traj[i]
     states = traj.reshape(-1, N_GROUND, N_GROUND)
     _check_invariants(states, times)
 
     pops = np.real(np.diagonal(states, axis1=1, axis2=2)).copy()
-    lost = float(np.trace(rho0.rho).real) - np.trace(states, axis1=1, axis2=2).real
+    lost = trace - np.trace(states, axis1=1, axis2=2).real
     signal = pops @ state_phases
     s3 = pops[:, IDX_UP] - pops[:, IDX_DOWN]
     return SimRecord(times_ms=times, signal_rad=signal, s3=s3,
@@ -364,13 +356,13 @@ class SimulationConfig:
         # bytes of evolve's complex trajectory
         check_fits_in_memory((n_steps + 1) * N_GROUND**2 * 16,
                              f"t_span_ms / dt_ms = {n_steps} steps")
-        if self.extra_loss_per_ms < 0:
+        if not self.extra_loss_per_ms >= 0:
             raise ValueError("extra_loss_per_ms must be >= 0")
-        if self.scattering_rate_per_ms is not None and self.scattering_rate_per_ms <= 0:
+        if not (self.scattering_rate_per_ms is None or self.scattering_rate_per_ms > 0):
             raise ValueError("scattering_rate_per_ms must be > 0")
         self.initial_density_matrix()  # rejects a malformed initial_state on load
 
-    def initial_density_matrix(self) -> DensityMatrix:
+    def initial_density_matrix(self) -> np.ndarray:
         if self.initial_state == "mixture":
             return clock_mixture(0.5)
         try:
@@ -399,5 +391,4 @@ def run_simulation(setup: RunSetup) -> SimRecord:
     jumps = (pumping_jump_operators(probe, total_rate_per_ms=sim.scattering_rate_per_ms)
              if sim.pumping else [])
     phases = state_phase_table(probe.detuning_MHz, od=setup.cloud.od_resonant)
-    return evolve(sim.initial_density_matrix(), h, jumps, sim.extra_loss_per_ms,
-                  sim.t_span_ms, sim.dt_ms, state_phases=phases)
+    return evolve(sim.initial_density_matrix(), h, jumps, sim, state_phases=phases)

@@ -144,7 +144,7 @@ def calibrated_irradiance(detuning_MHz: float, theta_deg: float,
     scale.
     """
     jumps = pumping_jump_operators(ProbeConfig(detuning_MHz, 1.0, theta_deg))
-    r_unit = scattering_rate_per_ms(jumps, clock_mixture(0.5).rho)
+    r_unit = scattering_rate_per_ms(jumps, clock_mixture(0.5))
     return target_rate_per_ms / r_unit
 
 

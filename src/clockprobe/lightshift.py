@@ -57,7 +57,7 @@ __all__ = [
 
 _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
 _BLOCKS = (F3_BLOCK, F4_BLOCK)  # F = 3 and F = 4 ground manifolds
-_F_INDEX = np.array([st.F - 3 for st in state_registry()])  # 0 for F=3, 1 for F=4
+_F_INDEX = np.array([F - 3 for F, _ in state_registry()])  # 0 for F=3, 1 for F=4
 # N_K (-1)^F' {1 K 1; 4 F' 4} S_4F' of the xi_K (rows K, columns F' = 3, 4)
 _XI_WEIGHTS = np.array([[n_k * (-1) ** fe * wigner6j(2, 2 * k, 2, 8, 2 * fe, 8) * s_fe
                          for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
@@ -94,7 +94,9 @@ class ProbeConfig:
     polarization_angle_deg: float = 45.0
 
     def __post_init__(self):
-        if self.irradiance_rel <= 0:
+        if not math.isfinite(self.detuning_MHz):
+            raise ValueError("detuning_MHz must be finite")
+        if not self.irradiance_rel > 0:
             raise ValueError("irradiance_rel must be > 0")
         if not (0.0 <= self.polarization_angle_deg < 180.0):
             raise ValueError("polarization angle must satisfy 0 <= theta < 180 deg")
@@ -135,15 +137,13 @@ def amplitude_tensor() -> np.ndarray:
     Real-valued; in units of the reduced D1 element with the line-strength
     sum rule normalized to 1 per ground sublevel.
     """
-    ground = state_registry()
-    excited = state_registry()
     a = np.zeros((N_GROUND, N_GROUND, 3))
-    for gi, g in enumerate(ground):
-        for ei, e in enumerate(excited):
+    for gi, (gF, gm) in enumerate(state_registry()):
+        for ei, (eF, em) in enumerate(state_registry()):  # F' = 3, 4 share the layout
             for qi, q in enumerate(_QS):
-                if e.mF != g.mF + q:
+                if em != gm + q:
                     continue
-                a[gi, ei, qi] = dipole_element(g.F, g.mF, e.F, e.mF, q)
+                a[gi, ei, qi] = dipole_element(gF, gm, eF, em, q)
     a.setflags(write=False)
     return a
 

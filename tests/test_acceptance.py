@@ -102,13 +102,13 @@ def test_02_closed_form_phase_prefactor():
 def test_03_selection_rule_and_sum_rule():
     clock_pi = dipole_element(4, 0, 4, 0, 0)
     sums = []
-    for st in state_registry():
+    for F, mF in state_registry():
         total = 0.0
         for eF in (3, 4):
             for q in (-1, 0, 1):
-                mE = st.mF + q
+                mE = mF + q
                 if abs(mE) <= eF:
-                    total += dipole_element(st.F, st.mF, eF, mE, q) ** 2
+                    total += dipole_element(F, mF, eF, mE, q) ** 2
         sums.append(total)
     spread = max(sums) - min(sums)
     ok = clock_pi == 0.0 and spread <= 1e-12

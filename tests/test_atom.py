@@ -1,5 +1,8 @@
 """Level registry, constants and Zeeman Hamiltonian."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from clockprobe.atom import (
     CloudConfig,
     IDX_DOWN,
     IDX_UP,
+    MAX_BIAS_FIELD_G,
     N_GROUND,
     state_index,
     state_registry,
@@ -23,22 +27,21 @@ class TestRegistry:
     def test_sixteen_states_ordered_by_f_then_m(self):
         reg = state_registry()
         assert len(reg) == N_GROUND == 16
-        assert [s.F for s in reg] == [3] * 7 + [4] * 9
-        assert [s.mF for s in reg[:7]] == list(range(-3, 4))
-        assert [s.mF for s in reg[7:]] == list(range(-4, 5))
+        assert reg == tuple((F, m) for F in (3, 4) for m in range(-F, F + 1))
+        assert all(type(F) is int and type(m) is int for F, m in reg)
 
     def test_clock_state_indices(self):
         assert state_index(3, 0) == IDX_DOWN == 3
         assert state_index(4, 0) == IDX_UP == 11
 
     def test_index_roundtrip(self):
-        for i, s in enumerate(state_registry()):
-            assert state_index(s.F, s.mF) == i
+        for i, (F, mF) in enumerate(state_registry()):
+            assert state_index(F, mF) == i
 
     def test_invalid_states_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ground F must be 3 or 4, got 5"):
             state_index(5, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("|mF| > F: F = 3, mF = 4")):
             state_index(3, 4)
 
 
@@ -68,6 +71,15 @@ class TestCloud:
         with pytest.raises(ValueError):
             CloudConfig(od_resonant=-1)
 
+    def test_bias_field_bounded_by_linear_zeeman_range(self):
+        # Breit-Rabi x = 2.80 MHz/G * B / 9192.6 MHz <= 0.1
+        assert MAX_BIAS_FIELD_G == pytest.approx(328.0, abs=0.5)
+        for good in (0.0, 5.0, MAX_BIAS_FIELD_G):
+            assert CloudConfig(bias_field_G=good).bias_field_G == good
+        for bad in (-0.1, 1.001 * MAX_BIAS_FIELD_G, 8.5e5, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="cloud.bias_field_G"):
+                CloudConfig(bias_field_G=bad)
+
     def test_probe_smaller_than_cloud_warns(self):
         with pytest.warns(UserWarning):
             CloudConfig(probe_radius_mm=0.1)
@@ -79,8 +91,8 @@ class TestZeeman:
         assert h.shape == (16, 16)
         assert np.allclose(h, np.diag(np.diag(h)))
         reg = state_registry()
-        for i, s in enumerate(reg):
-            expected = G_F[s.F] * s.mF * ZEEMAN_MHZ_PER_G * 0.5
+        for i, (F, mF) in enumerate(reg):
+            expected = G_F[F] * mF * ZEEMAN_MHZ_PER_G * 0.5
             assert h[i, i] == pytest.approx(expected, abs=1e-15)
 
     def test_clock_states_unshifted(self):

@@ -72,8 +72,8 @@ class TestPerStatePhase:
         for det in (-1100.0, -584.0, -335.0, -60.0, 40.0, 8300.0, 9500.0):
             oracle = np.array([sum(
                 (abs(exc_x[g, e]) ** 2 - abs(exc_z[g, e]) ** 2)
-                / (det - RESONANCES_MHZ[f"F={gs.F} -> F'={es.F}"])
-                for e, es in enumerate(reg)) for g, gs in enumerate(reg)])
+                / (det - RESONANCES_MHZ[f"F={gF} -> F'={eF}"])
+                for e, (eF, _) in enumerate(reg)) for g, (gF, _) in enumerate(reg)])
             oracle *= 2.5 / 2.0 * GAMMA_MHZ / 2.0
             # states whose x and z shifts cancel are zero up to round-off
             np.testing.assert_allclose(state_phase_table(det, od=2.5),

@@ -384,6 +384,15 @@ class TestExitCodes:
         assert "physical memory" in err
         assert not out.exists()
 
+    def test_bias_field_beyond_linear_zeeman_range_exits_2(self, tmp_path, capsys):
+        # 1e300 G used to reach the engine and exit 3 on a NaN generator
+        cfg = write(tmp_path, "c.yaml", "cloud:\n  bias_field_G: 1.0e+300\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "cloud.bias_field_G" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_span_not_a_multiple_of_step_exits_2(self, tmp_path):
         with pytest.raises(ValueError, match="not a multiple"):
             SimulationConfig(t_span_ms=1.0, dt_ms=0.7)

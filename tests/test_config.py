@@ -1,6 +1,7 @@
 """Properties of load_config: valid configs round-trip, ill-typed values raise."""
 
 import dataclasses
+import math
 
 import pytest
 import yaml
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from clockprobe.atom import MAX_BIAS_FIELD_G
 from clockprobe.config import _BLOCK_TYPES, load_config
 from clockprobe.errors import ConfigError
 from clockprobe.lightshift import RESONANCES_MHZ
@@ -31,7 +33,7 @@ def clouds(draw):
     return {"atom_number": draw(positive), "cloud_radius_mm": radius,
             "od_resonant": draw(positive),
             "probe_radius_mm": radius + draw(reals(0.01, 10.0)),
-            "bias_field_G": draw(non_negative)}
+            "bias_field_G": draw(reals(0.0, MAX_BIAS_FIELD_G))}
 
 
 @st.composite
@@ -106,6 +108,26 @@ FIELDS = [(block, f.name, f.type) for block, cls in _BLOCK_TYPES.items()
 
 def test_ill_typed_strategies_cover_every_field_type():
     assert {kind for _, _, kind in FIELDS} == set(ILL_TYPED)
+
+
+# Every float of every config type set to NaN, the window one end at a time,
+# and the two unbounded detunings set to +-inf.  YAML never gets this far
+# (_fits names block.key first); the types themselves must reject these
+# values when built from library code.
+NON_FINITE = [pytest.param(block, key, math.nan, id=f"{block}.{key}")
+              for block, key, kind in FIELDS if kind in ("float", "float | None")] + [
+    pytest.param("sweep", "window_MHz", (math.nan, -60.0), id="sweep.window_MHz[0]"),
+    pytest.param("sweep", "window_MHz", (-1100.0, math.nan), id="sweep.window_MHz[1]"),
+] + [pytest.param(block, key, inf, id=f"{block}.{key}={inf}")
+     for block, key in (("probe", "detuning_MHz"), ("microwave", "detuning_kHz"))
+     for inf in (math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("block,key,value", NON_FINITE)
+def test_config_type_rejects_non_finite_value(block, key, value):
+    required = {"detuning_MHz": -335.0} if block == "probe" else {}
+    with pytest.raises(ValueError):
+        _BLOCK_TYPES[block](**{**required, key: value})
 
 
 def write_tree(tmp_path, tree):

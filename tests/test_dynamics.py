@@ -16,7 +16,6 @@ from clockprobe.atom import IDX_DOWN, IDX_UP, CloudConfig, state_index
 from clockprobe.cli import build_setup
 from clockprobe.config import load_config
 from clockprobe.dynamics import (
-    DensityMatrix,
     MicrowaveConfig,
     RunSetup,
     SimulationConfig,
@@ -35,18 +34,32 @@ from clockprobe.fitting import rabi_frequency
 from clockprobe.lightshift import RESONANCES_MHZ, ProbeConfig
 
 
+def window(t_span_ms, dt_ms, extra_loss_per_ms=0.0):
+    """The SimulationConfig that ``evolve`` reads its window and loss from."""
+    return SimulationConfig(t_span_ms=t_span_ms, dt_ms=dt_ms,
+                            extra_loss_per_ms=extra_loss_per_ms)
+
+
 class TestStates:
     def test_pure_state_and_mixture(self):
-        assert pure_state(3, 0).rho[IDX_DOWN, IDX_DOWN] == 1.0
-        mix = np.diag(clock_mixture(0.25).rho).real
+        assert pure_state(3, 0)[IDX_DOWN, IDX_DOWN] == 1.0
+        mix = np.diag(clock_mixture(0.25)).real
         assert mix[IDX_UP] == 0.25
         assert mix[IDX_DOWN] == 0.75
 
-    def test_trace_validation(self):
-        bad = np.zeros((16, 16), dtype=complex)
-        bad[0, 0] = 0.7
-        with pytest.raises(ValueError):
-            DensityMatrix(bad)
+    def test_trace_validation(self, monkeypatch):
+        # evolve checks the initial state's trace and shape before any work
+        def no_expm(_):
+            raise AssertionError("expm ran before the initial state was checked")
+
+        monkeypatch.setattr(dynamics, "expm", no_expm)
+        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
+        bad_trace = np.zeros((16, 16), dtype=complex)
+        bad_trace[0, 0] = 0.7
+        with pytest.raises(ValueError, match=re.escape("trace = 0.7 != 1")):
+            evolve(bad_trace, h, [], window(0.1, 0.01))
+        with pytest.raises(ValueError, match="rho must be 16x16"):
+            evolve(np.eye(4) / 4, h, [], window(0.1, 0.01))
 
 
 class TestHamiltonian:
@@ -73,7 +86,7 @@ class TestTwoLevelOracle:
     def test_resonant_rabi_flopping(self):
         # probe off, resonant drive: s3(t) = -cos(chi t), undamped
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 5.0)
-        rec = evolve(pure_state(3, 0), h, [], 0.0, 2.0, 0.002)
+        rec = evolve(pure_state(3, 0), h, [], window(2.0, 0.002))
         expected = -np.cos(2 * np.pi * 2.0 * rec.times_ms)
         assert np.abs(rec.s3 - expected).max() < 1e-6
 
@@ -82,7 +95,7 @@ class TestTwoLevelOracle:
         omega = math.hypot(chi, delta)
         mw = MicrowaveConfig(rabi_kHz=chi, detuning_kHz=delta)
         h = build_hamiltonian(None, mw, 5.0)
-        rec = evolve(pure_state(3, 0), h, [], 0.0, 2.0, 0.002)
+        rec = evolve(pure_state(3, 0), h, [], window(2.0, 0.002))
         expected = (chi / omega) ** 2 * np.sin(np.pi * omega * rec.times_ms) ** 2
         assert np.abs(rec.populations[:, IDX_UP] - expected).max() < 1e-6
 
@@ -90,7 +103,7 @@ class TestTwoLevelOracle:
         chi, delta = 2.0, 1.0
         mw = MicrowaveConfig(rabi_kHz=chi, detuning_kHz=delta)
         h = build_hamiltonian(None, mw, 5.0)
-        rec = evolve(pure_state(3, 0), h, [], 0.0, 3.0, 0.005)
+        rec = evolve(pure_state(3, 0), h, [], window(3.0, 0.005))
         # started 7 % below the answer, sqrt(5) = 2.236 kHz
         omega = rabi_frequency(rec, freq_hint_kHz=2.08)
         assert omega == pytest.approx(math.hypot(chi, delta), rel=1e-3)
@@ -101,21 +114,21 @@ class TestPumping:
         probe = ProbeConfig(-335.0, 16.0, 45.0)
         target = 1.25
         jumps = pumping_jump_operators(probe, total_rate_per_ms=target)
-        assert scattering_rate_per_ms(jumps, clock_mixture(0.5).rho) == \
+        assert scattering_rate_per_ms(jumps, clock_mixture(0.5)) == \
             pytest.approx(target, rel=1e-12)
 
     def test_rate_linear_in_irradiance(self):
         j1 = pumping_jump_operators(ProbeConfig(-335.0, 8.0, 45.0))
         j2 = pumping_jump_operators(ProbeConfig(-335.0, 16.0, 45.0))
-        rho = clock_mixture(0.5).rho
+        rho = clock_mixture(0.5)
         assert scattering_rate_per_ms(j2, rho) == pytest.approx(
             2 * scattering_rate_per_ms(j1, rho), rel=1e-12)
 
     def test_spin_down_scatters_far_less_at_lower_window(self):
         # probe between the F=4 resonances barely touches F=3 states
         jumps = pumping_jump_operators(ProbeConfig(-335.0, 16.0, 45.0))
-        r_up = scattering_rate_per_ms(jumps, clock_mixture(1.0).rho)
-        r_down = scattering_rate_per_ms(jumps, clock_mixture(0.0).rho)
+        r_up = scattering_rate_per_ms(jumps, clock_mixture(1.0))
+        r_down = scattering_rate_per_ms(jumps, clock_mixture(0.0))
         assert r_down < 0.01 * r_up
 
     def test_population_leaves_clock_manifold_under_pumping(self):
@@ -190,7 +203,7 @@ class TestUnitaryOracle:
         rho0 /= np.trace(rho0).real
         h = build_hamiltonian(ProbeConfig(detuning_MHz, 16.0, 45.0),
                               MicrowaveConfig(rabi_kHz=2.0, detuning_kHz=0.3), 0.5)
-        rec = evolve(DensityMatrix(rho0), h, [], 0.0, 1.0, 0.01)
+        rec = evolve(rho0, h, [], window(1.0, 0.01))
         for t, pops in zip(rec.times_ms, rec.populations):
             u = expm(-2j * np.pi * 1e3 * h * t)
             exact = np.real(np.diag(u @ rho0 @ u.conj().T))
@@ -219,7 +232,7 @@ def lindblad_ode_populations(setup, times_ms, rho0=None):
         return drho.ravel()
 
     if rho0 is None:
-        rho0 = sim.initial_density_matrix().rho
+        rho0 = sim.initial_density_matrix()
     sol = solve_ivp(rhs, (0.0, times_ms[-1]), rho0.ravel(), method="DOP853",
                     t_eval=times_ms, rtol=1e-10, atol=1e-14)
     assert sol.success
@@ -234,7 +247,7 @@ ORACLE_DETUNINGS = (st.floats(-1068.0, -100.0)
 
 
 _PSI = np.array([1.0, 1j]) @ np.random.default_rng(0).normal(size=(2, 16))
-COMPLEX_STATE = DensityMatrix(np.outer(_PSI, _PSI.conj()) / np.vdot(_PSI, _PSI).real)
+COMPLEX_STATE = np.outer(_PSI, _PSI.conj()) / np.vdot(_PSI, _PSI).real
 
 
 class TestDissipativeOracle:
@@ -271,8 +284,8 @@ class TestDissipativeOracle:
         # and the same populations; a complex state breaks that symmetry
         h, jumps = operator_terms(setup)
         jumps = jumps if pumping else []
-        rec = evolve(COMPLEX_STATE, h, jumps, loss, 0.05, 0.005)
-        pops = lindblad_ode_populations(setup, rec.times_ms, COMPLEX_STATE.rho)
+        rec = evolve(COMPLEX_STATE, h, jumps, setup.simulation)
+        pops = lindblad_ode_populations(setup, rec.times_ms, COMPLEX_STATE)
         assert np.abs(rec.populations - pops).max() <= 1e-9
 
 
@@ -322,7 +335,7 @@ class TestBiasFieldDecoupling:
 def plain_step_loop(rho0, h, jumps, loss, t_span_ms, dt_ms):
     """Reference trajectory: one matvec per step, states kept as 16x16."""
     prop = expm(_liouvillian(h, jumps, loss) * dt_ms)
-    vec = rho0.rho.reshape(-1).copy()
+    vec = rho0.reshape(-1).copy()
     states = [vec.reshape(16, 16)]
     for _ in range(int(round(t_span_ms / dt_ms))):
         vec = prop @ vec
@@ -337,7 +350,7 @@ class TestStackedTrajectory:
         jumps = pumping_jump_operators(probe, total_rate_per_ms=1.25)
         phases = np.linspace(-1.0, 1.0, 16)
         rho0 = clock_mixture(0.3)
-        rec = evolve(rho0, h, jumps, 0.4, 1.0, 0.005, state_phases=phases)
+        rec = evolve(rho0, h, jumps, window(1.0, 0.005, 0.4), state_phases=phases)
         states = plain_step_loop(rho0, h, jumps, 0.4, 1.0, 0.005)
         pops = np.array([np.real(np.diag(rho)) for rho in states])
         lost = np.array([1.0 - float(np.trace(rho).real) for rho in states])
@@ -356,12 +369,12 @@ class TestStackedTrajectory:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
         rho = a @ a.conj().T
-        rho0 = DensityMatrix(rho / np.trace(rho).real)
+        rho0 = rho / np.trace(rho).real
         probe = ProbeConfig(probe_det_MHz, irradiance, 45.0)
         mw = MicrowaveConfig(rabi_kHz=rabi_kHz, detuning_kHz=drive_det_kHz)
         h = build_hamiltonian(probe, mw, 0.5)
         jumps = pumping_jump_operators(probe)
-        rec = evolve(rho0, h, jumps, loss, 0.5, 0.01)
+        rec = evolve(rho0, h, jumps, window(0.5, 0.01, loss))
         total = rec.populations.sum(axis=1) + rec.lost
         assert np.abs(total - 1.0).max() < 1e-9
         states = plain_step_loop(rho0, h, jumps, loss, 0.5, 0.01)
@@ -370,12 +383,12 @@ class TestStackedTrajectory:
 
 class TestInvariantChecks:
     def test_non_hermitian_initial_state_fails_at_t0(self):
-        rho = pure_state(3, 0).rho.copy()
+        rho = pure_state(3, 0)
         rho[IDX_DOWN, IDX_UP] = 1e-3  # no matching conjugate element
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(InvariantViolationError,
                            match=re.escape("hermiticity violated at t = 0 ms")):
-            evolve(DensityMatrix(rho), h, [], 0.0, 0.1, 0.01)
+            evolve(rho, h, [], window(0.1, 0.01))
 
     def test_negative_rate_jump_fails_positivity_at_first_step(self):
         # a negative-rate transfer |3,0> -> |4,0> drives the |4,0>
@@ -385,7 +398,7 @@ class TestInvariantChecks:
         h = build_hamiltonian(None, None, 0.0)
         with pytest.raises(InvariantViolationError,
                            match=re.escape("positivity violated at t = 0.01 ms")):
-            evolve(pure_state(3, 0), h, [(op, -1.0)], 0.0, 0.1, 0.01)
+            evolve(pure_state(3, 0), h, [(op, -1.0)], window(0.1, 0.01))
 
     @pytest.mark.parametrize("term", ["anticommutator", "jump", "loss"])
     def test_generator_changing_the_trace_fails(self, monkeypatch, term):
@@ -409,17 +422,19 @@ class TestInvariantChecks:
 
         monkeypatch.setattr(dynamics, "_liouvillian", skewed)
         with pytest.raises(InvariantViolationError, match="does not conserve the trace"):
-            evolve(pure_state(3, 0), h, jumps, loss, 0.1, 0.01)
+            evolve(pure_state(3, 0), h, jumps, window(0.1, 0.01, loss))
 
     def test_span_not_a_multiple_of_step_rejected(self):
-        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(ValueError, match="not a multiple"):
-            evolve(pure_state(3, 0), h, [], 0.0, 1.0, 0.7)
+            SimulationConfig(t_span_ms=1.0, dt_ms=0.7)
 
     def test_negative_loss_rate_rejected(self):
-        h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
-        with pytest.raises(ValueError, match="extra_loss_per_ms"):
-            evolve(pure_state(3, 0), h, [], -0.4, 1.0, 0.01)
+        with pytest.raises(ValueError, match="extra_loss_per_ms must be >= 0"):
+            SimulationConfig(t_span_ms=1.0, dt_ms=0.01, extra_loss_per_ms=-0.4)
+
+    def test_nan_loss_rate_rejected(self):
+        with pytest.raises(ValueError, match="extra_loss_per_ms must be >= 0"):
+            SimulationConfig(t_span_ms=1.0, dt_ms=0.01, extra_loss_per_ms=math.nan)
 
     def test_run_simulation_rejects_negative_loss_rate(self):
         # without the check the trace grows past 1 and lost goes negative;
@@ -592,7 +607,7 @@ class TestLiouvillianBuild:
 
 def mixture_stack(n=601):
     """n copies of the equal clock mixture and their sample times."""
-    return (np.repeat(clock_mixture(0.5).rho[None], n, axis=0),
+    return (np.repeat(clock_mixture(0.5)[None], n, axis=0),
             np.arange(n) * 0.005)
 
 

@@ -128,7 +128,7 @@ class TestCalibration:
     def test_calibrated_rate_is_exact(self):
         s = calibrated_irradiance(MAGIC, 45.0, 2.0)
         jumps = pumping_jump_operators(ProbeConfig(MAGIC, s, 45.0))
-        assert scattering_rate_per_ms(jumps, clock_mixture(0.5).rho) == \
+        assert scattering_rate_per_ms(jumps, clock_mixture(0.5)) == \
             pytest.approx(2.0, rel=1e-12)
 
     def test_rate_scale_is_physical(self):

@@ -28,19 +28,21 @@ from clockprobe.lightshift import (
 
 
 def oracle_level_shift(state, detuning_MHz, irradiance_rel, theta_deg):
-    """Independent second-order perturbation sum over all dipole paths."""
+    """Independent second-order perturbation sum over all dipole paths of the
+    ground state ``state`` = (F, mF)."""
+    F, mF = state
     th = math.radians(theta_deg)
     eps = {-1: math.sin(th) / math.sqrt(2.0), 0: math.cos(th),
            1: -math.sin(th) / math.sqrt(2.0)}
     total = 0.0
     for eF in (3, 4):
-        delta = detuning_MHz - RESONANCES_MHZ[f"F={state.F} -> F'={eF}"]
+        delta = detuning_MHz - RESONANCES_MHZ[f"F={F} -> F'={eF}"]
         amp = 0.0
         for q in (-1, 0, 1):
-            mE = state.mF + q
+            mE = mF + q
             if abs(mE) > eF:
                 continue
-            amp += (eps[q] * dipole_element(state.F, state.mF, eF, mE, q)) ** 2
+            amp += (eps[q] * dipole_element(F, mF, eF, mE, q)) ** 2
         total += GAMMA_MHZ**2 / 8.0 * irradiance_rel * amp / delta
     return total
 
@@ -86,7 +88,7 @@ class TestOperator:
 
 def spin_matrices(blk):
     """Fx, Fy, Fz on one ground-F block of the state registry."""
-    m = np.array([st.mF for st in state_registry()[blk]], dtype=float)
+    m = np.array([mF for _, mF in state_registry()[blk]], dtype=float)
     f = (len(m) - 1) / 2.0
     fplus = np.where(m[:, None] == m + 1, np.sqrt(f * (f + 1.0) - m * (m + 1.0)), 0.0)
     return (fplus + fplus.T) / 2.0, (fplus - fplus.T) / 2j, np.diag(m)

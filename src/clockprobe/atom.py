@@ -7,6 +7,7 @@ through detuning denominators and branching ratios.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -92,8 +93,8 @@ class CloudConfig:
 
     def __post_init__(self):
         for name in ("atom_number", "cloud_radius_mm", "od_resonant", "probe_radius_mm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         if not 0 <= self.bias_field_G <= MAX_BIAS_FIELD_G:
             raise ValueError(f"cloud.bias_field_G = {self.bias_field_G:g} G is outside "
                              f"[0, {MAX_BIAS_FIELD_G:.0f}] G, the range of the linear "

@@ -64,8 +64,8 @@ class SweepConfig:
 
     def __post_init__(self):
         lo, hi = self.window_MHz
-        if not lo < hi:
-            raise ValueError("window_MHz must be (low, high) with low < high")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("window_MHz must be finite (low, high) with low < high")
         check_window_clear(self.window_MHz, "sweep.window_MHz")
         if self.n_points < 2 or self.n_theta < 2:
             raise ValueError("n_points and n_theta must be >= 2")
@@ -76,8 +76,8 @@ class SweepConfig:
             if not 0.0 <= getattr(self, key) < 180.0:
                 raise ValueError(f"{key} must satisfy 0 <= theta < 180 deg, as "
                                  "probe.polarization_angle_deg does")
-        if not self.mask_gamma >= 0:
-            raise ValueError("mask_gamma must be >= 0")
+        if not 0 <= self.mask_gamma < math.inf:
+            raise ValueError("mask_gamma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Lindblad master equation for the 16-level ground manifold.
 
 The Hamiltonian is built in the frame rotating at the microwave drive
-frequency; the Liouvillian is then time independent and the evolution uses
-the exact exponential propagator at a fixed output step, so positivity is
-preserved and halving the step leaves every observable unchanged.  The
+frequency, so the Lindblad generator that :func:`liouvillian` builds from
+it and the jump operators is time independent.  :func:`evolve` takes that
+generator and applies its exact exponential propagator at a fixed output
+step, so positivity is preserved and halving the step leaves every
+observable unchanged; :func:`run_simulation` composes the two.  The
 trace is not preserved to machine precision: with the loss channel off at
 the measurement operating point, ``lost`` (the trace drift) reaches
 1.4e-12 over 3 ms at 5 us steps and, where the error of the exponential of
@@ -52,6 +54,7 @@ __all__ = [
     "build_hamiltonian",
     "step_count",
     "check_fits_in_memory",
+    "liouvillian",
     "evolve",
     "run_simulation",
     "pure_state",
@@ -81,8 +84,8 @@ class MicrowaveConfig:
     detuning_kHz: float = 0.0  # drive minus unshifted clock frequency
 
     def __post_init__(self):
-        if not self.rabi_kHz >= 0:
-            raise ValueError("rabi_kHz must be >= 0")
+        if not 0 <= self.rabi_kHz < math.inf:
+            raise ValueError("rabi_kHz must be >= 0 and finite")
         if not math.isfinite(self.detuning_kHz):
             raise ValueError("detuning_kHz must be finite")
 
@@ -193,7 +196,7 @@ def _kron_sum(ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _liouvillian(h: np.ndarray, jumps, extra_loss_per_ms: float) -> np.ndarray:
+def liouvillian(h: np.ndarray, jumps, extra_loss_per_ms: float) -> np.ndarray:
     """Lindblad generator acting on row-stacked rho, built in place.
 
     lv[i, k, j, l] is L[16 i + k, 16 j + l].  The terms are added in the
@@ -226,9 +229,11 @@ def _liouvillian(h: np.ndarray, jumps, extra_loss_per_ms: float) -> np.ndarray:
 
 def step_count(t_span_ms: float, dt_ms: float) -> int:
     """Number of output steps; the span must be a whole multiple of the step."""
-    if not (dt_ms > 0 and t_span_ms > 0):
-        raise ValueError("t_span_ms and dt_ms must be > 0")
+    if not (0 < dt_ms < math.inf and 0 < t_span_ms < math.inf):
+        raise ValueError("t_span_ms and dt_ms must be > 0 and finite")
     ratio = t_span_ms / dt_ms
+    if ratio == math.inf:
+        raise ValueError(f"t_span_ms / dt_ms = {t_span_ms:g} / {dt_ms:g} overflows")
     n_steps = round(ratio)
     if abs(ratio - n_steps) > 1e-9 * ratio:
         raise ValueError(
@@ -290,19 +295,22 @@ def _check_invariants(states: np.ndarray, times: np.ndarray) -> None:
             )
 
 
-def evolve(rho0: np.ndarray, hamiltonian: np.ndarray, jumps, sim: SimulationConfig,
+def evolve(rho0: np.ndarray, generator: np.ndarray, sim: SimulationConfig,
            state_phases: np.ndarray | None = None) -> SimRecord:
-    """Propagate the master equation from the 16x16 state ``rho0`` over the
-    window of ``sim`` and synthesize the polarimeter record.
+    """Propagate the 16x16 state ``rho0`` under the 256x256 Lindblad
+    ``generator`` over the window of ``sim`` and synthesize the polarimeter
+    record.
 
-    The Liouvillian is constant, so each output step applies the exact
-    matrix exponential exp(L dt) once computed.  ``state_phases`` gives
-    the per-state birefringent phase used for the signal; extrinsic loss
-    drains the clock states uniformly into the lost-population reservoir.
-    The generator is checked to change the trace only through that loss,
-    and Hermiticity and positivity on every state, block by block; a
-    violation raises :class:`InvariantViolationError`.  A ``rho0`` of
-    another shape or of trace other than 1 raises ``ValueError`` first.
+    ``evolve`` takes ownership of ``generator``: it scales the array by dt
+    in place, and each output step applies exp(L dt) once computed.
+    ``state_phases`` gives the per-state birefringent phase used for the
+    signal; extrinsic loss at ``sim.extra_loss_per_ms`` drains the clock
+    states uniformly into the lost-population reservoir.  The generator is
+    checked to change the trace only through that loss, and Hermiticity
+    and positivity on every state, block by block; a violation raises
+    :class:`InvariantViolationError`.  A ``rho0`` of another shape or of
+    trace other than 1, or a generator of another shape, raises
+    ``ValueError`` first.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (N_GROUND, N_GROUND):
@@ -310,16 +318,17 @@ def evolve(rho0: np.ndarray, hamiltonian: np.ndarray, jumps, sim: SimulationConf
     trace = float(np.trace(rho0).real)
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"trace = {trace} != 1")
-    lv = _liouvillian(hamiltonian, jumps, sim.extra_loss_per_ms)
+    if generator.shape != (N_GROUND**2, N_GROUND**2):
+        raise ValueError(f"generator must be 256x256, got shape {generator.shape}")
     # vec(I)^T L = -gamma_loss vec(P)^T, P on the clock pair; rho[i, i] is row 17 i
-    drift = lv[::N_GROUND + 1].sum(axis=0)
+    drift = generator[::N_GROUND + 1].sum(axis=0)
     drift[(N_GROUND + 1) * np.array([IDX_UP, IDX_DOWN])] += sim.extra_loss_per_ms
-    if not np.abs(drift).max() <= 1e-12 * np.abs(lv).max():
+    if not np.abs(drift).max() <= 1e-12 * np.abs(generator).max():
         raise InvariantViolationError(
             "generator does not conserve the trace: "
             f"max |vec(I)^T L + gamma_loss vec(P)^T| = {np.abs(drift).max():g}")
-    lv *= sim.dt_ms
-    prop = expm(lv)
+    generator *= sim.dt_ms
+    prop = expm(generator)
     n_steps = round(sim.t_span_ms / sim.dt_ms)  # a whole number, SimulationConfig checks
     times = np.arange(n_steps + 1) * sim.dt_ms
     if state_phases is None:
@@ -356,10 +365,11 @@ class SimulationConfig:
         # bytes of evolve's complex trajectory
         check_fits_in_memory((n_steps + 1) * N_GROUND**2 * 16,
                              f"t_span_ms / dt_ms = {n_steps} steps")
-        if not self.extra_loss_per_ms >= 0:
-            raise ValueError("extra_loss_per_ms must be >= 0")
-        if not (self.scattering_rate_per_ms is None or self.scattering_rate_per_ms > 0):
-            raise ValueError("scattering_rate_per_ms must be > 0")
+        if not 0 <= self.extra_loss_per_ms < math.inf:
+            raise ValueError("extra_loss_per_ms must be >= 0 and finite")
+        if not (self.scattering_rate_per_ms is None
+                or 0 < self.scattering_rate_per_ms < math.inf):
+            raise ValueError("scattering_rate_per_ms must be > 0 and finite")
         self.initial_density_matrix()  # rejects a malformed initial_state on load
 
     def initial_density_matrix(self) -> np.ndarray:
@@ -385,10 +395,12 @@ class RunSetup:
 
 
 def run_simulation(setup: RunSetup) -> SimRecord:
-    """Build Hamiltonian, jumps and signal phases for ``setup`` and evolve."""
+    """Build the operators, signal phases and generator of ``setup`` and evolve."""
     probe, sim = setup.probe, setup.simulation
     h = build_hamiltonian(probe, setup.microwave, setup.cloud.bias_field_G)
     jumps = (pumping_jump_operators(probe, total_rate_per_ms=sim.scattering_rate_per_ms)
              if sim.pumping else [])
     phases = state_phase_table(probe.detuning_MHz, od=setup.cloud.od_resonant)
-    return evolve(sim.initial_density_matrix(), h, jumps, sim, state_phases=phases)
+    return evolve(sim.initial_density_matrix(),
+                  liouvillian(h, jumps, sim.extra_loss_per_ms), sim,
+                  state_phases=phases)

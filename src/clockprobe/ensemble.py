@@ -53,8 +53,9 @@ class InhomogeneityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.probe_irradiance_rms_frac < 0 or self.mw_irradiance_rms_frac < 0:
-            raise ValueError("rms fractions must be >= 0")
+        if not (0 <= self.probe_irradiance_rms_frac < math.inf
+                and 0 <= self.mw_irradiance_rms_frac < math.inf):
+            raise ValueError("rms fractions must be >= 0 and finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         # ensemble_average's probe and microwave factors and their pairing

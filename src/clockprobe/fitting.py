@@ -27,6 +27,9 @@ __all__ = ["SinusoidFit", "fit_decaying_sinusoid", "rabi_frequency", "decay_time
 # A fit whose oscillation amplitude is below this multiple of its residual
 # rms resolves no oscillation.
 MIN_AMP_OVER_RESIDUAL = 5.0
+# Nor does one whose envelope 1/e time is under this many periods: its
+# "oscillation" fits a transient of the first few samples.
+MIN_TAU_TIMES_FREQ = 0.25
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,8 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
     :class:`FitFailureError`, never falls back to the initial guess, when
     the record is shorter than 16 samples or than 3 periods at the hint
     (so for a hint <= 0 or NaN), the fit does not converge or leaves
-    (0, Nyquist), or the amplitude is below ``MIN_AMP_OVER_RESIDUAL`` x residual.
+    (0, Nyquist), the amplitude is below ``MIN_AMP_OVER_RESIDUAL`` x residual,
+    or the envelope's 1/e time is under ``MIN_TAU_TIMES_FREQ`` periods.
     """
     t = np.asarray(t_ms, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -137,6 +141,10 @@ def fit_decaying_sinusoid(t_ms: np.ndarray, y: np.ndarray,
             f"oscillation amplitude {fit.amplitude:g} below "
             f"{MIN_AMP_OVER_RESIDUAL}x residual {fit.residual_rms:g}"
         )
+    if not fit.tau_ms * fit.freq_kHz >= MIN_TAU_TIMES_FREQ:
+        raise FitFailureError(
+            f"envelope 1/e time {fit.tau_ms:g} ms is under {MIN_TAU_TIMES_FREQ} "
+            f"periods at {fit.freq_kHz:g} kHz: no oscillation resolved")
     return fit
 
 

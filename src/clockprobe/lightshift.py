@@ -96,8 +96,8 @@ class ProbeConfig:
     def __post_init__(self):
         if not math.isfinite(self.detuning_MHz):
             raise ValueError("detuning_MHz must be finite")
-        if not self.irradiance_rel > 0:
-            raise ValueError("irradiance_rel must be > 0")
+        if not 0 < self.irradiance_rel < math.inf:
+            raise ValueError("irradiance_rel must be > 0 and finite")
         if not (0.0 <= self.polarization_angle_deg < 180.0):
             raise ValueError("polarization angle must satisfy 0 <= theta < 180 deg")
 

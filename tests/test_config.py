@@ -110,17 +110,18 @@ def test_ill_typed_strategies_cover_every_field_type():
     assert {kind for _, _, kind in FIELDS} == set(ILL_TYPED)
 
 
-# Every float of every config type set to NaN, the window one end at a time,
-# and the two unbounded detunings set to +-inf.  YAML never gets this far
-# (_fits names block.key first); the types themselves must reject these
-# values when built from library code.
-NON_FINITE = [pytest.param(block, key, math.nan, id=f"{block}.{key}")
-              for block, key, kind in FIELDS if kind in ("float", "float | None")] + [
-    pytest.param("sweep", "window_MHz", (math.nan, -60.0), id="sweep.window_MHz[0]"),
-    pytest.param("sweep", "window_MHz", (-1100.0, math.nan), id="sweep.window_MHz[1]"),
-] + [pytest.param(block, key, inf, id=f"{block}.{key}={inf}")
-     for block, key in (("probe", "detuning_MHz"), ("microwave", "detuning_kHz"))
-     for inf in (math.inf, -math.inf)]
+# Every float of every config type set to NaN, +inf and -inf, and each end
+# of the window the same way.  The window's other end lies clear of every
+# resonance, so only the finiteness check can reject (-inf, -1200) or
+# (1e4, inf).  YAML never gets this far (_fits names block.key first); the
+# types themselves must reject these values when built from library code.
+NON_FINITE_VALUES = {"": math.nan, "=inf": math.inf, "=-inf": -math.inf}
+NON_FINITE = [pytest.param(block, key, value, id=f"{block}.{key}{tag}")
+              for block, key, kind in FIELDS if kind in ("float", "float | None")
+              for tag, value in NON_FINITE_VALUES.items()] + [
+    pytest.param("sweep", "window_MHz", window, id=f"sweep.window_MHz[{end}]{tag}")
+    for tag, value in NON_FINITE_VALUES.items()
+    for end, window in ((0, (value, -1200.0)), (1, (1e4, value)))]
 
 
 @pytest.mark.parametrize("block,key,value", NON_FINITE)

@@ -20,10 +20,10 @@ from clockprobe.dynamics import (
     RunSetup,
     SimulationConfig,
     _check_invariants,
-    _liouvillian,
     build_hamiltonian,
     clock_mixture,
     evolve,
+    liouvillian,
     pumping_jump_operators,
     pure_state,
     run_simulation,
@@ -48,18 +48,21 @@ class TestStates:
         assert mix[IDX_DOWN] == 0.75
 
     def test_trace_validation(self, monkeypatch):
-        # evolve checks the initial state's trace and shape before any work
+        # evolve checks the initial state's trace and shape, and the
+        # generator's shape, before any work
         def no_expm(_):
-            raise AssertionError("expm ran before the initial state was checked")
+            raise AssertionError("expm ran before the inputs were checked")
 
         monkeypatch.setattr(dynamics, "expm", no_expm)
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         bad_trace = np.zeros((16, 16), dtype=complex)
         bad_trace[0, 0] = 0.7
         with pytest.raises(ValueError, match=re.escape("trace = 0.7 != 1")):
-            evolve(bad_trace, h, [], window(0.1, 0.01))
+            evolve(bad_trace, liouvillian(h, [], 0.0), window(0.1, 0.01))
         with pytest.raises(ValueError, match="rho must be 16x16"):
-            evolve(np.eye(4) / 4, h, [], window(0.1, 0.01))
+            evolve(np.eye(4) / 4, liouvillian(h, [], 0.0), window(0.1, 0.01))
+        with pytest.raises(ValueError, match="generator must be 256x256"):
+            evolve(pure_state(3, 0), -2j * np.pi * 1e3 * h, window(0.1, 0.01))
 
 
 class TestHamiltonian:
@@ -86,7 +89,7 @@ class TestTwoLevelOracle:
     def test_resonant_rabi_flopping(self):
         # probe off, resonant drive: s3(t) = -cos(chi t), undamped
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 5.0)
-        rec = evolve(pure_state(3, 0), h, [], window(2.0, 0.002))
+        rec = evolve(pure_state(3, 0), liouvillian(h, [], 0.0), window(2.0, 0.002))
         expected = -np.cos(2 * np.pi * 2.0 * rec.times_ms)
         assert np.abs(rec.s3 - expected).max() < 1e-6
 
@@ -95,7 +98,7 @@ class TestTwoLevelOracle:
         omega = math.hypot(chi, delta)
         mw = MicrowaveConfig(rabi_kHz=chi, detuning_kHz=delta)
         h = build_hamiltonian(None, mw, 5.0)
-        rec = evolve(pure_state(3, 0), h, [], window(2.0, 0.002))
+        rec = evolve(pure_state(3, 0), liouvillian(h, [], 0.0), window(2.0, 0.002))
         expected = (chi / omega) ** 2 * np.sin(np.pi * omega * rec.times_ms) ** 2
         assert np.abs(rec.populations[:, IDX_UP] - expected).max() < 1e-6
 
@@ -103,7 +106,7 @@ class TestTwoLevelOracle:
         chi, delta = 2.0, 1.0
         mw = MicrowaveConfig(rabi_kHz=chi, detuning_kHz=delta)
         h = build_hamiltonian(None, mw, 5.0)
-        rec = evolve(pure_state(3, 0), h, [], window(3.0, 0.005))
+        rec = evolve(pure_state(3, 0), liouvillian(h, [], 0.0), window(3.0, 0.005))
         # started 7 % below the answer, sqrt(5) = 2.236 kHz
         omega = rabi_frequency(rec, freq_hint_kHz=2.08)
         assert omega == pytest.approx(math.hypot(chi, delta), rel=1e-3)
@@ -203,7 +206,7 @@ class TestUnitaryOracle:
         rho0 /= np.trace(rho0).real
         h = build_hamiltonian(ProbeConfig(detuning_MHz, 16.0, 45.0),
                               MicrowaveConfig(rabi_kHz=2.0, detuning_kHz=0.3), 0.5)
-        rec = evolve(rho0, h, [], window(1.0, 0.01))
+        rec = evolve(rho0, liouvillian(h, [], 0.0), window(1.0, 0.01))
         for t, pops in zip(rec.times_ms, rec.populations):
             u = expm(-2j * np.pi * 1e3 * h * t)
             exact = np.real(np.diag(u @ rho0 @ u.conj().T))
@@ -282,9 +285,7 @@ class TestDissipativeOracle:
         # H and the jumps are real, so from a real state a time-reversed
         # commutator (a valid Lindbladian too) gives the conjugate state
         # and the same populations; a complex state breaks that symmetry
-        h, jumps = operator_terms(setup)
-        jumps = jumps if pumping else []
-        rec = evolve(COMPLEX_STATE, h, jumps, setup.simulation)
+        rec = evolve(COMPLEX_STATE, generator_of(setup), setup.simulation)
         pops = lindblad_ode_populations(setup, rec.times_ms, COMPLEX_STATE)
         assert np.abs(rec.populations - pops).max() <= 1e-9
 
@@ -334,7 +335,7 @@ class TestBiasFieldDecoupling:
 
 def plain_step_loop(rho0, h, jumps, loss, t_span_ms, dt_ms):
     """Reference trajectory: one matvec per step, states kept as 16x16."""
-    prop = expm(_liouvillian(h, jumps, loss) * dt_ms)
+    prop = expm(liouvillian(h, jumps, loss) * dt_ms)
     vec = rho0.reshape(-1).copy()
     states = [vec.reshape(16, 16)]
     for _ in range(int(round(t_span_ms / dt_ms))):
@@ -350,7 +351,8 @@ class TestStackedTrajectory:
         jumps = pumping_jump_operators(probe, total_rate_per_ms=1.25)
         phases = np.linspace(-1.0, 1.0, 16)
         rho0 = clock_mixture(0.3)
-        rec = evolve(rho0, h, jumps, window(1.0, 0.005, 0.4), state_phases=phases)
+        rec = evolve(rho0, liouvillian(h, jumps, 0.4), window(1.0, 0.005, 0.4),
+                     state_phases=phases)
         states = plain_step_loop(rho0, h, jumps, 0.4, 1.0, 0.005)
         pops = np.array([np.real(np.diag(rho)) for rho in states])
         lost = np.array([1.0 - float(np.trace(rho).real) for rho in states])
@@ -374,7 +376,7 @@ class TestStackedTrajectory:
         mw = MicrowaveConfig(rabi_kHz=rabi_kHz, detuning_kHz=drive_det_kHz)
         h = build_hamiltonian(probe, mw, 0.5)
         jumps = pumping_jump_operators(probe)
-        rec = evolve(rho0, h, jumps, window(0.5, 0.01, loss))
+        rec = evolve(rho0, liouvillian(h, jumps, loss), window(0.5, 0.01, loss))
         total = rec.populations.sum(axis=1) + rec.lost
         assert np.abs(total - 1.0).max() < 1e-9
         states = plain_step_loop(rho0, h, jumps, loss, 0.5, 0.01)
@@ -388,7 +390,7 @@ class TestInvariantChecks:
         h = build_hamiltonian(None, MicrowaveConfig(rabi_kHz=2.0), 0.0)
         with pytest.raises(InvariantViolationError,
                            match=re.escape("hermiticity violated at t = 0 ms")):
-            evolve(rho, h, [], window(0.1, 0.01))
+            evolve(rho, liouvillian(h, [], 0.0), window(0.1, 0.01))
 
     def test_negative_rate_jump_fails_positivity_at_first_step(self):
         # a negative-rate transfer |3,0> -> |4,0> drives the |4,0>
@@ -398,35 +400,46 @@ class TestInvariantChecks:
         h = build_hamiltonian(None, None, 0.0)
         with pytest.raises(InvariantViolationError,
                            match=re.escape("positivity violated at t = 0.01 ms")):
-            evolve(pure_state(3, 0), h, [(op, -1.0)], window(0.1, 0.01))
+            evolve(pure_state(3, 0), liouvillian(h, [(op, -1.0)], 0.0),
+                   window(0.1, 0.01))
 
     @pytest.mark.parametrize("term", ["anticommutator", "jump", "loss"])
-    def test_generator_changing_the_trace_fails(self, monkeypatch, term):
+    def test_generator_changing_the_trace_fails(self, term):
         # a 1 % error in one term of the generator makes the trace change
         # other than through the loss channel: evolve refuses it at once
         h, jumps, loss = magic_terms(0.4)
         eye = np.eye(16)
-
-        def skewed(h, jumps, loss):
-            lv = _liouvillian(h, jumps, loss)
-            for op, rate in jumps:
-                opd = op.conj().T @ op
-                if term == "anticommutator":
-                    lv -= 0.005 * rate * (np.kron(opd, eye) + np.kron(eye, opd.T))
-                elif term == "jump":
-                    lv += 0.01 * rate * np.kron(op, op.conj())
-            if term == "loss":
-                p = np.diag(np.isin(np.arange(16), [IDX_UP, IDX_DOWN]) * 1.0)
-                lv -= 0.005 * loss * (np.kron(p, eye) + np.kron(eye, p))
-            return lv
-
-        monkeypatch.setattr(dynamics, "_liouvillian", skewed)
+        lv = liouvillian(h, jumps, loss)
+        for op, rate in jumps:
+            opd = op.conj().T @ op
+            if term == "anticommutator":
+                lv -= 0.005 * rate * (np.kron(opd, eye) + np.kron(eye, opd.T))
+            elif term == "jump":
+                lv += 0.01 * rate * np.kron(op, op.conj())
+        if term == "loss":
+            p = np.diag(np.isin(np.arange(16), [IDX_UP, IDX_DOWN]) * 1.0)
+            lv -= 0.005 * loss * (np.kron(p, eye) + np.kron(eye, p))
         with pytest.raises(InvariantViolationError, match="does not conserve the trace"):
-            evolve(pure_state(3, 0), h, jumps, window(0.1, 0.01, loss))
+            evolve(pure_state(3, 0), lv, window(0.1, 0.01, loss))
+
+    @pytest.mark.parametrize("built_with, sim_loss", [(0.0, 0.4), (0.4, 0.0)])
+    def test_generator_with_another_loss_rate_fails(self, built_with, sim_loss):
+        # the trace balance is checked against the window's loss rate, not
+        # the one the generator was built with
+        h, jumps, _ = magic_terms(0.0)
+        with pytest.raises(InvariantViolationError, match="does not conserve the trace"):
+            evolve(pure_state(3, 0), liouvillian(h, jumps, built_with),
+                   window(0.1, 0.01, sim_loss))
 
     def test_span_not_a_multiple_of_step_rejected(self):
         with pytest.raises(ValueError, match="not a multiple"):
             SimulationConfig(t_span_ms=1.0, dt_ms=0.7)
+
+    def test_overflowing_step_count_rejected(self):
+        # finite span and step whose ratio overflows: a ValueError naming
+        # the window, not an OverflowError from round()
+        with pytest.raises(ValueError, match="overflows"):
+            SimulationConfig(t_span_ms=1e300, dt_ms=1e-10)
 
     def test_negative_loss_rate_rejected(self):
         with pytest.raises(ValueError, match="extra_loss_per_ms must be >= 0"):
@@ -446,21 +459,11 @@ class TestInvariantChecks:
                                             extra_loss_per_ms=-0.4)))
 
 
-class _Generator(Exception):
-    """Carries the generator out of ``run_simulation`` before any expm."""
-
-
-def generator_of(setup: RunSetup, monkeypatch) -> np.ndarray:
-    """The Lindblad generator that ``run_simulation(setup)`` builds."""
-    build = dynamics._liouvillian
-
-    def capture(*args):
-        raise _Generator(build(*args))
-
-    monkeypatch.setattr(dynamics, "_liouvillian", capture)
-    with pytest.raises(_Generator) as caught:
-        run_simulation(setup)
-    return caught.value.args[0]
+def generator_of(setup: RunSetup) -> np.ndarray:
+    """The Lindblad generator of ``setup``'s operating point and window."""
+    sim = setup.simulation
+    h, jumps = operator_terms(setup)
+    return liouvillian(h, jumps if sim.pumping else [], sim.extra_loss_per_ms)
 
 
 def projected_choi(lv: np.ndarray) -> np.ndarray:
@@ -495,15 +498,14 @@ class TestConditionalCompletePositivity:
     1976; Wolf & Cirac 2008)."""
 
     @pytest.mark.parametrize("det,theta,pumping,loss,rate", CCP_POINTS)
-    def test_projected_choi_is_positive(self, monkeypatch, det, theta, pumping,
-                                        loss, rate):
+    def test_projected_choi_is_positive(self, det, theta, pumping, loss, rate):
         setup = RunSetup(ProbeConfig(det, 16.0, theta),
                          MicrowaveConfig(rabi_kHz=2.0, detuning_kHz=0.3),
                          simulation=SimulationConfig(t_span_ms=0.005, dt_ms=0.005,
                                                      extra_loss_per_ms=loss,
                                                      pumping=pumping,
                                                      scattering_rate_per_ms=rate))
-        lv = generator_of(setup, monkeypatch)
+        lv = generator_of(setup)
         choi = projected_choi(lv)
         scale = np.abs(lv).max()
         assert np.abs(choi - choi.conj().T).max() <= 1e-12 * scale
@@ -588,7 +590,7 @@ class TestLiouvillianBuild:
     ])
     def test_bitwise_equal_to_kron_formula(self, terms):
         h, jumps, loss = terms()
-        lv = _liouvillian(h, jumps, loss)
+        lv = liouvillian(h, jumps, loss)
         ref = kron_liouvillian(h, jumps, loss)
         assert lv.shape == ref.shape == (256, 256)
         assert np.array_equal(lv.view(np.uint64), ref.view(np.uint64))

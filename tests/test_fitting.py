@@ -71,6 +71,16 @@ class TestFailures:
         with pytest.raises(FitFailureError):
             fit_decaying_sinusoid(T, y, freq_hint_kHz=5.0)
 
+    def test_envelope_shorter_than_a_quarter_period_rejected(self):
+        # a smooth drift whose first sample alone is displaced holds no
+        # oscillation, yet an envelope that dies within that sample fits
+        # it to 1e-11 and names a frequency; the envelope's 1/e time must
+        # cover a quarter period (tau f >= 0.25)
+        y = synth(20.0, 1.0, amp=0.0, offset=-0.97, bg_amp=-0.03, bg_tau=1.5)
+        y[0] -= 0.01
+        with pytest.raises(FitFailureError, match="no oscillation resolved"):
+            fit_decaying_sinusoid(T, y, freq_hint_kHz=20.0)
+
     def test_amplitude_below_residual_threshold(self):
         # real oscillation buried under noise 100x larger
         y = synth(5.0, 1.0, amp=0.01, noise=1.0)

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`clockprobe.angular` — Wigner 3j/6j on doubled integers, Cs D1 dipole amplitudes
+- :mod:`clockprobe.angular` — closed-form Cs D1 angular factors and dipole amplitudes
 - :mod:`clockprobe.atom` — Cs D1 constants, ground-manifold registry, cloud
 - :mod:`clockprobe.lightshift` — light-shift operator, closed-form xi's, magic points
 - :mod:`clockprobe.birefringence` — phase spectra, SNR figures, two-color balance

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import dipole_element, wigner6j
+from .angular import SIX_J, dipole_element
 from .atom import (
     EXCITED_HF_SPLITTING_MHZ,
     F3_BLOCK,
@@ -59,7 +59,7 @@ _QS = (-1, 0, 1)  # spherical polarization index order used in all tensors
 _BLOCKS = (F3_BLOCK, F4_BLOCK)  # F = 3 and F = 4 ground manifolds
 _F_INDEX = np.array([F - 3 for F, _ in state_registry()])  # 0 for F=3, 1 for F=4
 # N_K (-1)^F' {1 K 1; 4 F' 4} S_4F' of the xi_K (rows K, columns F' = 3, 4)
-_XI_WEIGHTS = np.array([[n_k * (-1) ** fe * wigner6j(2, 2 * k, 2, 8, 2 * fe, 8) * s_fe
+_XI_WEIGHTS = np.array([[n_k * (-1) ** fe * SIX_J[1, k, 1, 4, fe, 4] * s_fe
                          for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
                         for k, n_k in enumerate((-math.sqrt(3.0), math.sqrt(27.0 / 40.0),
                                                  math.sqrt(27.0 / 154.0)))])
@@ -254,7 +254,7 @@ def differential_clock_shift(detuning_MHz, theta_deg: float = 45.0,
     return pole_sum(*_clock_shift_poles(theta_deg, irradiance_rel), detuning_MHz)
 
 
-def dressed_clock_shift(probe: ProbeConfig, bias_field_G: float = 0.5) -> float:
+def dressed_clock_shift(probe: ProbeConfig, bias_field_G: float) -> float:
     """Differential shift (kHz) of the Zeeman-dressed clock levels.
 
     Eigenvalue difference of Zeeman + light shift for the levels

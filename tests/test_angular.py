@@ -1,122 +1,61 @@
-"""Wigner-symbol and dipole-amplitude oracles.
+"""Dipole-amplitude oracles.
 
-sympy.physics.wigner is the independent reference implementation; the
-library must agree with it to near machine precision and satisfy the
-standard orthogonality and sum rules exactly.  The library's Wigner
-symbols take every argument doubled; sympy takes the quantum numbers.
+sympy.physics.wigner is the independent reference implementation.  Every
+closed-form angular factor of the library is a sign times the square root
+of an exact rational, rounded once, so each amplitude and light-shift
+weight rebuilt from sympy's exact 3j and 6j symbols must agree bit for bit;
+the sum and selection rules must hold exactly.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from sympy import Rational, S
+from sympy import Rational, sign
 from sympy.physics.wigner import wigner_3j, wigner_6j
 
-from clockprobe.angular import NUCLEAR_SPIN_TWICE, dipole_element, wigner3j, wigner6j
+from clockprobe.angular import dipole_element
+from clockprobe.atom import state_registry
+from clockprobe.lightshift import _XI_WEIGHTS, amplitude_tensor
+
+HALF = Rational(1, 2)
 
 
-def _half_range(tmax):
-    """All doubled quantum numbers 0..tmax."""
-    return range(tmax + 1)
+def _rounded(symbol) -> float:
+    """An exact sympy 3j or 6j value as sign * sqrt(float(its exact square))."""
+    square = symbol**2
+    return int(sign(symbol)) * math.sqrt(float(Fraction(int(square.p), int(square.q))))
 
 
-class TestHalfInt:
-    def test_rejects_non_half_integers(self):
-        # m = 0.3 or 1/3 is no half-integer: its doubled value fails parity
-        with pytest.raises(ValueError):
-            wigner3j(2, 2, 2, 0.6, 0, -0.6)
-        with pytest.raises(ValueError):
-            wigner3j(2, 2, 2, Fraction(2, 3), 0, Fraction(-2, 3))
-        with pytest.raises(TypeError):
-            wigner3j(2, 2, 2, "1/2", 0, 0)
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
-class TestWigner3j:
-    def test_against_sympy_integer_and_half_integer(self):
-        checked = 0
-        for tj1 in _half_range(8):
-            for tj2 in _half_range(6):
-                for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                    for tm1 in range(-tj1, tj1 + 1, 2):
-                        for tm2 in range(-tj2, tj2 + 1, 2):
-                            tm3 = -tm1 - tm2
-                            if abs(tm3) > tj3:
-                                continue
-                            ours = wigner3j(tj1, tj2, tj3, tm1, tm2, tm3)
-                            ref = float(wigner_3j(
-                                Rational(tj1, 2), Rational(tj2, 2), Rational(tj3, 2),
-                                Rational(tm1, 2), Rational(tm2, 2), Rational(tm3, 2)))
-                            assert ours == pytest.approx(ref, abs=1e-14)
-                            checked += 1
-        assert checked > 500
-
-    def test_triangle_violation_is_exact_zero(self):
-        assert wigner3j(2, 2, 6, 0, 0, 0) == 0.0  # (1 1 3; 0 0 0)
-        assert wigner3j(1, 1, 6, 1, -1, 0) == 0.0  # (1/2 1/2 3; 1/2 -1/2 0)
-
-    def test_m_sum_violation_is_exact_zero(self):
-        assert wigner3j(2, 2, 2, 2, 2, 2) == 0.0  # (1 1 1; 1 1 1)
-
-    def test_known_exact_values(self):
-        assert wigner3j(2, 2, 0, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3), abs=1e-15)
-        assert wigner3j(4, 2, 2, 0, 0, 0) == pytest.approx(math.sqrt(2 / 15), abs=1e-15)
-        # (2 1 2; 0 0 0): odd sum with all m = 0 vanishes identically
-        assert wigner3j(4, 2, 4, 0, 0, 0) == 0.0
-
-    def test_orthogonality(self):
-        # sum_{m1 m2} (2 j3 + 1) [3j]^2 = 1 for each admissible (j3, m3)
-        for tj1, tj2 in ((4, 3), (8, 2), (7, 7)):
-            for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                total = 0.0
-                for tm1 in range(-tj1, tj1 + 1, 2):
-                    for tm2 in range(-tj2, tj2 + 1, 2):
-                        tm3 = -tm1 - tm2
-                        if abs(tm3) > tj3:
-                            continue
-                        total += (tj3 + 1) * wigner3j(tj1, tj2, tj3, tm1, tm2, tm3) ** 2
-                assert total == pytest.approx(tj3 + 1, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            wigner3j(2, 2, 2, 4, -2, -2)  # |m| > j
-        with pytest.raises(ValueError):
-            wigner3j(2, 2, 2, 1, 0, -1)  # parity
-        with pytest.raises(ValueError):
-            wigner3j(-2, 2, 2, 0, 0, 0)  # negative j
+def test_amplitude_tensor_matches_sympy_bit_for_bit():
+    expected = np.zeros((16, 16, 3))
+    for gi, (F, m) in enumerate(state_registry()):
+        for ei, (Fe, mE) in enumerate(state_registry()):
+            for qi, q in enumerate((-1, 0, 1)):
+                if mE != m + q:
+                    continue
+                three = _rounded(wigner_3j(Fe, 1, F, -mE, q, m))
+                six = _rounded(wigner_6j(HALF, HALF, 1, Fe, F, Rational(7, 2)))
+                norm = math.sqrt((2 * Fe + 1) * (2 * F + 1) * 2)
+                # (-1)**(F' + J + 1 + I + F' - mE), J = 1/2 and I = 7/2
+                phase = -1.0 if (2 * Fe + 5 - mE) % 2 else 1.0
+                expected[gi, ei, qi] = phase * norm * six * three
+    # the uint64 view tells +0.0 from -0.0 as well
+    assert np.array_equal(_bits(amplitude_tensor()), _bits(expected))
 
 
-class TestWigner6j:
-    def test_against_sympy(self):
-        checked = 0
-        for tj1 in _half_range(5):
-            for tj2 in _half_range(5):
-                for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                    for tj4 in _half_range(4):
-                        for tj5 in range(abs(tj3 - tj4), min(tj3 + tj4, 5) + 1, 2):
-                            for tj6 in range(abs(tj1 - tj5), min(tj1 + tj5, 5) + 1, 2):
-                                args = (tj1, tj2, tj3, tj4, tj5, tj6)
-                                ours = wigner6j(*args)
-                                try:
-                                    ref = float(wigner_6j(
-                                        *(Rational(t, 2) for t in args)))
-                                except ValueError:
-                                    ref = 0.0
-                                assert ours == pytest.approx(ref, abs=1e-13)
-                                checked += 1
-        assert checked > 300
-
-    def test_hyperfine_values_for_cs_d1(self):
-        # {1/2 1/2 1; F' F 7/2} for F, F' in {3, 4}
-        for tfe in (6, 8):
-            for tfg in (6, 8):
-                ours = wigner6j(1, 1, 2, tfe, tfg, 7)
-                ref = float(wigner_6j(S(1) / 2, S(1) / 2, 1,
-                                      Rational(tfe, 2), Rational(tfg, 2), S(7) / 2))
-                assert ours == pytest.approx(ref, abs=1e-15)
-
-    def test_triad_violation_is_exact_zero(self):
-        assert wigner6j(2, 2, 6, 2, 2, 2) == 0.0  # {1 1 3; 1 1 1}
+def test_xi_weights_match_sympy_bit_for_bit():
+    # N_K (-1)**F' {1 K 1; 4 F' 4} S_4F', rows K = 0, 1, 2 and columns F' = 3, 4
+    n_k = (-math.sqrt(3.0), math.sqrt(27.0 / 40.0), math.sqrt(27.0 / 154.0))
+    expected = [[n_k[k] * (-1) ** fe * _rounded(wigner_6j(1, k, 1, 4, fe, 4)) * s_fe
+                 for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
+                for k in range(3)]
+    assert np.array_equal(_bits(_XI_WEIGHTS), _bits(expected))
 
 
 class TestDipoleElements:
@@ -172,6 +111,3 @@ class TestDipoleElements:
             dipole_element(4, Fraction(1, 3), 4, Fraction(1, 3), 0)
         with pytest.raises(TypeError):
             dipole_element(4, "1/2", 4, 0, 0)
-
-    def test_nuclear_spin_constant(self):
-        assert NUCLEAR_SPIN_TWICE == 7

@@ -96,7 +96,7 @@ def snr_eta(probe: ProbeConfig, cloud: CloudConfig, tau_d_s: float,
     return abs(phi) * phase_factor * math.sqrt(2.0 * flux * tau_d_s)
 
 
-def projection_noise_snr(cloud: CloudConfig, probe: ProbeConfig, tau_d_s: float,
+def projection_noise_snr(probe: ProbeConfig, cloud: CloudConfig, tau_d_s: float,
                          detection_efficiency: float = 1.0) -> float:
     """SNR for resolving the coherent-state fluctuation sqrt(N) of S3 near 0."""
     eta = snr_eta(probe, cloud, tau_d_s, detection_efficiency)

@@ -14,9 +14,8 @@ floats such as ``5e-3``.  Every output CSV starts with the schema line
 failed run leaves no partial files.  Exit codes: 0 success; only a
 ClockProbeError gets another, 2 config error, 3 physics-domain error or
 4 fit failure.  The chevron and measurement sweeps run through
-:func:`clockprobe.ensemble.sweep`: a point that fails is an error row,
-not a failed run, and ``CLOCKPROBE_WORKERS`` (a positive integer,
-default 1) sets their process count.  Importing this module, before
+:func:`clockprobe.ensemble.sweep`, in process: a point that fails is an
+error row, not a failed run.  Importing this module, before
 numpy loads, sets ``OMP_NUM_THREADS`` and ``OPENBLAS_NUM_THREADS`` to 1
 where they are unset, so BLAS runs on one thread.
 """
@@ -35,8 +34,7 @@ from pathlib import Path
 
 # OpenBLAS reads its thread count once, when numpy loads, and the last
 # digits of the dynamics depend on it; one thread is also the faster
-# setting for these 16-level runs and for forked sweep workers.  A value
-# the user has set wins.
+# setting for these 16-level runs.  A value the user has set wins.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -250,7 +250,7 @@ def test_08_projection_noise_snr_scaling(sweep_with_spread):
                   atom_number=cloud.atom_number * scale)
     s_cal = calibrated_irradiance(at_magic.detuning_MHz, 45.0, 1.25)
     probe = ProbeConfig(at_magic.detuning_MHz, s_cal, 45.0)
-    pn_big = projection_noise_snr(big, probe,
+    pn_big = projection_noise_snr(probe, big,
                                   at_magic.tau_d_ms * 1e-3)
     ratio = pn_big / pn_small
     ratio_ok = abs(ratio - 20.0) <= 0.5

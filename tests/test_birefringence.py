@@ -122,8 +122,8 @@ class TestSnr:
         scale = 400.0
         big = CloudConfig(od_resonant=2.5 * scale,
                           atom_number=cloud.atom_number * scale)
-        pn_small = projection_noise_snr(cloud, probe, 1e-3)
-        pn_big = projection_noise_snr(big, probe, 1e-3)
+        pn_small = projection_noise_snr(probe, cloud, 1e-3)
+        pn_big = projection_noise_snr(probe, big, 1e-3)
         assert pn_big / pn_small == pytest.approx(math.sqrt(scale), rel=1e-12)
 
     def test_invalid_tau_rejected(self):

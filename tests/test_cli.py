@@ -250,17 +250,17 @@ class TestCliRuns:
                     line for line in fh if not line.startswith("#"))])
         assert len(found[0]) == 1 and found[0] == found[1]
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_chevron_small_grid(self, tmp_path, monkeypatch, workers):
-        cfg = write(tmp_path, "c.yaml", FAST_RABI + """\
+    SMALL_CHEVRON = FAST_RABI + """\
 sweep:
   window_MHz: [-700.0, -200.0]
   n_points: 3
   n_theta: 3
   theta_min_deg: 40.0
-""")
+"""
+
+    def test_chevron_small_grid(self, tmp_path):
+        cfg = write(tmp_path, "c.yaml", self.SMALL_CHEVRON)
         out = tmp_path / "out"
-        monkeypatch.setenv("CLOCKPROBE_WORKERS", workers)
         assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 0
         c = np.genfromtxt(out / "chevron.csv", delimiter=",", names=True,
                           skip_header=1)
@@ -269,12 +269,24 @@ sweep:
         m = np.genfromtxt(out / "magic_vs_theta.csv", delimiter=",",
                           names=True, skip_header=1)
         assert np.all(m["found"] == 1)
-        # the process pool gives the bytes of the in-process loop
-        monkeypatch.setenv("CLOCKPROBE_WORKERS", "1")
-        ref = tmp_path / "ref"
+
+    @pytest.mark.parametrize("value", ["2", "abc"])
+    def test_sweep_ignores_workers_variable(self, tmp_path, monkeypatch, value):
+        # the sweep runs in process: no fork, no check of the variable
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        cfg = write(tmp_path, "c.yaml", self.SMALL_CHEVRON)
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        monkeypatch.delenv("CLOCKPROBE_WORKERS", raising=False)
         assert main(["chevron", "--config", str(cfg), "--out", str(ref)]) == 0
-        assert ((out / "chevron.csv").read_bytes()
-                == (ref / "chevron.csv").read_bytes())
+        monkeypatch.setenv("CLOCKPROBE_WORKERS", value)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 0
+        files = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == files
+        for name in files:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     @staticmethod
     def _unmasked_chevron(tmp_path, window):
@@ -507,31 +519,6 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "'sweep'" in err and key in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("workers", ["abc", "0"])
-    def test_bad_workers_exits_2_before_sweep(self, tmp_path, capsys,
-                                              monkeypatch, workers):
-        from clockprobe import ensemble
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker process was started")
-
-        def no_point(*args, **kwargs):
-            raise AssertionError("a sweep point ran")
-
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli, "_chevron_point", no_point)
-        monkeypatch.setenv("CLOCKPROBE_WORKERS", workers)
-        cfg = write(tmp_path, "c.yaml", FAST_RABI + """\
-sweep:
-  window_MHz: [-700.0, -200.0]
-  n_points: 3
-  n_theta: 2
-""")
-        out = tmp_path / "o"
-        assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "CLOCKPROBE_WORKERS" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -211,8 +211,7 @@ class TestSweep:
         # off the magic point the light shift detunes the drive strongly
         assert outcomes[2][0].omega_kHz > 5 * good.omega_kHz
 
-    def test_mask_reads_the_resonance_distance(self, monkeypatch):
-        monkeypatch.delenv("CLOCKPROBE_WORKERS", raising=False)
+    def test_mask_reads_the_resonance_distance(self):
         # exactly mask_gamma off is masked, just beyond it is computed
         edge = -1168.0 + 2 * GAMMA_MHZ
         grid = [-500.0, edge, edge + 1e-9, 9192.6]
@@ -225,7 +224,7 @@ class TestSweep:
     def test_pn_snr_is_eta_over_twice_root_n(self):
         setup = make_setup()
         fig = measurement_figure(setup, InhomogeneityConfig(0.0, 0.0, 1, 0), 1.0, MAGIC)
-        pn = projection_noise_snr(setup.cloud, operating_point(setup, MAGIC).probe,
+        pn = projection_noise_snr(operating_point(setup, MAGIC).probe, setup.cloud,
                                   fig.tau_d_ms * 1e-3)
         assert fig.pn_snr == fig.eta / (2.0 * math.sqrt(setup.cloud.atom_number)) == pn
 

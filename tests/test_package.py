@@ -205,3 +205,56 @@ def test_cli_import_keeps_a_blas_value_the_user_set():
     state = _fresh("import clockprobe.cli", OPENBLAS_NUM_THREADS="2")
     expected = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}
     assert state["at_numpy_import"] == expected and state["after"] == expected
+
+
+# The one read of the environment in src/: the CLI's BLAS pin.  Every other
+# setting is a config key or a flag, and a sweep runs in process.
+BLAS_PIN = ("for _var in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS'):\n"
+            "    os.environ.setdefault(_var, '1')")
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+PROCESS_MODULES = {"concurrent", "multiprocessing", "subprocess"}
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """The top-level statements of ``tree`` that touch ``os.environ`` or
+    ``os.getenv`` (by any alias of ``os``) or import them from ``os``."""
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names if a.name == "os"}
+    found = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and node.attr in ENV_NAMES
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(a.name in ENV_NAMES for a in node.names)):
+                found.append(ast.unparse(stmt))
+                break
+    return found
+
+
+def _imported_modules(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_src_reads_no_environment_and_starts_no_process():
+    reads, spawns = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads += [(path.name, stmt) for stmt in _environment_reads(tree)]
+        spawns += [f"{path.name}: {name}" for name in _imported_modules(tree)
+                   if name.split(".")[0] in PROCESS_MODULES]
+    assert reads == [("cli.py", BLAS_PIN)]
+    assert spawns == []
+
+
+def test_environment_reads_see_every_form():
+    tree = ast.parse("import os as o\nfrom os import getenv\n"
+                     "x = o.environ.get('K')\ndef f():\n    return o.getenv('K')\n"
+                     "y = o.sysconf('SC_PAGE_SIZE')\nenviron = {}\n")
+    assert _environment_reads(tree) == [
+        "from os import getenv", "x = o.environ.get('K')",
+        "def f():\n    return o.getenv('K')"]

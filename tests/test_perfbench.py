@@ -45,7 +45,6 @@ def test_seed0_outputs_match_reference(tmp_path, name, run_plot_script):
     config, out = tmp_path / "config.yaml", tmp_path / "out"
     config.write_text(workload.config_yaml(seed))
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-           "CLOCKPROBE_WORKERS": "1",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     res = subprocess.run(

@@ -1,6 +1,6 @@
 """Closed-form angular factors of the Cs D1 line (I = 7/2, J = J' = 1/2).
 
-Only rank-1 3j symbols (F' 1 F; -m' q m) with F, F' in {3, 4} and ten 6j
+Only rank-1 3j symbols (F' 1 F; -m' q m) with F, F' in {3, 4} and four 6j
 symbols are needed.  Edmonds (*Angular Momentum in Quantum Mechanics*,
 Princeton 1957) gives both in closed form, in Tables 2 (rank-1 Clebsch-Gordan
 coefficients) and 5 (6j symbols).  Each is kept as a signed exact square s,
@@ -17,14 +17,11 @@ def _root(s: Fraction) -> float:
     return math.copysign(math.sqrt(float(abs(s))), s)
 
 
-# The ten 6j symbols keyed by their arguments in reading order: {1/2 1/2 1;
-# F' F 7/2} for the dipole amplitudes, {1 K 1; 4 F' 4} for the light-shift xi's.
+# The four 6j symbols {1/2 1/2 1; F' F 7/2} of the dipole amplitudes, keyed
+# by their arguments in reading order
 SIX_J = {key: _root(Fraction(s)) for key, s in {
     (0.5, 0.5, 1, 3, 3, 3.5): "-1/56", (0.5, 0.5, 1, 3, 4, 3.5): "1/24",
     (0.5, 0.5, 1, 4, 3, 3.5): "1/24", (0.5, 0.5, 1, 4, 4, 3.5): "-5/216",
-    (1, 0, 1, 4, 3, 4): "1/27", (1, 0, 1, 4, 4, 4): "-1/27",
-    (1, 1, 1, 4, 3, 4): "-5/216", (1, 1, 1, 4, 4, 4): "1/1080",
-    (1, 2, 1, 4, 3, 4): "11/1512", (1, 2, 1, 4, 4, 4): "77/5400",
 }.items()}
 
 # Signed squares (n, d) of <j m; 1 q | F' M>, M = m + q, keyed (F' - j, q)

@@ -13,7 +13,10 @@ floats such as ``5e-3``.  Every output CSV starts with the schema line
 ``# clockprobe v1`` and is written atomically (temp file + rename), so a
 failed run leaves no partial files.  Exit codes: 0 success; only a
 ClockProbeError gets another, 2 config error, 3 physics-domain error or
-4 fit failure.  The chevron and measurement sweeps run through
+4 fit failure.  Config errors include a key written twice in one YAML
+mapping, a config file that is not UTF-8 or UTF-16, and an ``--out`` whose
+nearest existing path component is not a directory (checked before the
+command runs).  The chevron and measurement sweeps run through
 :func:`clockprobe.ensemble.sweep`, in process: a point that fails is an
 error row, not a failed run.  Importing this module, before
 numpy loads, sets ``OMP_NUM_THREADS`` and ``OPENBLAS_NUM_THREADS`` to 1
@@ -364,9 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise :class:`ConfigError` when ``out`` cannot become a directory: its
+    nearest existing path component is not one.  Creates nothing."""
+    nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} exists and is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out_dir(args.out)
         cfg = load_config(args.config, preset=args.preset, seed=args.seed)
         _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

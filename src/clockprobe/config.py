@@ -42,7 +42,20 @@ MAGIC_SEARCH_WINDOW_MHZ = (-1100.0, -50.0)
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 5e-3 (1.1 wants 5.0e-3)."""
+    """SafeLoader that rejects a key written twice in one mapping and also reads
+    YAML 1.2 floats such as 5e-3 (1.1 wants 5.0e-3).  A key brought in by a
+    ``<<`` merge may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        # node.value still holds the << entries: the base class flattens them in
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        keys = [self.construct_object(k, deep=deep) for k in own]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", own[i].start_mark)
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(
@@ -244,7 +257,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = yaml.load(path.read_text(), Loader=_Loader)
+            loaded = yaml.load(path.read_bytes(), Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         tree = _merge(tree, _validate_tree(loaded, str(path)))

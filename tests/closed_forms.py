@@ -3,9 +3,13 @@
 Kept out of the package: no program path computes with them.
 """
 
+import math
 from dataclasses import dataclass
 
+from sympy.physics.wigner import wigner_6j
+
 from clockprobe.atom import EXCITED_HF_SPLITTING_MHZ, GAMMA_MHZ
+from clockprobe.lightshift import RESONANCES_MHZ, ProbeConfig, spherical_polarization
 
 
 @dataclass(frozen=True)
@@ -30,3 +34,28 @@ def collective_phase_eq1(spin: PseudoSpin, od: float) -> float:
         raise ValueError("od must be > 0")
     det_over_gamma = -(EXCITED_HF_SPLITTING_MHZ / 2.0) / GAMMA_MHZ
     return (5.0 / 96.0) * (od / det_over_gamma) * (spin.s3 + spin.s_total) / spin.s_total
+
+
+# N_K (-1)^F' {1 K 1; 4 F' 4} S_4F' of xi_K and the pole r_4F' (MHz), for
+# K = 0, 1, 2 and F' = 3, 4; S_4F' is the F = 4 line strength, 7/12 and 5/12
+_XI_WEIGHTS = tuple(
+    tuple((n_k * (-1) ** fe * float(wigner_6j(1, k, 1, 4, fe, 4)) * s_fe,
+           RESONANCES_MHZ[f"F=4 -> F'={fe}"])
+          for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0)))
+    for k, n_k in enumerate((-math.sqrt(3.0), math.sqrt(27.0 / 40.0),
+                             math.sqrt(27.0 / 154.0))))
+
+
+def closed_form_xis(probe: ProbeConfig) -> tuple[float, float, float]:
+    """Scalar, vector and tensor couplings xi0, xi1, xi2 (MHz) of the F = 4 light shift.
+
+    Closed forms of Deutsch & Jessen, Opt. Commun. 283, 681 (2010):
+    xi_K = (Gamma^2/8)(I/I_sat) N_K f_K sum_F' (-1)^F' {1 K 1; 4 F' 4} S_4F'
+    / (Delta - r_4F') with f_0 = f_1 = 1 (xi1 is the sigma+ vector
+    coupling) and f_2 = (3|eps_0|^2 - 1)/2 (the Fz^2 part of the tensor).
+    """
+    eps_0 = spherical_polarization(probe.polarization_angle_deg)[1]
+    f_k = (1.0, 1.0, (3.0 * abs(eps_0) ** 2 - 1.0) / 2.0)
+    pref = GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel
+    return tuple(pref * f * sum(w / (probe.detuning_MHz - r) for w, r in weights)
+                 for f, weights in zip(f_k, _XI_WEIGHTS))

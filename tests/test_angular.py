@@ -2,9 +2,9 @@
 
 sympy.physics.wigner is the independent reference implementation.  Every
 closed-form angular factor of the library is a sign times the square root
-of an exact rational, rounded once, so each amplitude and light-shift
-weight rebuilt from sympy's exact 3j and 6j symbols must agree bit for bit;
-the sum and selection rules must hold exactly.
+of an exact rational, rounded once, so each amplitude rebuilt from sympy's
+exact 3j and 6j symbols must agree bit for bit; the sum and selection rules
+must hold exactly.
 """
 
 import math
@@ -17,7 +17,7 @@ from sympy.physics.wigner import wigner_3j, wigner_6j
 
 from clockprobe.angular import dipole_element
 from clockprobe.atom import state_registry
-from clockprobe.lightshift import _XI_WEIGHTS, amplitude_tensor
+from clockprobe.lightshift import amplitude_tensor
 
 HALF = Rational(1, 2)
 
@@ -47,15 +47,6 @@ def test_amplitude_tensor_matches_sympy_bit_for_bit():
                 expected[gi, ei, qi] = phase * norm * six * three
     # the uint64 view tells +0.0 from -0.0 as well
     assert np.array_equal(_bits(amplitude_tensor()), _bits(expected))
-
-
-def test_xi_weights_match_sympy_bit_for_bit():
-    # N_K (-1)**F' {1 K 1; 4 F' 4} S_4F', rows K = 0, 1, 2 and columns F' = 3, 4
-    n_k = (-math.sqrt(3.0), math.sqrt(27.0 / 40.0), math.sqrt(27.0 / 154.0))
-    expected = [[n_k[k] * (-1) ** fe * _rounded(wigner_6j(1, k, 1, 4, fe, 4)) * s_fe
-                 for fe, s_fe in ((3, 7.0 / 12.0), (4, 5.0 / 12.0))]
-                for k in range(3)]
-    assert np.array_equal(_bits(_XI_WEIGHTS), _bits(expected))
 
 
 class TestDipoleElements:

@@ -127,10 +127,9 @@ class TestConfigLoading:
                            ("output", "effective_atom_number"),
                            ("microwave", "inhomogeneity_frac"),
                            ("simulation", "seed")):
-            p = write(tmp_path, "c.yaml",
-                      FAST_RABI + f"{block}:\n  {key}: 1.0\n")
+            p = write(tmp_path, "c.yaml", f"{block}:\n  {key}: 1.0\n")
             with pytest.raises(ConfigError, match=key):
-                load_config(p)
+                load_config(p, preset="rabi-ideal")
 
     def test_invalid_value_reported_with_block(self, tmp_path):
         p = write(tmp_path, "c.yaml",
@@ -365,10 +364,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_unknown_key_exits_2_with_no_partial_files(self, tmp_path):
-        cfg = write(tmp_path, "c.yaml", FAST_RABI + "probe:\n  colour: red\n")
+        cfg = write(tmp_path, "c.yaml",
+                    FAST_RABI.replace("probe:\n", "probe:\n  colour: red\n"))
         out = tmp_path / "out"
         assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, below):
+        # a file where the output directory would go: rejected before the
+        # 46-point sweep, which would otherwise run in full and then fail
+        from clockprobe import ensemble
+
+        calls = []
+
+        def run_simulation(setup):
+            calls.append(setup)
+            raise RuntimeError("the sweep ran")
+
+        monkeypatch.setattr(ensemble, "run_simulation", run_simulation)
+        taken = write(tmp_path, "taken", "")
+        out = taken / below if below else taken
+        assert main(["chevron", "--preset", "chevron", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == ""
 
     def test_on_resonance_probe_exits_3(self, tmp_path):
         cfg = write(tmp_path, "c.yaml",
@@ -569,6 +590,48 @@ class TestIllTypedConfig:
         p = write(tmp_path, "c.yaml", FAST_RABI.replace("rabi_kHz: 4.0",
                                                         "rabi_kHz: 4"))
         assert load_config(p).microwave.rabi_kHz == 4
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text,key,line", [
+        ("probe:\n  irradiance_rel: 5.0\nprobe:\n  polarization_angle_deg: 30.0\n",
+         "probe", 3),
+        ("probe:\n  irradiance_rel: 5.0\n  polarization_angle_deg: 30.0\n"
+         "  irradiance_rel: 6.0\n", "irradiance_rel", 4),
+    ], ids=["block", "key"])
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, text, key, line):
+        # a second probe block would replace the first whole, so
+        # irradiance_rel would silently come back as the preset's 16.0
+        cfg = write(tmp_path, "c.yaml", text)
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid YAML" in err and f"duplicate key '{key}'" in err
+        assert f"line {line}," in err
+        assert not out.exists()
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        p = write(tmp_path, "c.yaml", "probe:\n"
+                  "  <<: {detuning_MHz: -335.0, irradiance_rel: 5.0}\n"
+                  "  irradiance_rel: 7.0\n")
+        probe = load_config(p, preset="rabi-ideal").probe
+        assert (probe.detuning_MHz, probe.irradiance_rel) == (-335.0, 7.0)
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(b"probe:\n  irradiance_rel: \xc3\x28\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: invalid YAML" in err
+        assert not out.exists()
+
+    def test_utf16_file_with_byte_order_mark_loads(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_bytes("probe:\n  irradiance_rel: 5.0\n".encode("utf-16"))
+        assert load_config(p, preset="rabi-ideal").probe.irradiance_rel == 5.0
 
 
 @pytest.mark.parametrize("error,code", [

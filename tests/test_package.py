@@ -21,8 +21,9 @@ UNUSED_EXPORTS = {
     "birefringence.two_color_balance":
         "a library feature that acceptance 10 tests; no CLI command runs it",
     "lightshift.build_light_shift":
-        "perfbench/tracer.py wraps it by name for the lightshift.build_light_shift.s "
-        "metric, until that metric is pointed at light_shift_matrix",
+        "a pass-through to light_shift_matrix, kept as its own def because "
+        "perfbench/tracer.py wraps it by identity for the lightshift.build_light_shift.s "
+        "metric; it goes when that metric is pointed at light_shift_matrix",
 }
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 # Records the BLAS variables at the moment numpy is first imported, then

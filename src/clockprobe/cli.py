@@ -7,13 +7,16 @@ Subcommands::
     clockprobe chevron     Rabi frequency vs detuning + magic detuning vs angle
     clockprobe measurement tau_d / eta^2 / SNR sweep at constant scattering rate
 
-All take ``--config FILE --out DIR [--seed N] [--preset NAME]``; ``--seed``
-sets ``inhomogeneity.seed``; the config file takes YAML 1.2 exponent
-floats such as ``5e-3``.  Every output CSV starts with the schema line
-``# clockprobe v1`` and is written atomically (temp file + rename), so a
-failed run leaves no partial files.  Exit codes: 0 success; only a
-ClockProbeError gets another, 2 config error, 3 physics-domain error or
-4 fit failure.  Config errors include a key written twice in one YAML
+All take ``--out DIR [--config FILE] [--preset NAME] [--seed N]``; the
+config file is layered over the preset, ``--seed`` sets
+``inhomogeneity.seed``, and the config file takes YAML 1.2 exponent
+floats such as ``5e-3``.  ``rabi`` requires ``probe.detuning_MHz``;
+``spectra`` and ``measurement`` reject it (exit 2), since they take every
+probe detuning from the sweep grid; ``chevron`` accepts it unread.
+Every output CSV starts with the schema line ``# clockprobe v1`` and is
+written atomically (temp file + rename), so a failed run leaves no
+partial files.  Exit codes: 0 success; only a ClockProbeError gets
+another, 2 config error, 3 physics-domain error or 4 fit failure.  Config errors include a key written twice in one YAML
 mapping, a config file that is not UTF-8 or UTF-16, and an ``--out`` whose
 nearest existing path component is not a directory (checked before the
 command runs).  The chevron and measurement sweeps run through
@@ -114,13 +117,24 @@ def _write_plot_script(path: Path, body: str) -> None:
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
-    """The configured run: :func:`operating_point` at the probe detuning.
+    """The configured run: :func:`operating_point` at the probe detuning,
+    which the config must give.
 
     When ``simulation.scattering_rate_per_ms`` is set, the probe irradiance
     is recalibrated to that rate, whether or not pumping is on.
     """
+    if cfg.probe.detuning_MHz is None:
+        raise ConfigError("probe.detuning_MHz is required (a number in MHz, or 'magic')")
     return operating_point(RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation),
                            cfg.probe.detuning_MHz)
+
+
+def _reject_detuning(cfg: RunConfig, command: str) -> None:
+    """Raise :class:`ConfigError` when the config places the probe of a
+    command that sets its detuning from the sweep grid alone."""
+    if cfg.probe.detuning_MHz is not None:
+        raise ConfigError(f"probe.detuning_MHz is not accepted by {command}, which "
+                          "takes every probe detuning from the sweep grid; remove the key")
 
 
 def _sweep_rows(point, grid: list[float], mask_gamma: float,
@@ -137,6 +151,7 @@ def _sweep_rows(point, grid: list[float], mask_gamma: float,
 
 def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     """Phase spectra, differential shift, magic points."""
+    _reject_detuning(cfg, "spectra")
     sweep, probe = cfg.sweep, cfg.probe
     lo, hi = sweep.window_MHz
     points = find_magic_detunings(probe.polarization_angle_deg, (lo, hi),
@@ -276,6 +291,7 @@ _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
 
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     """tau_d / eta^2 / SNR sweep at constant scattering rate."""
+    _reject_detuning(cfg, "measurement")
     setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
     lo, hi = cfg.sweep.window_MHz
     magic = find_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))

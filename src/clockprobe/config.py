@@ -6,9 +6,11 @@ physical invariant of the embedded types is re-validated on load.  Named
 presets provide complete operating points for the shipped demo figures;
 a config file layered on top of a preset overrides individual keys.
 
-The probe detuning may be given as the string ``"magic"``, which resolves
-to the differential-light-shift zero of the configured polarization angle
-inside the lower inter-resonance window.
+The probe detuning is optional: without it the probe is not placed
+(``ProbeConfig.detuning_MHz`` is ``None``), and each command decides
+whether it takes one (see :mod:`clockprobe.cli`).  A given ``"magic"``
+resolves at load to the differential-light-shift zero of the configured
+polarization angle inside the lower inter-resonance window.
 """
 
 from __future__ import annotations
@@ -136,10 +138,11 @@ PRESETS: dict[str, dict[str, Any]] = {
     },
     # Phase / differential-shift spectra over the lower window.
     "spectra": {
-        "probe": {"detuning_MHz": "magic"},
         "sweep": {"window_MHz": [-1100.0, -60.0], "n_points": 301},
     },
-    # Rabi-frequency chevron and magic-detuning-vs-angle scan.
+    # Rabi-frequency chevron and magic-detuning-vs-angle scan.  chevron reads
+    # no probe.detuning_MHz; the magic search it costs at load is one of the
+    # n_theta + 1 that the chevron-scan benchmark's self-check counts.
     "chevron": {
         "probe": {"detuning_MHz": "magic", "irradiance_rel": 16.0},
         "microwave": {"rabi_kHz": 2.0},
@@ -148,7 +151,6 @@ PRESETS: dict[str, dict[str, Any]] = {
     },
     # Measurement-strength sweep at constant scattering rate.
     "measurement": {
-        "probe": {"detuning_MHz": "magic"},
         "cloud": {"od_resonant": 2.5},
         "microwave": {"rabi_kHz": 2.0},
         "inhomogeneity": {"probe_irradiance_rms_frac": 0.15,
@@ -265,12 +267,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     tree = _validate_tree(tree, source)
 
     probe_values = dict(tree.get("probe", {}))
-    if "detuning_MHz" not in probe_values:
-        raise ConfigError(f"{source}: probe.detuning_MHz is required "
-                          "(a number in MHz, or 'magic')")
-    magic = probe_values["detuning_MHz"] == "magic"  # resolved once theta is checked
+    magic = probe_values.get("detuning_MHz") == "magic"  # resolved once theta is checked
     probe: ProbeConfig = _build_block(
-        "probe", {**probe_values, "detuning_MHz": 0.0} if magic else probe_values, source)
+        "probe", {**probe_values, "detuning_MHz": None} if magic else probe_values, source)
     if magic:
         probe = replace(probe, detuning_MHz=resolve_magic_detuning(
             probe.polarization_angle_deg))

@@ -329,7 +329,7 @@ def evolve(rho0: np.ndarray, generator: np.ndarray, sim: SimulationConfig,
             f"max |vec(I)^T L + gamma_loss vec(P)^T| = {np.abs(drift).max():g}")
     generator *= sim.dt_ms
     prop = expm(generator)
-    n_steps = round(sim.t_span_ms / sim.dt_ms)  # a whole number, SimulationConfig checks
+    n_steps = step_count(sim.t_span_ms, sim.dt_ms)
     times = np.arange(n_steps + 1) * sim.dt_ms
     if state_phases is None:
         state_phases = np.zeros(N_GROUND)

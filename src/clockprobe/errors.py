@@ -7,6 +7,7 @@ __all__ = [
     "NoBalanceError",
     "ConfigError",
     "InvariantViolationError",
+    "UnresolvedClockLevelsError",
 ]
 
 
@@ -42,3 +43,9 @@ class ConfigError(ClockProbeError):
 class InvariantViolationError(ClockProbeError):
     """An evolved density matrix lost Hermiticity or positivity, or the
     generator changed the trace other than through the loss channel."""
+
+
+class UnresolvedClockLevelsError(ClockProbeError):
+    """No Zeeman-dressed level holds more than half of |4,0> or of |3,0>: the
+    bias field is too weak to keep the probe's tensor shift from mixing the
+    clock states with |F, +-2>."""

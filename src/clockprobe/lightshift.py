@@ -32,7 +32,7 @@ from .atom import (
     state_registry,
     zeeman_hamiltonian,
 )
-from .errors import ResonanceProximityError
+from .errors import ResonanceProximityError, UnresolvedClockLevelsError
 
 __all__ = [
     "ProbeConfig",
@@ -79,16 +79,18 @@ class ProbeConfig:
     """Probe detuning, irradiance and polarization.
 
     ``detuning_MHz`` is relative to F=4 -> F'=4 (negative toward F'=3).
-    ``polarization_angle_deg`` is theta in the x-z plane; propagation is
-    fixed along y.
+    ``None`` is a probe not placed yet: a sweep places it at each grid
+    point with :func:`clockprobe.ensemble.operating_point`, and no light
+    shift is computed before that.  ``polarization_angle_deg`` is theta in
+    the x-z plane; propagation is fixed along y.
     """
 
-    detuning_MHz: float
+    detuning_MHz: float | None = None
     irradiance_rel: float = 16.0  # I / I_sat
     polarization_angle_deg: float = 45.0
 
     def __post_init__(self):
-        if not math.isfinite(self.detuning_MHz):
+        if self.detuning_MHz is not None and not math.isfinite(self.detuning_MHz):
             raise ValueError("detuning_MHz must be finite")
         if not 0 < self.irradiance_rel < math.inf:
             raise ValueError("irradiance_rel must be > 0 and finite")
@@ -235,13 +237,22 @@ def dressed_clock_shift(probe: ProbeConfig, bias_field_G: float) -> float:
     adiabatically connected to |4,0> and |3,0>.  Unlike the bare diagonal
     difference this includes second-order repulsion from the tensor
     couplings to |F, m != 0>, which is what the microwave transition
-    frequency actually experiences.
+    frequency actually experiences.  Each clock level is the eigenvector
+    holding the most of |4,0> or |3,0>; when that is not more than half,
+    the assignment is not unique and :class:`UnresolvedClockLevelsError`
+    is raised.
     """
     h = zeeman_hamiltonian(bias_field_G).astype(complex)
     h += light_shift_matrix(probe)
     w, v = np.linalg.eigh(h)
-    i_up = int(np.argmax(np.abs(v[IDX_UP, :]) ** 2))
-    i_down = int(np.argmax(np.abs(v[IDX_DOWN, :]) ** 2))
+    weights = np.abs(v[[IDX_UP, IDX_DOWN]]) ** 2  # of |4,0> and |3,0>, per eigenvector
+    for level, row in zip(("|4,0>", "|3,0>"), weights):
+        if not row.max() > 0.5:
+            raise UnresolvedClockLevelsError(
+                f"clock levels not resolved at cloud.bias_field_G = {bias_field_G:g} G: "
+                f"no dressed level holds more than 1/2 of {level} "
+                f"(largest {row.max():.3g})")
+    i_up, i_down = weights.argmax(axis=1)
     return float((w[i_up] - w[i_down]).real * 1e3)
 
 

@@ -27,6 +27,7 @@ from clockprobe.errors import (
     InvariantViolationError,
     NoBalanceError,
     ResonanceProximityError,
+    UnresolvedClockLevelsError,
 )
 from clockprobe.lightshift import differential_clock_shift
 from test_config import VALID_BLOCKS
@@ -49,8 +50,6 @@ output:
 """
 
 FAST_SPECTRA = """\
-probe:
-  detuning_MHz: -335.0
 sweep:
   window_MHz: [-1100.0, -60.0]
   n_points: 21
@@ -137,10 +136,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="simulation"):
             load_config(p)
 
-    def test_missing_detuning_rejected(self, tmp_path):
+    def test_missing_detuning_rejected(self, tmp_path, capsys):
+        # the probe loads unplaced; rabi, the one command that reads the
+        # detuning, is the one that requires it
         p = write(tmp_path, "c.yaml", "microwave:\n  rabi_kHz: 2.0\n")
-        with pytest.raises(ConfigError, match="detuning"):
-            load_config(p)
+        assert load_config(p).probe.detuning_MHz is None
+        out = tmp_path / "o"
+        assert main(["rabi", "--config", str(p), "--out", str(out)]) == 2
+        assert "probe.detuning_MHz is required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -240,8 +244,8 @@ class TestCliRuns:
         # at 1e300 I_sat the root numerator used to overflow to inf
         found = []
         for irradiance in ("1.0", "1.0e+300"):
-            cfg = write(tmp_path, "c.yaml", FAST_SPECTRA.replace(
-                "-335.0\n", f"-335.0\n  irradiance_rel: {irradiance}\n"))
+            cfg = write(tmp_path, "c.yaml", FAST_SPECTRA
+                        + f"probe:\n  irradiance_rel: {irradiance}\n")
             out = tmp_path / irradiance
             assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 0
             with open(out / "magic_points.csv", newline="") as fh:
@@ -287,6 +291,23 @@ sweep:
         for name in files:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
+    def test_chevron_unresolved_clock_levels_are_error_rows(self, tmp_path):
+        # at 0.02 G the probe's tensor shift mixes |4,0> with |4,+-2> at -450
+        # and -200 MHz: no dressed level holds half of |4,0>, so the analytic
+        # frequency has no meaning there (it used to be written, with no error)
+        cfg = write(tmp_path, "c.yaml",
+                    self.SMALL_CHEVRON + "cloud:\n  bias_field_G: 0.02\n")
+        out = tmp_path / "out"
+        assert main(["chevron", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "chevron.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        assert "clock levels" not in rows[0]["error"]  # -700 MHz is resolved
+        for row in rows[1:]:
+            assert row["error"].startswith(
+                "clock levels not resolved at cloud.bias_field_G = 0.02 G")
+            assert math.isnan(float(row["omega_analytic_kHz"]))
+
     @staticmethod
     def _unmasked_chevron(tmp_path, window):
         cfg = write(tmp_path, "c.yaml", FAST_RABI.replace(
@@ -329,9 +350,9 @@ sweep:
 
 
 class TestSweepsPlaceEveryPoint:
-    """The chevron and measurement sweeps place each point's probe
-    themselves, so the probe.detuning_MHz they do not read cannot fail
-    them, even on the F=4 -> F'=4 resonance."""
+    """The sweeps place each point's probe themselves.  chevron accepts a
+    probe.detuning_MHz it does not read, so the key cannot fail it, even on
+    the F=4 -> F'=4 resonance; spectra and measurement reject the key."""
 
     @staticmethod
     def _rows_at(tmp_path, command, detuning, extra):
@@ -344,18 +365,48 @@ class TestSweepsPlaceEveryPoint:
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
     @pytest.mark.parametrize("command,extra", [
-        ("measurement", "inhomogeneity:\n  n_samples: 2\n"
-                        "sweep:\n  window_MHz: [-345.0, -325.0]\n  n_points: 2\n"),
         ("chevron", "simulation:\n  scattering_rate_per_ms: 1.25\n"
                     "sweep:\n  window_MHz: [-700.0, -200.0]\n  n_points: 2\n"
                     "  n_theta: 2\n"),
-    ], ids=["measurement", "chevron"])
+    ], ids=["chevron"])
     def test_on_resonance_probe_detuning_exits_0(self, tmp_path, command, extra):
         on_resonance = self._rows_at(tmp_path, command, "0.0", extra)
         table = on_resonance[f"{command}.csv"].decode().splitlines()
         assert [row.split(",")[-2:] for row in table[2:]] == [["0", ""]] * 2
         # the outputs do not depend on the unread detuning at all
         assert on_resonance == self._rows_at(tmp_path, command, "magic", extra)
+
+    SMALL_SWEEPS = ("inhomogeneity:\n  n_samples: 2\n"
+                         "sweep:\n  window_MHz: [-345.0, -325.0]\n  n_points: 2\n"
+                         "output:\n  plot_scripts: false\n")
+
+    @pytest.mark.parametrize("command", ["spectra", "measurement"])
+    @pytest.mark.parametrize("detuning", ["magic", "0.0", "-400.0"])
+    def test_given_probe_detuning_exits_2(self, tmp_path, capsys, command, detuning):
+        cfg = write(tmp_path, "c.yaml", f"probe:\n  detuning_MHz: {detuning}\n"
+                    + self.SMALL_SWEEPS)
+        out = tmp_path / "o"
+        assert main([command, "--preset", command, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "probe.detuning_MHz is not accepted" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,table", [
+        ("spectra", "magic_points.csv"), ("measurement", "summary.csv")])
+    def test_angle_without_magic_point_exits_0(self, tmp_path, command, table):
+        # no differential-shift zero exists in the lower window at 10 deg;
+        # the sweeps search none at load, and their tables report none
+        cfg = write(tmp_path, "c.yaml", "probe:\n  polarization_angle_deg: 10.0\n"
+                    + self.SMALL_SWEEPS)
+        out = tmp_path / "o"
+        assert main([command, "--preset", command, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        with open(out / table, newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        if command == "spectra":
+            assert rows == []
+        else:
+            assert "magic_detuning_MHz" not in [r["quantity"] for r in rows]
 
 
 class TestExitCodes:
@@ -639,6 +690,7 @@ class TestConfigFile:
     (ResonanceProximityError(-0.1, 0.0, "F=4 -> F'=4"), 3),
     (InvariantViolationError("positivity violated"), 3),
     (NoBalanceError("phases share a sign"), 3),
+    (UnresolvedClockLevelsError("no dressed level holds half of |4,0>"), 3),
     (FitFailureError("fit failed"), 4),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_of_each_error_class(tmp_path, monkeypatch, error, code):
@@ -683,7 +735,9 @@ def _blocks(*names, **others):
 
 
 FUZZ_TREES = {
-    "spectra": _blocks("probe", "cloud", "output", "sweep"),
+    # spectra rejects probe.detuning_MHz, so its trees draw none
+    "spectra": _blocks("cloud", "output", "sweep", probe=VALID_BLOCKS["probe"].map(
+        lambda probe: {k: v for k, v in probe.items() if k != "detuning_MHz"})),
     "rabi": _blocks("probe", "cloud", "output", "microwave",
                     simulation=_short_simulations(),
                     inhomogeneity=st.fixed_dictionaries({

@@ -29,9 +29,10 @@ from clockprobe.dynamics import (
     run_simulation,
     scattering_rate_per_ms,
 )
+from clockprobe.ensemble import operating_point
 from clockprobe.errors import InvariantViolationError
 from clockprobe.fitting import rabi_frequency
-from clockprobe.lightshift import RESONANCES_MHZ, ProbeConfig
+from clockprobe.lightshift import RESONANCES_MHZ, ProbeConfig, find_magic_detunings
 
 
 def window(t_span_ms, dt_ms, extra_loss_per_ms=0.0):
@@ -537,7 +538,10 @@ def kron_liouvillian(h, jumps, extra_loss_per_ms):
 
 
 def measurement_setup():
-    return build_setup(load_config(preset="measurement"))
+    """The ``measurement`` preset's sweep point at the magic detuning."""
+    cfg = load_config(preset="measurement")
+    return operating_point(RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation),
+                           find_magic_detunings(45.0, (-1100.0, -50.0))[0].detuning_MHz)
 
 
 def with_simulation(setup, **changes):

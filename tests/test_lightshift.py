@@ -8,7 +8,11 @@ import pytest
 from clockprobe.angular import dipole_element
 from clockprobe.atom import F3_BLOCK, F4_BLOCK, GAMMA_MHZ, IDX_DOWN, IDX_UP, state_registry
 from clockprobe.birefringence import two_color_balance
-from clockprobe.errors import NoBalanceError, ResonanceProximityError
+from clockprobe.errors import (
+    NoBalanceError,
+    ResonanceProximityError,
+    UnresolvedClockLevelsError,
+)
 from clockprobe.lightshift import (
     ProbeConfig,
     amplitude_tensor,
@@ -258,6 +262,21 @@ class TestDressedShift:
             return abs(dressed_clock_shift(probe, 0.5) - d) / abs(d)
 
         assert rel_gap(near) > rel_gap(far)
+
+    @pytest.mark.parametrize("bias_G,weight", [(0.0, "0.307"), (0.01, "0.41")])
+    def test_unresolved_clock_levels_raise(self, bias_G, weight):
+        # at low field the tensor shift mixes |4,0> with |4,+-2>; labelled by
+        # argmax alone, the shift read 3.61 and 10.35 kHz here (-0.039 kHz at
+        # 0.5 G), with no error
+        probe = ProbeConfig(-335.0, 16.0, 45.0)
+        with pytest.raises(UnresolvedClockLevelsError,
+                           match=rf"{bias_G:g} G: .* of \|4,0> \(largest {weight}\)"):
+            dressed_clock_shift(probe, bias_field_G=bias_G)
+
+    def test_resolved_just_above_one_half(self):
+        # 0.05 G leaves the largest |4,0> weight at 0.52: unique, so a value
+        probe = ProbeConfig(-335.0, 16.0, 45.0)
+        assert math.isfinite(dressed_clock_shift(probe, bias_field_G=0.05))
 
 
 class TestTwoColor:

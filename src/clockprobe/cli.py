@@ -10,16 +10,20 @@ Subcommands::
 All take ``--out DIR [--config FILE] [--preset NAME] [--seed N]``; the
 config file is layered over the preset, ``--seed`` sets
 ``inhomogeneity.seed``, and the config file takes YAML 1.2 exponent
-floats such as ``5e-3``.  ``rabi`` requires ``probe.detuning_MHz``;
-``spectra`` and ``measurement`` reject it (exit 2), since they take every
-probe detuning from the sweep grid; ``chevron`` accepts it unread.
+floats such as ``5e-3``.  :data:`READS` lists the config keys each command
+reads; a key that the preset or the file gives outside that entry, or a
+``probe.irradiance_rel`` given with the ``simulation.scattering_rate_per_ms``
+that replaces it, is a config error (exit 2).  ``rabi`` requires
+``probe.detuning_MHz``; the sweeps place every probe themselves.
 Every output CSV starts with the schema line ``# clockprobe v1`` and is
 written atomically (temp file + rename), so a failed run leaves no
-partial files.  Exit codes: 0 success; only a ClockProbeError gets
-another, 2 config error, 3 physics-domain error or 4 fit failure.  Config errors include a key written twice in one YAML
-mapping, a config file that is not UTF-8 or UTF-16, and an ``--out`` whose
-nearest existing path component is not a directory (checked before the
-command runs).  The chevron and measurement sweeps run through
+partial files; each output gets the mode a plain ``open`` would give it.
+Exit codes: 0 success; only a ClockProbeError gets another, 2 config
+error, 3 physics-domain error or 4 fit failure.  Config errors include a
+key written twice in one YAML mapping, a ``--config`` path that is not a
+regular file or not UTF-8 or UTF-16, and an ``--out`` whose nearest
+existing path component is not a directory (checked before the command
+runs).  The chevron and measurement sweeps run through
 :func:`clockprobe.ensemble.sweep`, in process: a point that fails is an
 error row, not a failed run.  Importing this module, before
 numpy loads, sets ``OMP_NUM_THREADS`` and ``OPENBLAS_NUM_THREADS`` to 1
@@ -74,12 +78,17 @@ EXIT_FIT = 4
 def _write_atomic(path: Path, write) -> None:
     """Call ``write(fh)`` on a temp file, then rename it to ``path``.
 
-    On any failure the temp file is removed, so no partial output remains.
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask.  On any failure the temp file is removed, so no partial output
+    remains.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    umask = os.umask(0)  # os.umask sets the mask and returns the old one
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0o600
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -116,6 +125,59 @@ def _write_plot_script(path: Path, body: str) -> None:
     _write_atomic(path, lambda fh: fh.write(_PLOT_HEADER + body))
 
 
+# The config keys each command reads, block -> keys.  A key that the preset
+# or the config file gives outside its command's entry is a config error
+# (exit 2) at load, before anything is computed or written.  Every command
+# also takes inhomogeneity.seed, as it takes --seed, though the seed has an
+# effect only when both irradiance spreads are nonzero and n_samples > 1.
+_PROBE = ("irradiance_rel", "polarization_angle_deg")
+_RECORD = {  # what one ensemble-averaged record reads besides the probe and cloud
+    "microwave": ("rabi_kHz", "detuning_kHz"),
+    "inhomogeneity": ("probe_irradiance_rms_frac", "mw_irradiance_rms_frac", "n_samples"),
+    "simulation": ("t_span_ms", "dt_ms", "extra_loss_per_ms", "scattering_rate_per_ms",
+                   "pumping", "initial_state"),
+}
+READS = {
+    "spectra": {"probe": _PROBE, "cloud": ("od_resonant",),
+                "sweep": ("window_MHz", "n_points"), "output": ("plot_scripts",)},
+    "rabi": {"probe": ("detuning_MHz", *_PROBE), "cloud": ("od_resonant", "bias_field_G"),
+             **_RECORD, "output": ("plot_scripts",)},
+    "chevron": {
+        # chevron places each point's probe itself and does not read
+        # detuning_MHz.  It still takes the key: the chevron preset's "magic",
+        # resolved at load, is one of the n_theta + 1 magic searches that the
+        # chevron-scan benchmark workload counts.
+        "probe": ("detuning_MHz", *_PROBE), "cloud": ("bias_field_G",), **_RECORD,
+        "sweep": ("window_MHz", "n_points", "theta_min_deg", "theta_max_deg", "n_theta",
+                  "mask_gamma"),
+        "output": ("plot_scripts",)},
+    "measurement": {
+        "probe": _PROBE,
+        "cloud": ("atom_number", "cloud_radius_mm", "od_resonant", "probe_radius_mm",
+                  "bias_field_G"),
+        **_RECORD,
+        "sweep": ("window_MHz", "n_points", "mask_gamma"),
+        "output": ("plot_scripts", "detection_efficiency")},
+}
+
+
+def _check_given(command: str, given: dict[str, dict]) -> None:
+    """Raise :class:`ConfigError` for a given key that ``command`` does not
+    read, and for a probe irradiance given with the scattering rate that
+    replaces it."""
+    reads = READS[command]
+    unread = [f"{block}.{key}" for block, values in given.items() for key in values
+              if key not in reads.get(block, ()) and (block, key) != ("inhomogeneity", "seed")]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}, which the "
+                          "preset or the config file gives")
+    if ("irradiance_rel" in given.get("probe", {})
+            and given.get("simulation", {}).get("scattering_rate_per_ms") is not None):
+        raise ConfigError("probe.irradiance_rel is given with "
+                          "simulation.scattering_rate_per_ms, which recalibrates the probe "
+                          f"irradiance at every {command} operating point; give one of them")
+
+
 def build_setup(cfg: RunConfig) -> RunSetup:
     """The configured run: :func:`operating_point` at the probe detuning,
     which the config must give.
@@ -127,14 +189,6 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         raise ConfigError("probe.detuning_MHz is required (a number in MHz, or 'magic')")
     return operating_point(RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation),
                            cfg.probe.detuning_MHz)
-
-
-def _reject_detuning(cfg: RunConfig, command: str) -> None:
-    """Raise :class:`ConfigError` when the config places the probe of a
-    command that sets its detuning from the sweep grid alone."""
-    if cfg.probe.detuning_MHz is not None:
-        raise ConfigError(f"probe.detuning_MHz is not accepted by {command}, which "
-                          "takes every probe detuning from the sweep grid; remove the key")
 
 
 def _sweep_rows(point, grid: list[float], mask_gamma: float,
@@ -151,7 +205,6 @@ def _sweep_rows(point, grid: list[float], mask_gamma: float,
 
 def cmd_spectra(cfg: RunConfig, out: Path) -> None:
     """Phase spectra, differential shift, magic points."""
-    _reject_detuning(cfg, "spectra")
     sweep, probe = cfg.sweep, cfg.probe
     lo, hi = sweep.window_MHz
     points = find_magic_detunings(probe.polarization_angle_deg, (lo, hi),
@@ -244,7 +297,6 @@ def cmd_chevron(cfg: RunConfig, out: Path) -> None:
         else:
             theta_rows.append((float(th), math.nan, 0))
 
-    # each sweep point places the probe itself; probe.detuning_MHz goes unread
     setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
     point = partial(_chevron_point, setup, cfg.inhomogeneity)
     write_csv(out / "chevron.csv",
@@ -291,7 +343,6 @@ _MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
 
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     """tau_d / eta^2 / SNR sweep at constant scattering rate."""
-    _reject_detuning(cfg, "measurement")
     setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
     lo, hi = cfg.sweep.window_MHz
     magic = find_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))
@@ -395,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_out_dir(args.out)
-        cfg = load_config(args.config, preset=args.preset, seed=args.seed)
+        cfg = load_config(args.config, preset=args.preset, seed=args.seed,
+                          accept=partial(_check_given, args.command))
         _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,10 +7,11 @@ presets provide complete operating points for the shipped demo figures;
 a config file layered on top of a preset overrides individual keys.
 
 The probe detuning is optional: without it the probe is not placed
-(``ProbeConfig.detuning_MHz`` is ``None``), and each command decides
-whether it takes one (see :mod:`clockprobe.cli`).  A given ``"magic"``
-resolves at load to the differential-light-shift zero of the configured
-polarization angle inside the lower inter-resonance window.
+(``ProbeConfig.detuning_MHz`` is ``None``).  Which keys a command takes is
+the table ``READS`` in :mod:`clockprobe.cli`, which checks the keys given
+through ``load_config``'s ``accept``.  A given ``"magic"`` resolves at
+load to the differential-light-shift zero of the configured polarization
+angle inside the lower inter-resonance window.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
@@ -141,8 +142,9 @@ PRESETS: dict[str, dict[str, Any]] = {
         "sweep": {"window_MHz": [-1100.0, -60.0], "n_points": 301},
     },
     # Rabi-frequency chevron and magic-detuning-vs-angle scan.  chevron reads
-    # no probe.detuning_MHz; the magic search it costs at load is one of the
-    # n_theta + 1 that the chevron-scan benchmark's self-check counts.
+    # no probe.detuning_MHz, but its entry in cli.READS keeps the key: the
+    # magic search it costs at load is one of the n_theta + 1 that the
+    # chevron-scan benchmark's self-check counts.
     "chevron": {
         "probe": {"detuning_MHz": "magic", "irradiance_rel": 16.0},
         "microwave": {"rabi_kHz": 2.0},
@@ -242,10 +244,15 @@ def resolve_magic_detuning(theta_deg: float) -> float:
 
 
 def load_config(path: str | Path | None = None, preset: str | None = None,
-                seed: int | None = None) -> RunConfig:
+                seed: int | None = None,
+                accept: Callable[[dict[str, dict]], None] | None = None) -> RunConfig:
     """Load, merge (defaults <- preset <- file) and validate a RunConfig.
 
     ``seed`` overrides ``inhomogeneity.seed`` (CLI --seed flag).
+    ``accept``, when given, is called with the blocks and keys that the
+    preset and the file give, once every value has been validated and
+    before ``"magic"`` is resolved; it raises :class:`ConfigError` for a
+    key its caller does not take.
     """
     tree: dict[str, dict] = {}
     if preset is not None:
@@ -257,7 +264,8 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     if path is not None:
         path = Path(path)
         if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+            raise ConfigError(f"config file {path} is not a regular file"
+                              if path.exists() else f"config file not found: {path}")
         try:
             loaded = yaml.load(path.read_bytes(), Loader=_Loader)
         except yaml.YAMLError as exc:
@@ -267,25 +275,23 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     tree = _validate_tree(tree, source)
 
     probe_values = dict(tree.get("probe", {}))
-    magic = probe_values.get("detuning_MHz") == "magic"  # resolved once theta is checked
-    probe: ProbeConfig = _build_block(
-        "probe", {**probe_values, "detuning_MHz": None} if magic else probe_values, source)
-    if magic:
-        probe = replace(probe, detuning_MHz=resolve_magic_detuning(
-            probe.polarization_angle_deg))
-
-    microwave: MicrowaveConfig = _build_block(
-        "microwave", tree.get("microwave", {}), source)
+    magic = probe_values.get("detuning_MHz") == "magic"  # resolved after every check
     inhomog_values = dict(tree.get("inhomogeneity", {}))
     if seed is not None:
         inhomog_values["seed"] = int(seed)
-
-    return RunConfig(
+    cfg = RunConfig(
+        probe=_build_block("probe", {**probe_values, "detuning_MHz": None}
+                           if magic else probe_values, source),
+        microwave=_build_block("microwave", tree.get("microwave", {}), source),
         cloud=_build_block("cloud", tree.get("cloud", {}), source),
-        probe=probe,
-        microwave=microwave,
         inhomogeneity=_build_block("inhomogeneity", inhomog_values, source),
         simulation=_build_block("simulation", tree.get("simulation", {}), source),
         sweep=_build_block("sweep", tree.get("sweep", {}), source),
         output=_build_block("output", tree.get("output", {}), source),
     )
+    if accept is not None:
+        accept(tree)
+    if magic:
+        cfg = replace(cfg, probe=replace(cfg.probe, detuning_MHz=resolve_magic_detuning(
+            cfg.probe.polarization_angle_deg)))
+    return cfg

@@ -6,6 +6,7 @@ Kept out of the package: no program path computes with them.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from sympy.physics.wigner import wigner_6j
 
 from clockprobe.atom import EXCITED_HF_SPLITTING_MHZ, GAMMA_MHZ
@@ -59,3 +60,24 @@ def closed_form_xis(probe: ProbeConfig) -> tuple[float, float, float]:
     pref = GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel
     return tuple(pref * f * sum(w / (probe.detuning_MHz - r) for w, r in weights)
                  for f, weights in zip(f_k, _XI_WEIGHTS))
+
+
+def dominant_mode(generator: np.ndarray, rho0: np.ndarray,
+                  observable: np.ndarray) -> complex:
+    """Eigenvalue lambda (1/ms) of the oscillating mode that carries most of
+    Tr(observable rho(t)) for rho(t) = exp(generator t) rho0.
+
+    With the eigenpairs (lambda_k, V_k) of the generator, which acts on
+    row-stacked rho, Tr(observable rho(t)) = sum_k w_k exp(lambda_k t) with
+    w_k = (vec(observable^T) . V_k) (V^-1 vec(rho0))_k.  Of the modes with
+    Im lambda > 0 (beyond the eigensolver's noise on real eigenvalues), the
+    one of largest |w_k| is returned: Im lambda / 2 pi is its frequency in
+    kHz and -1 / Re lambda its envelope time in ms.  No fit and no time
+    grid enter.  The mode is picked by weight, not by nearness to a guess:
+    the mode nearest the analytic frequency is not always the one the
+    record shows.
+    """
+    lam, vecs = np.linalg.eig(generator)
+    weights = (observable.T.reshape(-1) @ vecs) * np.linalg.solve(vecs, rho0.reshape(-1))
+    oscillating = lam.imag > 1e-9 * np.abs(lam).max()
+    return complex(lam[np.argmax(np.where(oscillating, np.abs(weights), 0.0))])

@@ -1,11 +1,14 @@
 """Config loading/validation and CLI behaviour (exit codes, CSV contract)."""
 
 import csv
+import dataclasses
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from clockprobe import cli
 from clockprobe.atom import F3_BLOCK, F4_BLOCK, IDX_DOWN, IDX_UP
 from clockprobe.birefringence import state_phase_table
 from clockprobe.cli import SCHEMA_LINE, main
-from clockprobe.config import PRESETS, load_config
+from clockprobe.config import _BLOCK_TYPES, PRESETS, load_config
 from clockprobe.dynamics import SimulationConfig, run_simulation
 from clockprobe.ensemble import calibrated_irradiance
 from clockprobe.errors import (
@@ -153,6 +156,18 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.yaml")
+
+    def test_directory_as_config_file_names_the_cause(self, tmp_path, capsys):
+        # the path exists: "not found" would name the wrong cause
+        with pytest.raises(ConfigError, match="is not a regular file"):
+            load_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(tmp_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {tmp_path} is not a regular file" in err
+        assert "not found" not in err
+        assert not out.exists()
 
 
 class TestCliRuns:
@@ -350,9 +365,10 @@ sweep:
 
 
 class TestSweepsPlaceEveryPoint:
-    """The sweeps place each point's probe themselves.  chevron accepts a
-    probe.detuning_MHz it does not read, so the key cannot fail it, even on
-    the F=4 -> F'=4 resonance; spectra and measurement reject the key."""
+    """The sweeps place each point's probe themselves.  chevron's entry in
+    cli.READS keeps a probe.detuning_MHz that chevron does not read, so the
+    key cannot fail it, even on the F=4 -> F'=4 resonance; spectra and
+    measurement reject the key."""
 
     @staticmethod
     def _rows_at(tmp_path, command, detuning, extra):
@@ -365,8 +381,7 @@ class TestSweepsPlaceEveryPoint:
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
     @pytest.mark.parametrize("command,extra", [
-        ("chevron", "simulation:\n  scattering_rate_per_ms: 1.25\n"
-                    "sweep:\n  window_MHz: [-700.0, -200.0]\n  n_points: 2\n"
+        ("chevron", "sweep:\n  window_MHz: [-700.0, -200.0]\n  n_points: 2\n"
                     "  n_theta: 2\n"),
     ], ids=["chevron"])
     def test_on_resonance_probe_detuning_exits_0(self, tmp_path, command, extra):
@@ -376,19 +391,23 @@ class TestSweepsPlaceEveryPoint:
         # the outputs do not depend on the unread detuning at all
         assert on_resonance == self._rows_at(tmp_path, command, "magic", extra)
 
-    SMALL_SWEEPS = ("inhomogeneity:\n  n_samples: 2\n"
-                         "sweep:\n  window_MHz: [-345.0, -325.0]\n  n_points: 2\n"
-                         "output:\n  plot_scripts: false\n")
+    # spectra reads no inhomogeneity block
+    SMALL_SWEEPS = {
+        "spectra": "sweep:\n  window_MHz: [-345.0, -325.0]\n  n_points: 2\n"
+                   "output:\n  plot_scripts: false\n",
+        "measurement": "inhomogeneity:\n  n_samples: 2\n"
+                       "sweep:\n  window_MHz: [-345.0, -325.0]\n  n_points: 2\n"
+                       "output:\n  plot_scripts: false\n"}
 
     @pytest.mark.parametrize("command", ["spectra", "measurement"])
     @pytest.mark.parametrize("detuning", ["magic", "0.0", "-400.0"])
     def test_given_probe_detuning_exits_2(self, tmp_path, capsys, command, detuning):
         cfg = write(tmp_path, "c.yaml", f"probe:\n  detuning_MHz: {detuning}\n"
-                    + self.SMALL_SWEEPS)
+                    + self.SMALL_SWEEPS[command])
         out = tmp_path / "o"
         assert main([command, "--preset", command, "--config", str(cfg),
                      "--out", str(out)]) == 2
-        assert "probe.detuning_MHz is not accepted" in capsys.readouterr().err
+        assert f"{command} does not read probe.detuning_MHz," in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,table", [
@@ -397,7 +416,7 @@ class TestSweepsPlaceEveryPoint:
         # no differential-shift zero exists in the lower window at 10 deg;
         # the sweeps search none at load, and their tables report none
         cfg = write(tmp_path, "c.yaml", "probe:\n  polarization_angle_deg: 10.0\n"
-                    + self.SMALL_SWEEPS)
+                    + self.SMALL_SWEEPS[command])
         out = tmp_path / "o"
         assert main([command, "--preset", command, "--config", str(cfg),
                      "--out", str(out)]) == 0
@@ -499,13 +518,16 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
 
     def test_window_spanning_resonance_exits_2_for_rabi(self, tmp_path, capsys):
-        # rabi sweeps nothing, but the window rule holds at load for every
-        # command
-        cfg = write(tmp_path, "c.yaml", FAST_RABI + "sweep:\n  window_MHz: [-300, 100]\n")
+        # every value is checked at load before the keys a command reads, so
+        # the window rule names the window; rabi sweeps nothing, so a window
+        # clear of the resonances is rejected as a key rabi does not read
         out = tmp_path / "o"
-        assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "sweep.window_MHz" in capsys.readouterr().err
-        assert not out.exists()
+        for window, message in (("[-300, 100]", "sweep.window_MHz"),
+                                ("[-300, -100]", "rabi does not read sweep.window_MHz,")):
+            cfg = write(tmp_path, "c.yaml", FAST_RABI + f"sweep:\n  window_MHz: {window}\n")
+            assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_spectra_grid_emptied_by_resonance_margin_exits_2(self, tmp_path, capsys):
         # all five points lie within 0.91 MHz of F=4 -> F'=3 at -1168 MHz;
@@ -713,9 +735,9 @@ def test_plain_value_error_gets_no_exit_code(tmp_path, monkeypatch):
 
 
 # Exit-code fuzz: config trees that are valid, or valid but for one or two
-# broken entries, run through main() in-process.  The valid blocks are those
-# of tests/test_config.py, except that a rabi record has at most 8 steps and
-# 3 members.  The broken values include sizes far beyond any machine's
+# broken entries, run through main() in-process.  The valid trees hold the
+# keys of the command's entry in cli.READS, drawn as in tests/test_config.py,
+# except that a rabi record has at most 8 steps and 3 members.  The broken values include sizes far beyond any machine's
 # memory, which must fail at load, but never a size near it.
 _JUNK = st.sampled_from([
     math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300, -1e300, 1e-300, -1, 0,
@@ -730,34 +752,65 @@ def _short_simulations(draw):
             "dt_ms": dt}
 
 
-def _blocks(*names, **others):
-    return st.fixed_dictionaries({**{n: VALID_BLOCKS[n] for n in names}, **others})
+def _one_irradiance(tree):
+    """``tree`` without the probe irradiance when it gives the scattering
+    rate that recalibrates it: the two together exit 2."""
+    if tree.get("simulation", {}).get("scattering_rate_per_ms") is not None:
+        del tree["probe"]["irradiance_rel"]
+    return tree
+
+
+def _read_trees(command, **blocks):
+    """Valid trees of exactly the keys that ``command`` reads (cli.READS),
+    drawn from VALID_BLOCKS or from ``blocks``."""
+    return st.fixed_dictionaries({
+        block: blocks.get(block, VALID_BLOCKS[block]).map(
+            lambda values, keys=keys: {k: values[k] for k in keys})
+        for block, keys in cli.READS[command].items()}).map(_one_irradiance)
 
 
 FUZZ_TREES = {
-    # spectra rejects probe.detuning_MHz, so its trees draw none
-    "spectra": _blocks("cloud", "output", "sweep", probe=VALID_BLOCKS["probe"].map(
-        lambda probe: {k: v for k, v in probe.items() if k != "detuning_MHz"})),
-    "rabi": _blocks("probe", "cloud", "output", "microwave",
-                    simulation=_short_simulations(),
-                    inhomogeneity=st.fixed_dictionaries({
-                        "probe_irradiance_rms_frac": st.floats(0.0, 0.2),
-                        "mw_irradiance_rms_frac": st.floats(0.0, 0.05),
-                        "n_samples": st.integers(1, 3)})),
+    "spectra": _read_trees("spectra"),
+    "rabi": _read_trees("rabi", simulation=_short_simulations(),
+                        inhomogeneity=st.fixed_dictionaries({
+                            "probe_irradiance_rms_frac": st.floats(0.0, 0.2),
+                            "mw_irradiance_rms_frac": st.floats(0.0, 0.05),
+                            "n_samples": st.integers(1, 3)})),
 }
+
+# Each config key at its default value, which its type accepts.
+DEFAULTS = {block: {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+                    for f in dataclasses.fields(cls)}
+            for block, cls in _BLOCK_TYPES.items()}
+
+
+def _unread_keys(command):
+    """The (block, key) pairs outside ``command``'s entry in cli.READS, but
+    for inhomogeneity.seed, which every command takes."""
+    reads = cli.READS[command]
+    return [(block, key) for block, values in DEFAULTS.items() for key in values
+            if key not in reads.get(block, ()) and (block, key) != ("inhomogeneity", "seed")]
+
+
+def _gives_unread_key(command, tree):
+    reads = cli.READS[command]
+    return any(key not in reads.get(block, ()) for block, values in tree.items()
+               if isinstance(values, dict) for key in values)
 
 
 @st.composite
-def _broken(draw, trees):
-    """A valid tree with up to two entries broken: a junk value or block, an
-    unknown key or block, or a missing required key."""
-    tree = draw(trees)
+def _broken(draw, command):
+    """A valid tree of ``command`` with up to two entries broken: a junk value
+    or block, an unknown key or block, a missing required key or a key
+    outside the command's entry in cli.READS."""
+    tree = draw(FUZZ_TREES[command])
     for _ in range(draw(st.integers(0, 2))):
         blocks = sorted(b for b, values in tree.items() if isinstance(values, dict)
                         and values)
         block = draw(st.sampled_from(blocks))
         how = draw(st.sampled_from(["junk", "junk", "junk", "junk block",
-                                    "unknown key", "unknown block", "no detuning"]))
+                                    "unknown key", "unknown block", "no detuning",
+                                    "unread key"]))
         if how == "junk":
             key = draw(st.sampled_from(sorted(tree[block])))
             tree[block][key] = draw(_JUNK)
@@ -767,27 +820,33 @@ def _broken(draw, trees):
             tree[block]["bogus"] = 1.0
         elif how == "unknown block":
             tree["bogus"] = {}
+        elif how == "unread key":
+            block, key = draw(st.sampled_from(_unread_keys(command)))
+            if isinstance(tree.setdefault(block, {}), dict):
+                tree[block][key] = DEFAULTS[block][key]
         elif isinstance(tree["probe"], dict):
             tree["probe"].pop("detuning_MHz", None)
     return tree
 
 
 class TestExitCodeFuzz:
-    def _exit_code(self, command, tree):
+    @staticmethod
+    def _check_exit_code(command, tree):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "c.yaml"
             cfg.write_text(yaml.safe_dump(tree))
-            return main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code == 2 if _gives_unread_key(command, tree) else code in (0, 2, 3, 4)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(tree=_broken(FUZZ_TREES["spectra"]))
+    @given(tree=_broken("spectra"))
     def test_spectra_exits_with_a_contract_code(self, tree):
-        assert self._exit_code("spectra", tree) in (0, 2, 3, 4)
+        self._check_exit_code("spectra", tree)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(tree=_broken(FUZZ_TREES["rabi"]))
+    @given(tree=_broken("rabi"))
     def test_rabi_exits_with_a_contract_code(self, tree):
-        assert self._exit_code("rabi", tree) in (0, 2, 3, 4)
+        self._check_exit_code("rabi", tree)
 
     def test_oversized_ensemble_exits_2_at_load(self, tmp_path, capsys):
         # 1e15 members: the factor arrays would need petabytes
@@ -810,7 +869,149 @@ class TestExitCodeFuzz:
         assert not out.exists()
 
 
+# The ratchet on cli.READS.  For each command, a small config that runs in
+# a fraction of a second, and a new value for every key of the command's
+# entry; each new value must change the command's output bytes.  With zero
+# spreads a record is one evolution, not n_samples.
+_SWEEP_CONTEXT = {
+    "microwave": {"rabi_kHz": 8.0},
+    "inhomogeneity": {"probe_irradiance_rms_frac": 0.0, "n_samples": 2},
+    "simulation": {"t_span_ms": 0.5, "dt_ms": 0.01},
+    "output": {"plot_scripts": False}}
+# n_samples has an effect only with a spread: its change is made on top of one
+_CHANGED_WITH = {"inhomogeneity.n_samples": ("inhomogeneity.probe_irradiance_rms_frac", 0.1)}
+_RECORD_CHANGES = {
+    "microwave.rabi_kHz": 7.0, "microwave.detuning_kHz": 1.0,
+    "inhomogeneity.probe_irradiance_rms_frac": 0.1,
+    "inhomogeneity.mw_irradiance_rms_frac": 0.05, "inhomogeneity.n_samples": 3,
+    "simulation.extra_loss_per_ms": 0.5, "simulation.scattering_rate_per_ms": 1.0,
+    "simulation.pumping": False, "simulation.initial_state": "4,0",
+    "probe.irradiance_rel": 8.0, "probe.polarization_angle_deg": 40.0,
+    "cloud.bias_field_G": 0.4, "output.plot_scripts": True}
+# at 5 Gamma, -10 MHz is masked: one evaluated point, until mask_gamma drops
+_SWEEP_CHANGES = {**_RECORD_CHANGES, "simulation.t_span_ms": 0.6,
+                  "simulation.dt_ms": 0.005, "sweep.window_MHz": [-350.0, -10.0],
+                  "sweep.n_points": 3, "sweep.mask_gamma": 1.0}
+READ_CONTEXTS = {
+    "spectra": (
+        {"sweep": {"window_MHz": [-1100.0, -60.0], "n_points": 5},
+         "output": {"plot_scripts": False}},
+        {"probe.irradiance_rel": 8.0, "probe.polarization_angle_deg": 30.0,
+         "cloud.od_resonant": 3.0, "sweep.window_MHz": [-1000.0, -60.0],
+         "sweep.n_points": 6, "output.plot_scripts": True}),
+    "rabi": (
+        {**_SWEEP_CONTEXT, "probe": {"detuning_MHz": -335.0},
+         "simulation": {"t_span_ms": 0.0002, "dt_ms": 0.0001}},
+        {**_RECORD_CHANGES, "probe.detuning_MHz": -300.0, "cloud.od_resonant": 3.0,
+         "simulation.t_span_ms": 0.0003, "simulation.dt_ms": 0.00005}),
+    "chevron": (
+        {**_SWEEP_CONTEXT, "sweep": {"window_MHz": [-345.0, -10.0], "n_points": 2,
+                                     "n_theta": 2, "theta_min_deg": 40.0}},
+        {**_SWEEP_CHANGES, "sweep.theta_min_deg": 30.0, "sweep.theta_max_deg": 80.0,
+         "sweep.n_theta": 3}),
+    "measurement": (
+        {**_SWEEP_CONTEXT, "sweep": {"window_MHz": [-345.0, -10.0], "n_points": 2}},
+        {**_SWEEP_CHANGES, "cloud.atom_number": 1e6, "cloud.cloud_radius_mm": 0.3,
+         "cloud.od_resonant": 3.0, "cloud.probe_radius_mm": 1.0,
+         "output.detection_efficiency": 0.5}),
+}
+# Keys in cli.READS that change no output, each with a new value.
+UNREAD_ENTRIES = {"chevron": {"probe.detuning_MHz": 0.0}}
+
+
+def _with(tree, key, value):
+    block, name = key.split(".")
+    tree = {b: dict(values) for b, values in tree.items()}
+    tree.setdefault(block, {})[name] = value
+    return tree
+
+
+def _run(command, tree):
+    """Exit code and output files ({name: bytes}, or None for no --out
+    directory) of ``command`` on the config ``tree``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "c.yaml", Path(tmp) / "o"
+        cfg.write_text(yaml.safe_dump(tree))
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        return code, ({p.name: p.read_bytes() for p in out.iterdir()}
+                      if out.exists() else None)
+
+
+class TestEveryGivenKeyIsRead:
+    @pytest.mark.parametrize("command", list(cli.READS))
+    def test_contexts_change_every_key_of_the_entry(self, command):
+        entry = {f"{block}.{key}" for block, keys in cli.READS[command].items()
+                 for key in keys}
+        changes = READ_CONTEXTS[command][1]
+        assert sorted(changes) == sorted(entry - set(UNREAD_ENTRIES.get(command, {})))
+
+    @pytest.mark.parametrize("command", list(cli.READS))
+    def test_each_key_read_changes_the_outputs(self, command):
+        context, changes = READ_CONTEXTS[command]
+        code, reference = _run(command, context)
+        assert code == 0 and reference
+        unchanged = []
+        for key, value in changes.items():
+            base, ref = context, reference
+            if key in _CHANGED_WITH:
+                base = _with(context, *_CHANGED_WITH[key])
+                code, ref = _run(command, base)
+                assert code == 0 and ref != reference
+            if _run(command, _with(base, key, value)) == (0, ref):
+                unchanged.append(key)
+        assert unchanged == []
+        for key, value in UNREAD_ENTRIES.get(command, {}).items():
+            assert _run(command, _with(context, key, value)) == (0, reference), key
+
+    @pytest.mark.parametrize("command", list(cli.READS))
+    def test_each_key_not_read_exits_2(self, capsys, monkeypatch, command):
+        from clockprobe import ensemble
+
+        calls = []
+        monkeypatch.setattr(ensemble, "run_simulation", calls.append)
+        context = READ_CONTEXTS[command][0]
+        for block, key in _unread_keys(command):
+            tree = _with(context, f"{block}.{key}", DEFAULTS[block][key])
+            assert _run(command, tree) == (2, None), key
+            assert f"{command} does not read {block}.{key}," in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["rabi", "chevron", "measurement"])
+    def test_irradiance_with_scattering_rate_exits_2(self, capsys, monkeypatch,
+                                                      command):
+        # operating_point would overwrite the given irradiance
+        from clockprobe import ensemble
+
+        calls = []
+        monkeypatch.setattr(ensemble, "run_simulation", calls.append)
+        tree = _with(_with(READ_CONTEXTS[command][0], "probe.irradiance_rel", 8.0),
+                     "simulation.scattering_rate_per_ms", 1.0)
+        assert _run(command, tree) == (2, None)
+        err = capsys.readouterr().err
+        assert "probe.irradiance_rel is given with simulation.scattering_rate_per_ms" in err
+        assert f"every {command} operating point" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_each_preset_loads_under_its_command(self, preset):
+        command = "rabi" if preset.startswith("rabi") else preset
+        load_config(preset=preset, accept=partial(cli._check_given, command))
+
+
 class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+    def test_outputs_get_the_mode_of_a_plain_open(self, tmp_path, umask):
+        # mkstemp creates its file 0o600, and the rename keeps the mode
+        old = os.umask(umask)
+        try:
+            cli.write_csv(tmp_path / "a.csv", ["a"], [(1.0,)])
+            cli._write_plot_script(tmp_path / "plot.py", "pass\n")
+            open(tmp_path / "plain", "w").close()
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["a.csv", "plot.py", "plain"], 0o666 & ~umask)
+
     @pytest.mark.parametrize("write_file", [
         lambda path: cli.write_csv(path, ["a"], [(1.0,)]),
         lambda path: cli._write_plot_script(path, "pass\n"),

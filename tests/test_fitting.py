@@ -1,8 +1,22 @@
-"""Decaying-sinusoid fitting on synthetic records."""
+"""Decaying-sinusoid fitting on synthetic records, and on simulated ones
+against the generator's dominant mode."""
 
 import numpy as np
 import pytest
+from closed_forms import dominant_mode
 
+from clockprobe.atom import IDX_DOWN, IDX_UP, N_GROUND
+from clockprobe.cli import _chevron_point
+from clockprobe.config import load_config
+from clockprobe.dynamics import (
+    MicrowaveConfig,
+    RunSetup,
+    build_hamiltonian,
+    liouvillian,
+    pumping_jump_operators,
+    pure_state,
+)
+from clockprobe.ensemble import operating_point
 from clockprobe.errors import FitFailureError
 from clockprobe.fitting import (
     _analytic_signal,
@@ -109,3 +123,63 @@ class TestMovingAverage:
             ref = uniform_filter1d(y, size, mode="nearest")
             assert np.array_equal(_moving_average(y, size).view(np.uint64),
                                   ref.view(np.uint64))
+
+
+def _s3_generator(setup):
+    """The Lindblad generator of ``setup``, as run_simulation builds it."""
+    sim = setup.simulation
+    jumps = (pumping_jump_operators(setup.probe,
+                                    total_rate_per_ms=sim.scattering_rate_per_ms)
+             if sim.pumping else [])
+    return liouvillian(build_hamiltonian(setup.probe, setup.microwave,
+                                         setup.cloud.bias_field_G),
+                       jumps, sim.extra_loss_per_ms)
+
+
+S3 = np.diag([1.0 if i == IDX_UP else -1.0 if i == IDX_DOWN else 0.0
+              for i in range(N_GROUND)])
+
+
+class TestAgainstTheDominantMode:
+    """The fitted and the analytic Rabi frequency against the frequency of
+    the generator's dominant s3 mode, a yardstick with no fit in it.
+
+    FIT_NOISE is how far 1e-15 relative noise on a record moves a fitted
+    frequency (up to 2.0e-5): each fit bound is today's distance plus
+    that.  The analytic frequency involves no fit, so its bound is today's
+    distance plus 5 %.  Over the chevron preset's 46 points the medians
+    are 3.6e-5 (fit) and 3.9e-5 (formula).
+    """
+
+    FIT_NOISE = 2.5e-5
+    # point: (fit-to-mode, formula-to-mode) relative distances today
+    TODAY = {
+        "rabi-ideal": (5.9e-7, 2.42e-3),
+        -1000.0: (5.77e-5, 2.79e-6),
+        -700.0: (1.58e-5, 1.39e-5),
+        -520.0: (4.99e-5, 5.16e-5),
+        -340.0: (3.7e-6, 2.32e-3),  # near magic, damping pulls the mode below chi
+        -100.0: (8.62e-4, 6.29e-5),  # the largest fit-to-mode distance of the grid
+    }
+
+    def test_mode_of_a_bare_drive_is_its_rabi_frequency(self):
+        # no probe and no loss: s3 oscillates at chi with no damping
+        mw = MicrowaveConfig(rabi_kHz=2.0)
+        lam = dominant_mode(liouvillian(build_hamiltonian(None, mw, 0.5), [], 0.0),
+                            pure_state(3, 0), S3)
+        assert lam.imag / (2 * np.pi) == pytest.approx(2.0, rel=1e-12)
+        assert abs(lam.real) < 1e-9
+
+    @pytest.mark.parametrize("point", list(TODAY), ids=str)
+    def test_fit_and_formula_stay_near_the_mode(self, point):
+        preset = "rabi-ideal" if point == "rabi-ideal" else "chevron"
+        cfg = load_config(preset=preset)
+        setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
+        det = cfg.probe.detuning_MHz if point == "rabi-ideal" else point
+        omega, analytic, _ = _chevron_point(setup, cfg.inhomogeneity, det)
+        lam = dominant_mode(_s3_generator(operating_point(setup, det)),
+                            cfg.simulation.initial_density_matrix(), S3)
+        mode = lam.imag / (2 * np.pi)
+        fit_today, formula_today = self.TODAY[point]
+        assert abs(omega - mode) / mode <= fit_today + self.FIT_NOISE
+        assert abs(analytic - mode) / mode <= 1.05 * formula_today

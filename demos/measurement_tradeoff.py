@@ -44,10 +44,10 @@ print(f"constant scattering rate ({1 / rate:.1f} ms)^-1, "
 print(f"{'detuning (MHz)':>15} {'tau_d (ms)':>11} {'eta^2':>10} {'pn_snr':>8}")
 # ideal detection (efficiency 1); points within 5 linewidths of a resonance masked
 figure = partial(measurement_figure, setup, inhomog, 1.0)
-for fig, masked, error in sweep(figure, grid, mask_gamma=5.0):
+for det, (fig, masked, error) in zip(grid, sweep(figure, grid, mask_gamma=5.0)):
     if masked or error:
         continue
-    print(f"{fig.detuning_MHz:15.1f} {fig.tau_d_ms:11.3f} "
+    print(f"{det:15.1f} {fig.tau_d_ms:11.3f} "
           f"{fig.eta_sq:10.3g} {fig.pn_snr:8.3f}")
 
 print("\nAway from the magic point the inhomogeneous light shift dephases")

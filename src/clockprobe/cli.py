@@ -55,14 +55,15 @@ from .birefringence import state_phase_table
 from .config import RunConfig, load_config
 from .dynamics import RunSetup
 from .ensemble import (
+    ChevronPoint,
+    MeasurementFigure,
+    chevron_point,
     ensemble_average,
-    generalized_rabi_kHz,
     measurement_figure,
     operating_point,
     sweep,
 )
 from .errors import ClockProbeError, ConfigError, FitFailureError
-from .fitting import rabi_frequency
 from .lightshift import clear_of_resonances, differential_clock_shift, find_magic_detunings
 
 __all__ = ["main"]
@@ -110,9 +111,7 @@ def write_csv(path: Path, columns: list[str], rows) -> None:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return v
+    return f"{v:.12g}" if isinstance(v, float) else v
 
 
 _PLOT_HEADER = ("#!/usr/bin/env python3\n"
@@ -191,13 +190,18 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                            cfg.probe.detuning_MHz)
 
 
-def _sweep_rows(point, grid: list[float], mask_gamma: float,
-                n_values: int) -> list[tuple]:
-    """``(detuning, *point(det), masked, error)`` for each :func:`sweep`
-    outcome; a masked or failed point gets ``n_values`` NaNs."""
-    nan = (math.nan,) * n_values
-    return [(det, *(values or nan), int(masked), error)
-            for det, (values, masked, error) in zip(grid, sweep(point, grid, mask_gamma))]
+def _write_sweep(path: Path, point, point_type, grid: list[float],
+                 mask_gamma: float) -> list[tuple]:
+    """Write ``(detuning, *point(det), masked, error)`` per :func:`sweep`
+    outcome under the fields of ``point_type``, the ``NamedTuple`` that
+    ``point`` returns, with NaNs for a masked or failed point; return
+    ``(detuning, point(det))`` for the other points."""
+    outcomes = list(zip(grid, sweep(point, grid, mask_gamma)))
+    nan = (math.nan,) * len(point_type._fields)
+    write_csv(path, ["detuning_MHz", *point_type._fields, "masked", "error"],
+              [(det, *(values or nan), int(masked), error)
+               for det, (values, masked, error) in outcomes])
+    return [(det, values) for det, (values, _, _) in outcomes if values is not None]
 
 
 # ---------------------------------------------------------------- spectra
@@ -273,37 +277,18 @@ fig.savefig("rabi.png", dpi=150)
 # ---------------------------------------------------------------- chevron
 
 
-def _chevron_point(setup: RunSetup, inhomog,
-                   det: float) -> tuple[float, float, float]:
-    """Simulated and analytic Rabi frequency (kHz) at one detuning, and
-    their relative residual."""
-    point = operating_point(setup, det)
-    analytic = generalized_rabi_kHz(point)
-    omega = rabi_frequency(ensemble_average(point, inhomog), freq_hint_kHz=analytic)
-    return omega, analytic, abs(omega - analytic) / analytic
-
-
 def cmd_chevron(cfg: RunConfig, out: Path) -> None:
     """Rabi frequency vs detuning + magic detuning vs angle."""
     sw = cfg.sweep
     lo, hi = sw.window_MHz
-    thetas = np.linspace(sw.theta_min_deg, sw.theta_max_deg, sw.n_theta)
     theta_rows = []
-    for th in thetas:
-        pts = find_magic_detunings(float(th), (lo, hi),
-                                   irradiance_rel=cfg.probe.irradiance_rel)
-        if pts:
-            theta_rows.append((float(th), pts[0].detuning_MHz, 1))
-        else:
-            theta_rows.append((float(th), math.nan, 0))
+    for th in np.linspace(sw.theta_min_deg, sw.theta_max_deg, sw.n_theta).tolist():
+        pts = find_magic_detunings(th, (lo, hi), irradiance_rel=cfg.probe.irradiance_rel)
+        theta_rows.append((th, pts[0].detuning_MHz, 1) if pts else (th, math.nan, 0))
 
     setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
-    point = partial(_chevron_point, setup, cfg.inhomogeneity)
-    write_csv(out / "chevron.csv",
-              ["detuning_MHz", "omega_kHz", "omega_analytic_kHz",
-               "rel_residual", "masked", "error"],
-              _sweep_rows(point, np.linspace(lo, hi, sw.n_points).tolist(),
-                          sw.mask_gamma, 3))
+    _write_sweep(out / "chevron.csv", partial(chevron_point, setup, cfg.inhomogeneity),
+                 ChevronPoint, np.linspace(lo, hi, sw.n_points).tolist(), sw.mask_gamma)
     write_csv(out / "magic_vs_theta.csv",
               ["polarization_angle_deg", "magic_detuning_MHz", "found"],
               theta_rows)
@@ -330,17 +315,6 @@ fig.tight_layout(); fig.savefig("chevron.png", dpi=150)
 # ------------------------------------------------------------ measurement
 
 
-def _measurement_point(setup: RunSetup, inhomog, detection_efficiency: float,
-                       det: float) -> tuple[float, ...]:
-    """tau_d, Omega, eta, eta^2 and projection-noise SNR at one detuning."""
-    f = measurement_figure(setup, inhomog, detection_efficiency, det)
-    return f.tau_d_ms, f.omega_kHz, f.eta, f.eta_sq, f.pn_snr
-
-
-_MEASUREMENT_COLUMNS = ["detuning_MHz", "tau_d_ms", "omega_kHz", "eta",
-                        "eta_sq", "pn_snr", "masked", "error"]
-
-
 def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     """tau_d / eta^2 / SNR sweep at constant scattering rate."""
     setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
@@ -348,35 +322,32 @@ def cmd_measurement(cfg: RunConfig, out: Path) -> None:
     magic = find_magic_detunings(cfg.probe.polarization_angle_deg, (lo, hi))
     grid = np.linspace(lo, hi, cfg.sweep.n_points).tolist()
 
-    def run_sweep(setup: RunSetup) -> list[tuple]:
-        point = partial(_measurement_point, setup, cfg.inhomogeneity,
-                        cfg.output.detection_efficiency)
-        return _sweep_rows(point, grid, cfg.sweep.mask_gamma, 5)
+    def run_sweep(name: str, setup: RunSetup) -> list[tuple]:
+        figure = partial(measurement_figure, setup, cfg.inhomogeneity,
+                         cfg.output.detection_efficiency)
+        return _write_sweep(out / name, figure, MeasurementFigure, grid, cfg.sweep.mask_gamma)
 
-    rows = run_sweep(setup)
-    write_csv(out / "measurement.csv", _MEASUREMENT_COLUMNS, rows)
+    ok = run_sweep("measurement.csv", setup)  # neither masked nor failed
     if cfg.simulation.extra_loss_per_ms > 0:
-        write_csv(out / "measurement_no_loss.csv", _MEASUREMENT_COLUMNS,
-                  run_sweep(replace(setup, simulation=replace(
-                      setup.simulation, extra_loss_per_ms=0.0))))
+        run_sweep("measurement_no_loss.csv", replace(setup, simulation=replace(
+            setup.simulation, extra_loss_per_ms=0.0)))
 
-    ok = [row for row in rows if not row[-2] and not row[-1]]  # not masked, no error
     summary_rows = []
     if magic:
         summary_rows.append(("magic_detuning_MHz", magic[0].detuning_MHz))
     if ok:
-        det_tau, tau_peak, *_ = max(ok, key=lambda row: row[1])
-        det_eta, _, _, _, eta_sq_peak, pn_peak, _, _ = max(ok, key=lambda row: row[4])
+        det_tau, at_tau = max(ok, key=lambda point: point[1].tau_d_ms)
+        det_eta, at_eta = max(ok, key=lambda point: point[1].eta_sq)
         # extrapolation to OD = 1e3 at fixed geometry: atom number and
         # phase both scale with OD, so the SNR scales as sqrt(OD)
         ratio = math.sqrt(1e3 / cfg.cloud.od_resonant)
         summary_rows += [
             ("tau_d_peak_detuning_MHz", det_tau),
-            ("tau_d_peak_ms", tau_peak),
+            ("tau_d_peak_ms", at_tau.tau_d_ms),
             ("eta_sq_peak_detuning_MHz", det_eta),
-            ("eta_sq_peak", eta_sq_peak),
-            ("pn_snr_at_eta_sq_peak", pn_peak),
-            ("pn_snr_od_1000", pn_peak * ratio),
+            ("eta_sq_peak", at_eta.eta_sq),
+            ("pn_snr_at_eta_sq_peak", at_eta.pn_snr),
+            ("pn_snr_od_1000", at_eta.pn_snr * ratio),
             ("pn_snr_ratio_od_1000", ratio),
         ]
     write_csv(out / "summary.csv", ["quantity", "value"], summary_rows)

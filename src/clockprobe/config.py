@@ -108,9 +108,9 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    cloud: CloudConfig
     probe: ProbeConfig
     microwave: MicrowaveConfig
+    cloud: CloudConfig
     inhomogeneity: InhomogeneityConfig
     simulation: SimulationConfig
     sweep: SweepConfig
@@ -164,14 +164,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 _BLOCK_TYPES = typing.get_type_hints(RunConfig)  # block name -> its dataclass
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = {k: dict(v) for k, v in base.items()}
-    for block, values in override.items():
-        out.setdefault(block, {})
-        out[block].update(values)
-    return out
 
 
 def _validate_tree(tree: Any, source: str) -> dict:
@@ -248,7 +240,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
                 accept: Callable[[dict[str, dict]], None] | None = None) -> RunConfig:
     """Load, merge (defaults <- preset <- file) and validate a RunConfig.
 
-    ``seed`` overrides ``inhomogeneity.seed`` (CLI --seed flag).
+    ``seed`` overrides ``inhomogeneity.seed`` (CLI --seed flag).  A file's
+    ``simulation.scattering_rate_per_ms`` overrides the preset's
+    ``probe.irradiance_rel``, which the rate recalibrates.
     ``accept``, when given, is called with the blocks and keys that the
     preset and the file give, once every value has been validated and
     before ``"magic"`` is resolved; it raises :class:`ConfigError` for a
@@ -257,38 +251,32 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     tree: dict[str, dict] = {}
     if preset is not None:
         if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset '{preset}' (available: {sorted(PRESETS)})"
-            )
-        tree = _merge(tree, {k: dict(v) for k, v in PRESETS[preset].items()})
+            raise ConfigError(f"unknown preset '{preset}' (available: {sorted(PRESETS)})")
+        tree = {block: dict(values) for block, values in PRESETS[preset].items()}
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file {path} is not a regular file"
                               if path.exists() else f"config file not found: {path}")
         try:
-            loaded = yaml.load(path.read_bytes(), Loader=_Loader)
+            loaded = _validate_tree(yaml.load(path.read_bytes(), Loader=_Loader), str(path))
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-        tree = _merge(tree, _validate_tree(loaded, str(path)))
+        if (loaded.get("simulation", {}).get("scattering_rate_per_ms") is not None
+                and "irradiance_rel" not in loaded.get("probe", {})):
+            tree.get("probe", {}).pop("irradiance_rel", None)
+        for block, values in loaded.items():
+            tree.setdefault(block, {}).update(values)
     source = str(path) if path is not None else (preset or "defaults")
-    tree = _validate_tree(tree, source)
 
-    probe_values = dict(tree.get("probe", {}))
-    magic = probe_values.get("detuning_MHz") == "magic"  # resolved after every check
-    inhomog_values = dict(tree.get("inhomogeneity", {}))
+    values = {block: dict(tree.get(block, {})) for block in _BLOCK_TYPES}
+    magic = values["probe"].get("detuning_MHz") == "magic"  # resolved after every check
+    if magic:
+        values["probe"]["detuning_MHz"] = None
     if seed is not None:
-        inhomog_values["seed"] = int(seed)
-    cfg = RunConfig(
-        probe=_build_block("probe", {**probe_values, "detuning_MHz": None}
-                           if magic else probe_values, source),
-        microwave=_build_block("microwave", tree.get("microwave", {}), source),
-        cloud=_build_block("cloud", tree.get("cloud", {}), source),
-        inhomogeneity=_build_block("inhomogeneity", inhomog_values, source),
-        simulation=_build_block("simulation", tree.get("simulation", {}), source),
-        sweep=_build_block("sweep", tree.get("sweep", {}), source),
-        output=_build_block("output", tree.get("output", {}), source),
-    )
+        values["inhomogeneity"]["seed"] = int(seed)
+    cfg = RunConfig(**{block: _build_block(block, values[block], source)
+                       for block in _BLOCK_TYPES})
     if accept is not None:
         accept(tree)
     if magic:

@@ -38,7 +38,7 @@ from .errors import InvariantViolationError
 from .lightshift import (
     ProbeConfig,
     amplitude_tensor,
-    check_off_resonance,
+    check_far_detuned,
     excited_detunings_MHz,
     light_shift_matrix,
     spherical_polarization,
@@ -120,7 +120,7 @@ def pumping_jump_operators(probe: ProbeConfig, total_rate_per_ms: float | None =
     the equal clock-state mixture matches it exactly; otherwise rates
     follow I/Delta^2 from the configured irradiance.
     """
-    check_off_resonance(probe.detuning_MHz)
+    check_far_detuned(probe)
     a = amplitude_tensor()
     eps = spherical_polarization(probe.polarization_angle_deg)
     dets = excited_detunings_MHz(probe.detuning_MHz)

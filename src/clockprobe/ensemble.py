@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -33,11 +34,13 @@ from .lightshift import ProbeConfig, dressed_clock_shift, resonance_distance
 
 __all__ = [
     "InhomogeneityConfig",
+    "ChevronPoint",
     "MeasurementFigure",
     "ensemble_average",
     "calibrated_irradiance",
     "generalized_rabi_kHz",
     "operating_point",
+    "chevron_point",
     "measurement_figure",
     "sweep",
 ]
@@ -67,19 +70,22 @@ class InhomogeneityConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class MeasurementFigure:
-    """Figures of merit at one probe operating point."""
+class ChevronPoint(NamedTuple):
+    """Fitted and analytic Rabi frequency and their residual: chevron.csv's columns."""
 
-    detuning_MHz: float
+    omega_kHz: float
+    omega_analytic_kHz: float
+    rel_residual: float
+
+
+class MeasurementFigure(NamedTuple):
+    """Figures of merit at one operating point: measurement.csv's columns."""
+
     tau_d_ms: float
     omega_kHz: float
     eta: float
+    eta_sq: float
     pn_snr: float
-
-    @property
-    def eta_sq(self) -> float:
-        return self.eta**2
 
 
 def _stratified_factors(rms_frac: float, n: int) -> np.ndarray:
@@ -139,11 +145,12 @@ def calibrated_irradiance(detuning_MHz: float, theta_deg: float,
     """I/I_sat giving ``target_rate_per_ms`` for the equal clock mixture.
 
     Implements the constant-scattering-rate sweep protocol: the rate is
-    linear in irradiance, so one unit-irradiance evaluation fixes the
-    scale.
+    linear in irradiance, so one evaluation fixes the scale.  It is taken at
+    2**-20 I_sat, far below what :func:`check_far_detuned` rejects, so that
+    only the calibrated probe is judged; a power of two scales exactly.
     """
-    jumps = pumping_jump_operators(ProbeConfig(detuning_MHz, 1.0, theta_deg))
-    r_unit = scattering_rate_per_ms(jumps, clock_mixture(0.5))
+    jumps = pumping_jump_operators(ProbeConfig(detuning_MHz, 2.0**-20, theta_deg))
+    r_unit = scattering_rate_per_ms(jumps, clock_mixture(0.5)) * 2.0**20
     return target_rate_per_ms / r_unit
 
 
@@ -183,12 +190,23 @@ def sweep(point, detunings_MHz, mask_gamma: float) -> list[tuple]:
     return rows
 
 
+def chevron_point(setup: RunSetup, inhomog: InhomogeneityConfig,
+                  det: float) -> ChevronPoint:
+    """Fitted Rabi frequency of the ensemble at :func:`operating_point`
+    ``(setup, det)`` against :func:`generalized_rabi_kHz`; ``det`` comes
+    last, so that a ``partial`` of the rest is a :func:`sweep` point."""
+    point = operating_point(setup, det)
+    analytic = generalized_rabi_kHz(point)
+    omega = rabi_frequency(ensemble_average(point, inhomog), freq_hint_kHz=analytic)
+    return ChevronPoint(omega, analytic, abs(omega - analytic) / analytic)
+
+
 def measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
                        detection_efficiency: float,
                        det: float) -> MeasurementFigure:
     """Fitted tau_d and Omega, eta and projection-noise SNR of the ensemble
-    at :func:`operating_point` ``(setup, det)``; ``det`` comes last, so that
-    a ``partial`` of the rest is a :func:`sweep` point."""
+    at :func:`operating_point` ``(setup, det)``, a :func:`sweep` point as
+    :func:`chevron_point` is."""
     point = operating_point(setup, det)
     hint = generalized_rabi_kHz(point)
     rec = ensemble_average(point, inhomog)
@@ -197,4 +215,4 @@ def measurement_figure(setup: RunSetup, inhomog: InhomogeneityConfig,
     eta = snr_eta(point.probe, setup.cloud, tau_ms * 1e-3, detection_efficiency)
     pn = projection_noise_snr(point.probe, setup.cloud, tau_ms * 1e-3,
                               detection_efficiency)
-    return MeasurementFigure(det, tau_ms, omega, eta, pn)
+    return MeasurementFigure(tau_ms, omega, eta, eta**2, pn)

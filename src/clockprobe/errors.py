@@ -18,12 +18,13 @@ class ClockProbeError(Exception):
 class ResonanceProximityError(ClockProbeError):
     """Probe detuning too close to an atomic resonance for the dispersive model."""
 
-    def __init__(self, detuning_MHz: float, nearest_resonance_MHz: float, label: str):
+    def __init__(self, detuning_MHz: float, nearest_resonance_MHz: float, label: str,
+                 why: str = "is within 0.1 Gamma of"):
         self.detuning_MHz = detuning_MHz
         self.nearest_resonance_MHz = nearest_resonance_MHz
         self.label = label
         super().__init__(
-            f"probe detuning {detuning_MHz:g} MHz is within 0.1 Gamma of the "
+            f"probe detuning {detuning_MHz:g} MHz {why} the "
             f"{label} resonance at {nearest_resonance_MHz:g} MHz"
         )
 

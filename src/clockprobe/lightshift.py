@@ -46,6 +46,7 @@ __all__ = [
     "check_window_clear",
     "excited_detunings_MHz",
     "check_off_resonance",
+    "check_far_detuned",
     "pole_sum",
     "light_shift_matrix",
     "build_light_shift",
@@ -175,6 +176,25 @@ def check_off_resonance(detuning_MHz) -> None:
         raise ResonanceProximityError(float(d[i]), float(_POSITIONS[k]), _LABELS[k])
 
 
+def check_far_detuned(probe: ProbeConfig) -> None:
+    """Raise :class:`ResonanceProximityError` unless the probe's saturation
+    s_eff = (I/I_sat) max_g sum_F' s[g, F'] / (1 + 4 (Delta - r[g, F'])^2 / Gamma^2)
+    is at most 0.01, where the 1/(1 + s) that the dispersive shift and rates
+    drop is within 1 %; within 0.1 Gamma :func:`check_off_resonance` raises
+    at any irradiance.  A probe whose ``detuning_MHz`` is None raises ValueError."""
+    if probe.detuning_MHz is None:
+        raise ValueError("probe.detuning_MHz is None: the probe is not placed yet")
+    s, r = line_strengths(spherical_polarization(probe.polarization_angle_deg))
+    s_eff = probe.irradiance_rel * float(
+        (s / (1.0 + 4.0 * ((probe.detuning_MHz - r) / GAMMA_MHZ) ** 2)).sum(axis=1).max())
+    if s_eff > 0.01:
+        k = int(resonance_distance(probe.detuning_MHz).argmin())
+        raise ResonanceProximityError(probe.detuning_MHz, float(_POSITIONS[k]), _LABELS[k],
+                                      f"saturates the atoms (s_eff = {s_eff:.3g} > 0.01 "
+                                      f"at {probe.irradiance_rel:.3g} I_sat) near")
+    check_off_resonance(probe.detuning_MHz)
+
+
 def pole_sum(weights: np.ndarray, poles: np.ndarray, detuning_MHz) -> np.ndarray:
     """Sum of weights / (Delta - poles) over the last axis, Delta's shape in front."""
     d = np.reshape(detuning_MHz, np.shape(detuning_MHz) + (1,) * np.ndim(poles))
@@ -189,11 +209,11 @@ def excited_detunings_MHz(detuning_MHz: float) -> np.ndarray:
 def light_shift_matrix(probe: ProbeConfig) -> np.ndarray:
     """Hermitian 16x16 light-shift operator (MHz) of the probe.
 
-    Raises :class:`ResonanceProximityError` within 0.1 Gamma of any D1
-    resonance, where the dispersive model diverges.
+    Raises :class:`ResonanceProximityError` where the probe saturates the
+    atoms beyond the dispersive model (:func:`check_far_detuned`).
     """
+    check_far_detuned(probe)
     polarization = spherical_polarization(probe.polarization_angle_deg)
-    check_off_resonance(probe.detuning_MHz)
     exc = amplitude_tensor() @ polarization  # exc[g, e] = sum_q eps_q a[g, e, q]
     dets = excited_detunings_MHz(probe.detuning_MHz)
     pref = GAMMA_MHZ**2 / 8.0 * probe.irradiance_rel

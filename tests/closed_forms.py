@@ -10,7 +10,13 @@ import numpy as np
 from sympy.physics.wigner import wigner_6j
 
 from clockprobe.atom import EXCITED_HF_SPLITTING_MHZ, GAMMA_MHZ
-from clockprobe.lightshift import RESONANCES_MHZ, ProbeConfig, spherical_polarization
+from clockprobe.lightshift import (
+    RESONANCES_MHZ,
+    ProbeConfig,
+    amplitude_tensor,
+    excited_detunings_MHz,
+    spherical_polarization,
+)
 
 
 @dataclass(frozen=True)
@@ -81,3 +87,16 @@ def dominant_mode(generator: np.ndarray, rho0: np.ndarray,
     weights = (observable.T.reshape(-1) @ vecs) * np.linalg.solve(vecs, rho0.reshape(-1))
     oscillating = lam.imag > 1e-9 * np.abs(lam).max()
     return complex(lam[np.argmax(np.where(oscillating, np.abs(weights), 0.0))])
+
+
+def saturation(probe: ProbeConfig) -> float:
+    """s_eff = (I/I_sat) times the largest, over ground states g, of the sum
+    over excited states e of |<e|eps.d|g>|^2 / (1 + 4 delta_ge^2 / Gamma^2).
+
+    Summed pair by pair over the 16 x 16 detunings, not by line strength
+    per F'.
+    """
+    exc = amplitude_tensor() @ spherical_polarization(probe.polarization_angle_deg)
+    lorentz = 1.0 / (1.0 + 4.0 * (excited_detunings_MHz(probe.detuning_MHz)
+                                  / GAMMA_MHZ) ** 2)
+    return probe.irradiance_rel * float((np.abs(exc) ** 2 * lorentz).sum(axis=1).max())

@@ -211,7 +211,8 @@ def _strength_sweep(grid, probe_rms):
     n = 16 if (probe_rms or 0.015) else 1
     inh = InhomogeneityConfig(probe_rms, 0.015, n_samples=n, seed=0)
     outcomes = sweep(partial(measurement_figure, setup, inh, 1.0), grid, 5.0)
-    return [fig for fig, masked, error in outcomes if not masked and not error]
+    return [(det, fig) for det, (fig, masked, error) in zip(grid, outcomes)
+            if not masked and not error]
 
 
 SWEEP_GRID = [-635.0, -485.0, -385.0, -345.0, MAGIC, -325.0, -285.0, -185.0]
@@ -224,32 +225,32 @@ def sweep_with_spread():
 
 def test_07_sweep_peaks_at_magic(sweep_with_spread):
     ok_points = sweep_with_spread
-    peak_tau = max(ok_points, key=lambda f: f.tau_d_ms)
-    peak_eta = max(ok_points, key=lambda f: f.eta_sq)
+    det_tau, _ = max(ok_points, key=lambda p: p[1].tau_d_ms)
+    det_eta, _ = max(ok_points, key=lambda p: p[1].eta_sq)
     homog = _strength_sweep(SWEEP_GRID, probe_rms=0.0)
-    contrast = lambda figs: (max(f.tau_d_ms for f in figs)
-                             / min(f.tau_d_ms for f in figs))
+    contrast = lambda points: (max(f.tau_d_ms for _, f in points)
+                               / min(f.tau_d_ms for _, f in points))
     c_spread, c_homog = contrast(ok_points), contrast(homog)
-    tau_ok = abs(peak_tau.detuning_MHz - MAGIC) <= 15.0
-    eta_ok = abs(peak_eta.detuning_MHz - MAGIC) <= 15.0
+    tau_ok = abs(det_tau - MAGIC) <= 15.0
+    eta_ok = abs(det_eta - MAGIC) <= 15.0
     flat_ok = c_spread / c_homog >= 2.0
     ok = tau_ok and eta_ok and flat_ok
     _report("07 sweep shape", ok,
-            f"tau_d peak at {peak_tau.detuning_MHz:.1f} MHz, eta^2 peak at "
-            f"{peak_eta.detuning_MHz:.1f} MHz (magic {MAGIC:.1f} +/- 15); "
+            f"tau_d peak at {det_tau:.1f} MHz, eta^2 peak at "
+            f"{det_eta:.1f} MHz (magic {MAGIC:.1f} +/- 15); "
             f"tau_d max/min contrast {c_spread:.2f} with 15% spread vs "
             f"{c_homog:.2f} without ({c_spread / c_homog:.1f}x >= 2x)")
 
 
 def test_08_projection_noise_snr_scaling(sweep_with_spread):
-    at_magic = min(sweep_with_spread, key=lambda f: abs(f.detuning_MHz - MAGIC))
+    det, at_magic = min(sweep_with_spread, key=lambda p: abs(p[0] - MAGIC))
     pn_small = at_magic.pn_snr
     cloud = CloudConfig(od_resonant=2.5)
     scale = 1e3 / cloud.od_resonant
     big = replace(cloud, od_resonant=1e3,
                   atom_number=cloud.atom_number * scale)
-    s_cal = calibrated_irradiance(at_magic.detuning_MHz, 45.0, 1.25)
-    probe = ProbeConfig(at_magic.detuning_MHz, s_cal, 45.0)
+    s_cal = calibrated_irradiance(det, 45.0, 1.25)
+    probe = ProbeConfig(det, s_cal, 45.0)
     pn_big = projection_noise_snr(probe, big,
                                   at_magic.tau_d_ms * 1e-3)
     ratio = pn_big / pn_small

@@ -18,12 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockprobe import cli
-from clockprobe.atom import F3_BLOCK, F4_BLOCK, IDX_DOWN, IDX_UP
+from clockprobe.atom import F3_BLOCK, F4_BLOCK, GAMMA_MHZ, IDX_DOWN, IDX_UP
 from clockprobe.birefringence import state_phase_table
 from clockprobe.cli import SCHEMA_LINE, main
 from clockprobe.config import _BLOCK_TYPES, PRESETS, load_config
-from clockprobe.dynamics import SimulationConfig, run_simulation
-from clockprobe.ensemble import calibrated_irradiance
+from clockprobe.dynamics import RunSetup, SimulationConfig, run_simulation
+from clockprobe.ensemble import (
+    ChevronPoint,
+    MeasurementFigure,
+    _stratified_factors,
+    calibrated_irradiance,
+    chevron_point,
+    measurement_figure,
+    operating_point,
+)
 from clockprobe.errors import (
     ConfigError,
     FitFailureError,
@@ -32,7 +40,8 @@ from clockprobe.errors import (
     ResonanceProximityError,
     UnresolvedClockLevelsError,
 )
-from clockprobe.lightshift import differential_clock_shift
+from clockprobe.lightshift import ProbeConfig, differential_clock_shift, resonance_distance
+from closed_forms import saturation
 from test_config import VALID_BLOCKS
 
 FAST_RABI = """\
@@ -108,6 +117,40 @@ class TestConfigLoading:
         assert not setup.simulation.pumping
         assert setup.probe.irradiance_rel == calibrated_irradiance(
             cfg.probe.detuning_MHz, 45.0, 1.25)
+
+    @pytest.mark.parametrize("preset,command", [("chevron", "chevron"),
+                                                ("rabi-ideal", "rabi")])
+    def test_file_rate_replaces_the_preset_irradiance(self, tmp_path, preset, command):
+        # the file's rate overrides the preset's irradiance as any file key
+        # overrides the preset's; the irradiance/rate conflict is one layer's
+        p = write(tmp_path, "c.yaml", "simulation:\n  scattering_rate_per_ms: 1.25\n")
+        cfg = load_config(p, preset=preset, accept=partial(cli._check_given, command))
+        assert cfg.simulation.scattering_rate_per_ms == 1.25
+        assert cfg.probe.irradiance_rel == ProbeConfig().irradiance_rel
+        assert PRESETS[preset]["probe"]["irradiance_rel"] == 16.0
+
+    def test_preset_over_rate_runs(self, tmp_path):
+        p = write(tmp_path, "c.yaml", "simulation:\n  scattering_rate_per_ms: 1.25\n"
+                                      "  t_span_ms: 1.0\noutput:\n  plot_scripts: false\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(p),
+                     "--out", str(out)]) == 0
+        assert [f.name for f in out.iterdir()] == ["rabi_record.csv"]
+
+    @pytest.mark.parametrize("preset,command,text", [
+        ("chevron", "chevron",
+         "probe:\n  irradiance_rel: 8.0\nsimulation:\n  scattering_rate_per_ms: 1.25\n"),
+        ("measurement", "measurement", "probe:\n  irradiance_rel: 8.0\n"),
+    ], ids=["file-gives-both", "file-irradiance-over-preset-rate"])
+    def test_irradiance_and_rate_within_a_layer_exit_2(self, tmp_path, capsys, preset,
+                                                       command, text):
+        p = write(tmp_path, "c.yaml", text)
+        out = tmp_path / "o"
+        assert main([command, "--preset", preset, "--config", str(p),
+                     "--out", str(out)]) == 2
+        assert "probe.irradiance_rel is given with simulation.scattering_rate_per_ms" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_block_rejected(self, tmp_path):
         p = write(tmp_path, "c.yaml", "laser:\n  power: 3\n")
@@ -347,7 +390,7 @@ sweep:
         rows = self._unmasked_chevron(tmp_path, [-700.0, -0.1])
         assert [float(r["detuning_MHz"]) for r in rows] == [-700.0, -0.1]
         assert rows[0]["error"] == "" and float(rows[0]["rel_residual"]) < 0.05
-        assert "within 0.1 Gamma" in rows[1]["error"]
+        assert "saturates the atoms" in rows[1]["error"]
         assert math.isnan(float(rows[1]["omega_kHz"]))
         assert math.isnan(float(rows[1]["omega_analytic_kHz"]))
 
@@ -359,9 +402,73 @@ sweep:
         assert rows[0]["error"] == \
             "fitted frequency 53.8079 kHz outside (0, Nyquist)"
         assert math.isnan(float(rows[0]["omega_kHz"]))
-        assert "within 0.1 Gamma" in rows[1]["error"]
+        assert "saturates the atoms" in rows[1]["error"]
         # the quoted comma of the first error must not break the plot script
         run_plot_script(tmp_path / "out" / "plot_chevron.py", "chevron.png")
+
+
+class TestSweepRowsAreThePoints:
+    """The chevron and measurement CSVs pass the sweep points through: each
+    row is a direct call of chevron_point or measurement_figure, under the
+    header of its named tuple's fields."""
+
+    CASES = {
+        "chevron": (None, ChevronPoint, "chevron.csv",
+                    FAST_RABI + "sweep:\n  window_MHz: [-700.0, -200.0]\n"
+                                "  n_points: 2\n  n_theta: 2\n"),
+        "measurement": ("measurement", MeasurementFigure, "measurement.csv",
+                        (
+            "inhomogeneity:\n  n_samples: 2\nsweep:\n  window_MHz: [-345.0, -325.0]\n"
+            "  n_points: 2\noutput:\n  plot_scripts: false\n")),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_rows_equal_direct_calls(self, tmp_path, command):
+        preset, point_type, table, text = self.CASES[command]
+        cfg_path, out = write(tmp_path, "c.yaml", text), tmp_path / "o"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + (["--preset", preset] if preset else [])) == 0
+        with open(out / table, newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+        assert next(csv.reader(lines[:1])) == \
+            ["detuning_MHz", *point_type._fields, "masked", "error"]
+        rows = list(csv.DictReader(lines))
+
+        cfg = load_config(cfg_path, preset=preset)
+        setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
+        point = (partial(chevron_point, setup, cfg.inhomogeneity) if command == "chevron"
+                 else partial(measurement_figure, setup, cfg.inhomogeneity,
+                              cfg.output.detection_efficiency))
+        grid = np.linspace(*cfg.sweep.window_MHz, cfg.sweep.n_points).tolist()
+        assert len(rows) == len(grid) == 2
+        for det, row in zip(grid, rows):
+            values = point(det)
+            assert isinstance(values, point_type)
+            assert row == {"detuning_MHz": cli._fmt(det),
+                           **{k: cli._fmt(v) for k, v in values._asdict().items()},
+                           "masked": "0", "error": ""}
+
+
+@pytest.mark.parametrize("preset", ["rabi-ideal", "rabi-dephased", "chevron",
+                                    "measurement"])
+def test_presets_stay_far_detuned(preset):
+    # the largest s_eff of any ensemble member at any unmasked point: 1.6e-4
+    # for the rabi presets, 1.6e-3 for chevron (-100 MHz) and 4.0e-4 for
+    # measurement (-60 MHz, its brightest member)
+    cfg = load_config(preset=preset)
+    setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
+    if preset.startswith("rabi"):
+        grid = [cfg.probe.detuning_MHz]
+    else:
+        grid = np.linspace(*cfg.sweep.window_MHz, cfg.sweep.n_points)
+        grid = grid[resonance_distance(grid).min(axis=-1)
+                    > cfg.sweep.mask_gamma * GAMMA_MHZ].tolist()
+    inh = cfg.inhomogeneity
+    spread = _stratified_factors(inh.probe_irradiance_rms_frac, inh.n_samples).max()
+    probes = [operating_point(setup, det).probe for det in grid]
+    s_eff = max(saturation(dataclasses.replace(p, irradiance_rel=p.irradiance_rel * spread))
+                for p in probes)
+    assert s_eff < 0.01
 
 
 class TestSweepsPlaceEveryPoint:
@@ -467,6 +574,18 @@ class TestExitCodes:
                                       "detuning_MHz: -0.3"))
         assert main(["rabi", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_saturating_probe_exits_3(self, tmp_path, capsys):
+        # 0.22 Gamma from F=4 -> F'=4 at 16 I_sat: s_eff = 2.5, outside the
+        # dispersive model, though beyond the 0.1 Gamma pole floor
+        cfg = write(tmp_path, "c.yaml", "probe:\n  detuning_MHz: -1.0\n")
+        out = tmp_path / "o"
+        assert main(["rabi", "--preset", "rabi-ideal", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "physics error: probe detuning -1 MHz saturates the atoms (s_eff = 2.52 "
+            "> 0.01 at 16 I_sat) near the F=4 -> F'=4 resonance at 0 MHz\n")
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("state", ["bogus", "5,0"])
     def test_bad_initial_state_exits_2(self, tmp_path, state):

@@ -6,7 +6,6 @@ import pytest
 from closed_forms import dominant_mode
 
 from clockprobe.atom import IDX_DOWN, IDX_UP, N_GROUND
-from clockprobe.cli import _chevron_point
 from clockprobe.config import load_config
 from clockprobe.dynamics import (
     MicrowaveConfig,
@@ -16,7 +15,7 @@ from clockprobe.dynamics import (
     pumping_jump_operators,
     pure_state,
 )
-from clockprobe.ensemble import operating_point
+from clockprobe.ensemble import chevron_point, operating_point
 from clockprobe.errors import FitFailureError
 from clockprobe.fitting import (
     _analytic_signal,
@@ -176,7 +175,7 @@ class TestAgainstTheDominantMode:
         cfg = load_config(preset=preset)
         setup = RunSetup(cfg.probe, cfg.microwave, cfg.cloud, cfg.simulation)
         det = cfg.probe.detuning_MHz if point == "rabi-ideal" else point
-        omega, analytic, _ = _chevron_point(setup, cfg.inhomogeneity, det)
+        omega, analytic, _ = chevron_point(setup, cfg.inhomogeneity, det)
         lam = dominant_mode(_s3_generator(operating_point(setup, det)),
                             cfg.simulation.initial_density_matrix(), S3)
         mode = lam.imag / (2 * np.pi)

@@ -8,6 +8,7 @@ import pytest
 from clockprobe.angular import dipole_element
 from clockprobe.atom import F3_BLOCK, F4_BLOCK, GAMMA_MHZ, IDX_DOWN, IDX_UP, state_registry
 from clockprobe.birefringence import two_color_balance
+from clockprobe.dynamics import pumping_jump_operators
 from clockprobe.errors import (
     NoBalanceError,
     ResonanceProximityError,
@@ -17,6 +18,7 @@ from clockprobe.lightshift import (
     ProbeConfig,
     amplitude_tensor,
     build_light_shift,
+    check_far_detuned,
     check_off_resonance,
     clear_of_resonances,
     differential_clock_shift,
@@ -28,7 +30,7 @@ from clockprobe.lightshift import (
     resonance_distance,
     spherical_polarization,
 )
-from closed_forms import closed_form_xis
+from closed_forms import closed_form_xis, saturation
 
 
 
@@ -127,6 +129,47 @@ class TestResonanceRule:
             (-1168.2, -1168.0, "F=4 -> F'=3")
         assert str(err) == ("probe detuning -1168.2 MHz is within 0.1 Gamma of the "
                             "F=4 -> F'=3 resonance at -1168 MHz")
+
+
+class TestSaturationRule:
+    @pytest.mark.parametrize("detuning", [-1200.0, -1150.0, -700.0, -40.0, -1.0, 30.0,
+                                          8300.0])
+    @pytest.mark.parametrize("theta", [0.0, 45.0, 90.0])
+    def test_raises_just_above_s_eff_of_one_percent(self, detuning, theta):
+        # s_eff is linear in the irradiance: the threshold irradiance passes
+        # the check and one part in 1e9 above it raises
+        at_threshold = 0.01 / saturation(ProbeConfig(detuning, 1.0, theta))
+        check_far_detuned(ProbeConfig(detuning, at_threshold * (1 - 1e-9), theta))
+        with pytest.raises(ResonanceProximityError, match="saturates the atoms"):
+            check_far_detuned(ProbeConfig(detuning, at_threshold * (1 + 1e-9), theta))
+
+    def test_error_names_s_eff_irradiance_and_nearest_resonance(self):
+        # 0.22 Gamma from F=4 -> F'=4 at 16 I_sat, outside the 0.1 Gamma floor
+        probe = ProbeConfig(-1.0, 16.0, 45.0)
+        with pytest.raises(ResonanceProximityError) as info:
+            light_shift_matrix(probe)
+        err = info.value
+        assert (err.detuning_MHz, err.nearest_resonance_MHz, err.label) == \
+            (-1.0, 0.0, "F=4 -> F'=4")
+        assert str(err) == (f"probe detuning -1 MHz saturates the atoms (s_eff = "
+                            f"{saturation(probe):.3g} > 0.01 at 16 I_sat) near the "
+                            "F=4 -> F'=4 resonance at 0 MHz")
+        with pytest.raises(ResonanceProximityError, match="s_eff = 2.52 > 0.01"):
+            pumping_jump_operators(probe)
+
+    def test_pole_floor_holds_at_any_irradiance(self):
+        # far below saturation the 1/Delta poles still lie within 0.1 Gamma
+        probe = ProbeConfig(-0.3, 1e-6, 45.0)
+        assert saturation(probe) < 1e-6
+        with pytest.raises(ResonanceProximityError, match="within 0.1 Gamma"):
+            light_shift_matrix(probe)
+        light_shift_matrix(ProbeConfig(-0.5, 1e-6, 45.0))
+
+    def test_probe_without_detuning_raises_value_error(self):
+        for build in (light_shift_matrix, pumping_jump_operators):
+            with pytest.raises(ValueError, match="detuning_MHz is None: the probe "
+                                                 "is not placed yet"):
+                build(ProbeConfig())
 
 
 class TestDecomposition:

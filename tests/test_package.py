@@ -146,7 +146,7 @@ IMPORT_GRAPH = {
     "ensemble": {"atom", "birefringence", "dynamics", "errors", "fitting", "lightshift"},
     "config": {"atom", "dynamics", "ensemble", "errors", "lightshift"},
     "cli": {"atom", "birefringence", "config", "dynamics", "ensemble", "errors",
-            "fitting", "lightshift"},
+            "lightshift"},
 }
 
 
